@@ -11,9 +11,14 @@ servers with different crash directories share cache entries.
 
 Layout: an in-memory LRU (dict-ordered, capped by entry count) in
 front of an on-disk object store ``<cache_dir>/objects/<k[:2]>/<k>.json``
-— the git-style fan-out keeps directories small.  Disk writes are
-atomic (tmp + rename) so a killed server never leaves a torn object,
-and a hit promotes the entry back into memory.
+— the git-style fan-out keeps directories small.  Both tiers hold an
+entry as its canonical JSON text, encoded once by :meth:`ArtifactCache.put`;
+the server splices that text into replies verbatim
+(:class:`~repro.serve.protocol.RawJSON`), so a hit does no JSON work on
+the artifacts.  Disk writes are atomic (tmp + rename) so a killed
+server never leaves a torn object, and a disk hit is parsed and
+re-encoded before it is promoted into memory: an object that does not
+decode to a JSON object is a miss, never a reply.
 
 The store is shared-nothing-safe: entries are immutable once written
 (content-addressed), so concurrent servers on one directory can only
@@ -31,6 +36,7 @@ racing sweeper that loses an ``unlink`` ignores the ``ENOENT``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -48,21 +54,32 @@ _NON_SEMANTIC_OPTIONS = ("crash_dir", "crash_context", "pass_hook")
 
 _OPTION_NAMES = frozenset(f.name for f in fields(OptimizeOptions))
 
+# Distinct override sets whose canonical options stay memoized.  Real
+# traffic sends a handful (mostly none at all); the bound keeps a client
+# cycling through option values from growing the memo without limit.
+OPTIONS_MEMO_ENTRIES = 64
+
 
 def canonical_options(overrides: dict | None = None) -> dict:
     """Defaults + *overrides* as a stable, artifact-relevant dict.
 
     Unknown override names raise ``ValueError`` (surfaces as a
     bad-request to clients) rather than being silently dropped into
-    the key, which would fragment the cache.
+    the key, which would fragment the cache.  Results are memoized by
+    the canonical JSON of the overrides, so ``1``, ``1.0`` and
+    ``true`` stay distinct.
     """
-    overrides = dict(overrides or {})
+    overrides = overrides or {}
     unknown = set(overrides) - _OPTION_NAMES
     if unknown:
         raise ValueError(f"unknown OptimizeOptions field(s): "
                          f"{', '.join(sorted(unknown))}")
-    options = OptimizeOptions(**overrides)
-    out = asdict(options)
+    return dict(_canonical_options(canonical_json(overrides)))
+
+
+@functools.lru_cache(maxsize=OPTIONS_MEMO_ENTRIES)
+def _canonical_options(overrides_json: str) -> dict:
+    out = asdict(OptimizeOptions(**json.loads(overrides_json)))
     for name in _NON_SEMANTIC_OPTIONS:
         out.pop(name, None)
     return out
@@ -143,7 +160,8 @@ class ArtifactCache:
         self.root = None if cache_dir is None else Path(cache_dir)
         self.memory_entries = memory_entries
         self.max_bytes = max_bytes
-        self._memory: dict[str, dict] = {}  # insertion order = LRU order
+        # key -> canonical JSON text; insertion order = LRU order
+        self._memory: dict[str, str] = {}
         self.hits_memory = 0
         self.hits_disk = 0
         self.misses = 0
@@ -156,49 +174,55 @@ class ArtifactCache:
     def _object_path(self, key: str) -> Path:
         return self.root / "objects" / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> tuple[dict, str] | None:
-        """Look *key* up; returns ``(entry, tier)`` or ``None``.
+    def get(self, key: str) -> tuple[str, str] | None:
+        """Look *key* up; returns ``(text, tier)`` or ``None``.
 
-        ``tier`` is ``"memory"`` or ``"disk"``; a disk hit is promoted
-        into the in-memory LRU on the way out.
+        *text* is the entry's canonical JSON.  ``tier`` is ``"memory"``
+        or ``"disk"``; a disk hit is promoted into the in-memory LRU on
+        the way out, and an object that does not parse as a JSON object
+        (torn, truncated, foreign) counts as a miss.
         """
-        entry = self._memory.get(key)
-        if entry is not None:
-            # Promote: re-insert at the MRU end.
-            self._memory.pop(key)
-            self._memory[key] = entry
+        text = self._memory.pop(key, None)
+        if text is not None:
+            self._memory[key] = text  # re-insert at the MRU end
             self.hits_memory += 1
-            return entry, "memory"
+            return text, "memory"
         if self.root is not None:
             path = self._object_path(key)
             try:
                 entry = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
+            except (OSError, ValueError):
                 entry = None
-            if entry is not None:
+            if isinstance(entry, dict):
                 self.hits_disk += 1
                 try:  # LRU touch: a hit must survive the next GC sweep
                     os.utime(path)
                 except OSError:
                     pass  # concurrently evicted; the entry is in memory now
-                self._remember(key, entry)
-                return entry, "disk"
+                # Re-encoded, so memory only ever holds text this
+                # version wrote: the server splices it unchecked.
+                text = canonical_json(entry)
+                self._remember(key, text)
+                return text, "disk"
         self.misses += 1
         return None
 
-    def put(self, key: str, entry: dict) -> None:
-        self._remember(key, entry)
+    def put(self, key: str, entry: dict) -> str:
+        """Store *entry*; returns its canonical JSON text."""
+        text = canonical_json(entry)
+        self._remember(key, text)
         if self.root is None:
-            return
+            return text
         path = self._object_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(canonical_json(entry))
+        tmp.write_text(text)
         os.replace(tmp, path)
         if self.max_bytes is not None:
             self._puts_since_gc += 1
             if self._puts_since_gc >= GC_PUT_INTERVAL:
                 self.gc()
+        return text
 
     # -- disk eviction ------------------------------------------------------
 
@@ -267,9 +291,9 @@ class ArtifactCache:
         return {"evicted": evicted, "evicted_bytes": evicted_bytes,
                 "disk_bytes": disk_bytes - evicted_bytes}
 
-    def _remember(self, key: str, entry: dict) -> None:
+    def _remember(self, key: str, text: str) -> None:
         self._memory.pop(key, None)
-        self._memory[key] = entry
+        self._memory[key] = text
         while len(self._memory) > self.memory_entries:
             self._memory.pop(next(iter(self._memory)))
 

@@ -67,7 +67,10 @@ class ServeClient:
         self.retry_cap = retry_cap
         self.retries = 0  # overloaded replies retried, for telemetry
         self._sock: socket.socket | None = None
-        self._buffer = b""
+        # Received bytes not yet returned as lines, and how far into
+        # them the newline search has already looked.
+        self._buffer = bytearray()
+        self._scanned = 0
 
     def connect(self) -> "ServeClient":
         if self._sock is None:
@@ -81,7 +84,8 @@ class ServeClient:
                 self._sock.close()
             finally:
                 self._sock = None
-                self._buffer = b""
+                self._buffer = bytearray()
+                self._scanned = 0
 
     def __enter__(self) -> "ServeClient":
         return self.connect()
@@ -131,14 +135,23 @@ class ServeClient:
                 f"server sent a non-JSON reply: {line[:200]!r}") from exc
 
     def _read_line(self) -> bytes:
-        while b"\n" not in self._buffer:
-            if len(self._buffer) > MAX_LINE_BYTES:
+        """The next reply line, without its newline.
+
+        Each received byte is scanned once, and taking a line off the
+        front of the buffer does not copy the lines behind it, so a
+        long ``batch_iter`` stream costs linear time.
+        """
+        while (end := self._buffer.find(b"\n", self._scanned)) < 0:
+            self._scanned = len(self._buffer)
+            if self._scanned > MAX_LINE_BYTES:
                 raise ServeClientError("reply exceeded the line limit")
             chunk = self._sock.recv(65536)
             if not chunk:
                 raise ServeClientError("server closed the connection")
             self._buffer += chunk
-        line, self._buffer = self._buffer.split(b"\n", 1)
+        line = bytes(self._buffer[:end])
+        del self._buffer[:end + 1]
+        self._scanned = 0
         return line
 
     # -- convenience --------------------------------------------------------

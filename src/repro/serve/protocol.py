@@ -59,6 +59,25 @@ Failure: ``{"ok": false, "error": {"code": ..., "message": ...}}`` with
 ``code`` one of :data:`ERROR_CODES`; ``worker-crash`` errors add
 ``crash_bundle`` (the report directory written by
 :func:`repro.transform.crashreport.write_worker_crash_report`).
+
+Member order
+------------
+
+:func:`encode_message` is the only wire encoder.  It writes compact
+ASCII JSON with the *head* members first, in the order ``id``,
+``batch``, ``ok`` (each only when present), and every other member
+after them in sorted key order; nested objects have sorted keys too.
+A value wrapped in :class:`RawJSON` is already in that canonical form
+(the artifact cache keeps its entries as such text) and is spliced
+verbatim instead of being encoded again.
+
+Because the tags a hop may change (``id`` and ``batch``) lead the line,
+a hop re-tags a reply with :func:`retag`, which parses only the head
+and copies the rest of the line byte for byte.  The fleet router
+forwards every shard reply this way, so a cached artifact is encoded
+once, when it enters the cache, and never decoded on its way to the
+client.  The result is byte-identical to encoding the re-tagged reply
+from scratch.
 """
 
 from __future__ import annotations
@@ -101,10 +120,81 @@ class ProtocolError(Exception):
         return error_reply(self.code, str(self), request_id=request_id)
 
 
+# Members a line leads with, in this order; a hop may rewrite TAGS.
+HEAD = ("id", "batch", "ok")
+TAGS = ("id", "batch")
+
+_ENCODE = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+_DECODER = json.JSONDecoder()
+
+
+class RawJSON:
+    """A JSON value already encoded the way :func:`encode_message`
+    encodes values (compact, sorted keys, ASCII); spliced verbatim."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RawJSON) and other.text == self.text
+
+
+def _encode(value) -> str:
+    return value.text if type(value) is RawJSON else _ENCODE(value)
+
+
 def encode_message(message: dict) -> bytes:
-    """One reply/request as a wire line (compact JSON + newline)."""
-    return (json.dumps(message, separators=(",", ":"), sort_keys=True)
-            + "\n").encode("utf-8")
+    """One reply/request as a wire line: head members first, the rest
+    sorted, :class:`RawJSON` values spliced, newline-terminated."""
+    members = [f'"{name}":{_encode(message[name])}'
+               for name in HEAD if name in message]
+    members += [f"{_ENCODE(name)}:{_encode(value)}"
+                for name, value in sorted(message.items())
+                if name not in HEAD]
+    return ("{" + ",".join(members) + "}\n").encode("utf-8")
+
+
+def _head(text: str):
+    """``(name, value, end)`` for each head member leading *text*."""
+    pos = 1
+    for name in HEAD:
+        prefix = f'"{name}":'
+        if text.startswith(prefix, pos):
+            value, end = _DECODER.raw_decode(text, pos + len(prefix))
+            yield name, value, end
+            pos = end + 1  # past the comma (or the closing brace)
+
+
+def head_value(line: bytes, name: str):
+    """The head member *name* of a wire line (``None`` when absent),
+    without decoding the rest of the line."""
+    for member, value, _ in _head(line.decode("utf-8")):
+        if member == name:
+            return value
+    return None
+
+
+def retag(line: bytes, **tags) -> bytes:
+    """*line* with its ``id``/``batch`` members replaced by *tags*.
+
+    Only the head is parsed; everything after the old tags is copied
+    as is.  Equals ``encode_message`` of the decoded line with the same
+    members replaced (a tag left out of *tags* is dropped).
+    """
+    text = line.decode("utf-8")
+    start = 1
+    for name, _, end in _head(text):
+        if name not in TAGS:
+            break
+        start = end + (text[end] == ",")
+    members = [f'"{name}":{_encode(tags[name])}'
+               for name in TAGS if name in tags]
+    rest = text[start:]
+    if members and not rest.startswith("}"):
+        members.append("")  # the comma before the first kept member
+    return ("{" + ",".join(members) + rest).encode("utf-8")
 
 
 def decode_line(line: bytes) -> dict:

@@ -31,6 +31,12 @@ id (the shard serves one connection's lines concurrently).  The
 its own key, so one client line fans out across the whole fleet and
 the sub-replies stream back in completion order.
 
+Replies are forwarded, not rebuilt: a link hands back the shard's
+reply line undecoded, and the router rewrites only its head — the
+router id becomes the client's ``id`` (plus ``batch`` inside a batch)
+— with :func:`~repro.serve.protocol.retag`, copying the rest, cached
+artifacts included, byte for byte.
+
 ``ping``/``stats`` are answered by the router itself; ``stats``
 aggregates — router counters, per-shard introspection, fleet-wide
 sums.  A health loop pings shards: live ones that stop answering are
@@ -61,8 +67,9 @@ from .. import __version__
 from .cache import cache_key, run_cache_key
 from .metrics import Metrics
 from .protocol import (MAX_LINE_BYTES, ProtocolError, decode_line,
-                       encode_message, error_reply, validate_batch_request,
-                       validate_compile_request, validate_run_request)
+                       encode_message, error_reply, head_value, retag,
+                       validate_batch_request, validate_compile_request,
+                       validate_run_request)
 
 # Virtual nodes per shard on the ring.  96 points x sha256 keeps the
 # per-shard share of the key space within a few percent of uniform for
@@ -153,11 +160,13 @@ class ShardLink:
     """The router's transport to one shard: a small connection pool.
 
     Requests are tagged with router ids (``r<N>``) before they go on
-    the wire and matched back by that id, so any number can be in
+    the wire and matched back by that id, read from the head of each
+    reply line without decoding the rest, so any number can be in
     flight per connection.  Connections are created lazily and
-    round-robined; any transport failure fails *all* pending requests
-    on that connection with :class:`ShardDown` (the router then
-    redispatches them — requests are pure).
+    round-robined; any transport failure — including a line cut short
+    by the shard's death — fails *all* pending requests on that
+    connection with :class:`ShardDown` (the router then redispatches
+    them — requests are pure).
     """
 
     _rids = itertools.count()
@@ -173,11 +182,12 @@ class ShardLink:
         self._next = 0
         self.closed = False
 
-    async def request(self, message: dict) -> dict:
-        """Forward one message; returns the shard's reply.
+    async def request(self, message: dict) -> bytes:
+        """Forward one message; returns the shard's reply line, undecoded.
 
-        The caller's ``id`` is preserved: the wire carries a router id,
-        the reply comes back with the original (or none).
+        The wire carries a router id in place of the caller's ``id``,
+        and the line comes back tagged with it: the caller re-tags it
+        (:func:`~repro.serve.protocol.retag`) or decodes it (:meth:`call`).
         Raises :class:`ShardDown` on any transport failure and
         :class:`asyncio.TimeoutError` if the shard sits on the request
         past the link timeout.
@@ -186,8 +196,6 @@ class ShardLink:
             raise ShardDown(f"link to {self.name} is closed")
         conn = await self._pick()
         rid = f"r{next(self._rids)}"
-        had_id = "id" in message
-        client_id = message.get("id")
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         conn.pending[rid] = future
         try:
@@ -198,19 +206,20 @@ class ShardLink:
             self._kill_conn(conn, f"write failed: {exc}")
             raise ShardDown(str(exc)) from exc
         try:
-            reply = await asyncio.wait_for(future, self.timeout)
+            return await asyncio.wait_for(future, self.timeout)
         except asyncio.TimeoutError:
             conn.pending.pop(rid, None)
             raise
-        reply = dict(reply)
-        if had_id and client_id is not None:
-            reply["id"] = client_id
-        else:
-            reply.pop("id", None)
+
+    async def call(self, message: dict) -> dict:
+        """:meth:`request` for the router's own use: the reply decoded,
+        the link's id dropped."""
+        reply = decode_line(await self.request(message))
+        reply.pop("id", None)
         return reply
 
     async def ping(self) -> dict:
-        return await self.request({"op": "ping"})
+        return await self.call({"op": "ping"})
 
     async def _pick(self) -> _Conn:
         alive = [c for c in self._conns if not c.dead]
@@ -234,14 +243,15 @@ class ShardLink:
         try:
             while True:
                 line = await conn.reader.readline()
-                if not line:
-                    break
-                reply = decode_line(line)
-                future = conn.pending.pop(reply.get("id"), None)
+                if not line.endswith(b"\n"):
+                    break  # EOF, maybe mid-line: never forward a torn reply
+                rid = head_value(line, "id")
+                future = (conn.pending.pop(rid, None)
+                          if isinstance(rid, str) else None)
                 if future is not None and not future.done():
-                    future.set_result(reply)
-        except (ConnectionError, OSError, ProtocolError,
-                asyncio.LimitOverrunError, ValueError):
+                    future.set_result(line)
+        except (ConnectionError, OSError, asyncio.LimitOverrunError,
+                ValueError):
             pass
         except asyncio.CancelledError:
             raise
@@ -460,9 +470,9 @@ class Router:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
                     async with write_lock:
-                        await self._send(writer, error_reply(
+                        await self._send(writer, encode_message(error_reply(
                             "oversized",
-                            f"request line exceeds {MAX_LINE_BYTES} bytes"))
+                            f"request line exceeds {MAX_LINE_BYTES} bytes")))
                     break
                 if not line or not line.endswith(b"\n"):
                     break
@@ -487,14 +497,14 @@ class Router:
                 pass
 
     async def _send(self, writer: asyncio.StreamWriter,
-                    reply: dict) -> None:
-        writer.write(encode_message(reply))
+                    line: bytes) -> None:
+        writer.write(line)
         await writer.drain()
 
-    async def _send_locked(self, writer, write_lock, reply: dict) -> None:
+    async def _send_locked(self, writer, write_lock, line: bytes) -> None:
         try:
             async with write_lock:
-                await self._send(writer, reply)
+                await self._send(writer, line)
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass
 
@@ -505,13 +515,16 @@ class Router:
         except ProtocolError as exc:
             self.metrics.bump("requests_total")
             self.metrics.bump(f"errors_{exc.code}")
-            await self._send_locked(writer, write_lock, exc.as_reply(None))
+            await self._send_locked(writer, write_lock,
+                                    encode_message(exc.as_reply(None)))
             return
         if message.get("op") == "batch":
             await self._serve_batch(message, writer, write_lock)
             return
-        reply = await self._dispatch_message(message)
-        await self._send_locked(writer, write_lock, reply)
+        request_id = message.get("id")
+        tags = {} if request_id is None else {"id": request_id}
+        await self._send_locked(writer, write_lock,
+                                await self._dispatch_message(message, tags))
 
     async def _serve_batch(self, message: dict, writer,
                            write_lock: asyncio.Lock) -> None:
@@ -526,16 +539,16 @@ class Router:
         except ProtocolError as exc:
             self.metrics.bump(f"errors_{exc.code}")
             await self._send_locked(writer, write_lock,
-                                    exc.as_reply(batch_id))
+                                    encode_message(exc.as_reply(batch_id)))
             return
 
         async def one(sub: dict) -> bool:
-            reply = await self._dispatch_message(sub)
-            reply.setdefault("id", sub["id"])
+            tags = {"id": sub["id"]}
             if batch_id is not None:
-                reply["batch"] = batch_id
-            await self._send_locked(writer, write_lock, reply)
-            return bool(reply.get("ok"))
+                tags["batch"] = batch_id
+            line = await self._dispatch_message(sub, tags)
+            await self._send_locked(writer, write_lock, line)
+            return head_value(line, "ok") is True
 
         oks = await asyncio.gather(*(one(sub) for sub in subs))
         summary = {"ok": True, "batch_complete": True,
@@ -543,34 +556,40 @@ class Router:
         if batch_id is not None:
             summary["batch"] = batch_id
             summary["id"] = batch_id
-        await self._send_locked(writer, write_lock, summary)
+        await self._send_locked(writer, write_lock, encode_message(summary))
 
     # -- routing ------------------------------------------------------------
 
-    async def _dispatch_message(self, message: dict) -> dict:
+    async def _dispatch_message(self, message: dict, tags: dict) -> bytes:
+        """One non-batch request's reply line, tagged with *tags*.
+
+        Routed replies are the shard's own line with only its head
+        rewritten; the router's own replies are encoded here.
+        """
         started = time.perf_counter()
         self.metrics.bump("requests_total")
-        request_id = message.get("id")
         try:
             op = message.get("op")
-            if op == "ping":
-                return self._ping_reply(request_id)
-            if op == "stats":
-                return await self._stats_reply(request_id)
             if op in ("compile", "run"):
                 key = self._routing_key(message)
-                return await self._forward(key, message, request_id)
-            if op == "batch":
+                return retag(await self._forward(key, message), **tags)
+            if op == "ping":
+                reply = self._ping_reply()
+            elif op == "stats":
+                reply = await self._stats_reply()
+            elif op == "batch":
                 raise ProtocolError("bad-request", "batches do not nest")
-            raise ProtocolError("bad-request",
-                                f"unknown op {op!r}; expected "
-                                f"'compile', 'run', 'batch', 'stats' or "
-                                f"'ping'")
+            else:
+                raise ProtocolError("bad-request",
+                                    f"unknown op {op!r}; expected "
+                                    f"'compile', 'run', 'batch', 'stats' "
+                                    f"or 'ping'")
         except ProtocolError as exc:
             self.metrics.bump(f"errors_{exc.code}")
-            return exc.as_reply(request_id)
+            reply = exc.as_reply()
         finally:
             self.metrics.observe("request", time.perf_counter() - started)
+        return encode_message({**reply, **tags})
 
     def _routing_key(self, message: dict) -> str:
         """The shard-affinity key: exactly the shard's own cache key.
@@ -591,13 +610,14 @@ class Router:
         except ValueError as exc:  # unknown OptimizeOptions field
             raise ProtocolError("bad-request", str(exc)) from exc
 
-    async def _forward(self, key: str, message: dict, request_id) -> dict:
-        """Route by ring, forward, redispatch on shard death.
+    async def _forward(self, key: str, message: dict) -> bytes:
+        """Route by ring, forward, redispatch on shard death; returns
+        the owning shard's reply line.
 
         Every attempt re-consults the ring, so after a failure the key
         lands on the next live shard.  Attempts are bounded by the
         fleet size: once every shard has failed us the ring is empty
-        and the loop exits with ``unavailable``.
+        and the loop raises ``unavailable``.
         """
         attempts = len(self.ring) + 1
         for _ in range(attempts):
@@ -606,35 +626,30 @@ class Router:
                 break
             link = self._link_for(name)
             try:
-                reply = await link.request(message)
+                line = await link.request(message)
             except ShardDown:
                 self.note_shard_dead(name)
                 self.metrics.bump("redispatches")
                 continue
             except asyncio.TimeoutError:
                 self.metrics.bump("shard_timeouts")
-                return error_reply(
+                raise ProtocolError(
                     "unavailable",
                     f"shard {name} did not answer within "
-                    f"{self.config.request_timeout}s", request_id=request_id)
+                    f"{self.config.request_timeout}s") from None
             self.metrics.bump("routed")
-            return reply
-        self.metrics.bump("errors_unavailable")
-        return error_reply("unavailable", "no live shard available",
-                           request_id=request_id)
+            return line
+        raise ProtocolError("unavailable", "no live shard available")
 
     # -- introspection ------------------------------------------------------
 
-    def _ping_reply(self, request_id) -> dict:
-        reply = {"ok": True, "pong": True, "role": "router",
-                 "version": __version__, "pid": os.getpid(),
-                 "shards_live": len(self.ring),
-                 "shards_known": len(self._addrs)}
-        if request_id is not None:
-            reply["id"] = request_id
-        return reply
+    def _ping_reply(self) -> dict:
+        return {"ok": True, "pong": True, "role": "router",
+                "version": __version__, "pid": os.getpid(),
+                "shards_live": len(self.ring),
+                "shards_known": len(self._addrs)}
 
-    async def _stats_reply(self, request_id) -> dict:
+    async def _stats_reply(self) -> dict:
         """Fleet-wide stats: router counters + per-shard introspection
         merged into fleet totals."""
         names = sorted(self.ring.members)
@@ -642,9 +657,9 @@ class Router:
         async def shard_stats(name: str):
             try:
                 return name, await asyncio.wait_for(
-                    self._link_for(name).request({"op": "stats"}),
+                    self._link_for(name).call({"op": "stats"}),
                     timeout=10.0)
-            except (ShardDown, asyncio.TimeoutError) as exc:
+            except (ShardDown, asyncio.TimeoutError, ProtocolError) as exc:
                 return name, {"ok": False, "error": str(exc)}
 
         gathered = await asyncio.gather(*(shard_stats(n) for n in names))
@@ -667,8 +682,6 @@ class Router:
                 reply["fleet"].update(self.extra_stats())
             except Exception:
                 pass  # introspection must never take a request down
-        if request_id is not None:
-            reply["id"] = request_id
         return reply
 
 

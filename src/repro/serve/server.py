@@ -13,7 +13,10 @@ executor, so the loop stays responsive while compiles grind and stays
 Request flow, in order:
 
 1. **cache** — a content-address hit (memory or disk) replies
-   immediately; no worker, no queue.
+   immediately; no worker, no queue, and no JSON work on the
+   artifacts: the cache holds their canonical text, which the reply
+   splices verbatim (:class:`~repro.serve.protocol.RawJSON`).  A cold
+   compile's reply splices the text its cache write produced.
 2. **single-flight** — an identical request already compiling joins its
    in-flight future instead of compiling twice; joiners are marked
    ``coalesced`` in the reply.
@@ -68,8 +71,8 @@ from ..native import (TierDecision, TieringManager, TieringPolicy,
                       native_available)
 from .cache import ArtifactCache, cache_key, run_cache_key
 from .metrics import Metrics
-from .protocol import (MAX_LINE_BYTES, ProtocolError, decode_line,
-                       encode_message, error_reply,
+from .protocol import (MAX_LINE_BYTES, ProtocolError, RawJSON,
+                       decode_line, encode_message, error_reply,
                        validate_batch_request, validate_compile_request,
                        validate_run_request)
 from .worker import CompileHandler
@@ -400,11 +403,11 @@ class CompileServer:
         if cacheable:
             hit = self.cache.get(key)
             if hit is not None:
-                entry, tier = hit
+                text, tier = hit
                 self.metrics.bump("cache_hits")
                 self.metrics.observe("compile_cached",
                                      time.perf_counter() - started)
-                return self._ok(request_id, key, entry, cached=tier)
+                return self._ok(request_id, key, RawJSON(text), cached=tier)
             self.metrics.bump("cache_misses")
 
             inflight = self._inflight.get(key)
@@ -468,7 +471,7 @@ class CompileServer:
 
         self._record_phase_timings(artifacts)
         if "fault" not in request:
-            self.cache.put(key, artifacts)
+            artifacts = RawJSON(self.cache.put(key, artifacts))
         self.metrics.observe("compile_cold", time.perf_counter() - started)
         return self._ok(request_id, key, artifacts, cached=False)
 
@@ -623,7 +626,7 @@ class CompileServer:
                     self.metrics.record_phase_timings(sub.get("timings"))
 
     @staticmethod
-    def _ok(request_id, key: str, artifacts: dict, *, cached,
+    def _ok(request_id, key: str, artifacts: dict | RawJSON, *, cached,
             coalesced: bool = False) -> dict:
         reply = {"ok": True, "key": key, "cached": cached,
                  "coalesced": coalesced, "artifacts": artifacts}

@@ -24,8 +24,9 @@ import time
 import pytest
 
 from repro import __version__
-from repro.serve.cache import cache_key
+from repro.serve.cache import cache_key, run_cache_key
 from repro.serve.client import ServeClient, backoff_delay
+from repro.serve.protocol import encode_message
 from repro.serve.router import HashRing, Router, RouterConfig, ShardAddr
 from repro.serve.server import CompileServer, ServerConfig
 
@@ -249,6 +250,63 @@ def test_routed_artifacts_match_direct(fleet):
     direct = compile_request(dict(request))
     for artifact in ("ir", "c", "bytecode"):
         assert routed["artifacts"][artifact] == direct[artifact]
+
+
+def _lines(client: ServeClient, message: dict) -> list[bytes]:
+    """Send *message*; return its raw reply lines (a batch's sub-replies
+    in completion order, then the summary)."""
+    client.connect()
+    client._sock.sendall(encode_message(message))
+    lines = [client._read_line()]
+    if message.get("op") == "batch":
+        while not json.loads(lines[-1]).get("batch_complete"):
+            lines.append(client._read_line())
+    return lines
+
+
+def test_routed_reply_lines_match_direct(fleet):
+    """A routed reply is the owning shard's reply line, byte for byte,
+    with only the id rewritten."""
+    source = SRC + " // routed-lines"
+    compile_msg = {"op": "compile", "source": source, "opt": "static"}
+    key = cache_key(compile_msg)
+    owner = fleet.router.router.ring.lookup(key)
+    with fleet.client() as routed, fleet.shard_client(owner) as direct:
+        # A cold compile: the routed line splices the text the shard's
+        # cache write produced, so only the cache outcome tells it from
+        # the direct memory hit that follows.
+        (cold,) = _lines(routed, {**compile_msg, "id": "cold"})
+        (hit,) = _lines(direct, {**compile_msg, "id": "cold"})
+        assert json.loads(cold)["cached"] is False
+        assert json.loads(hit)["cached"] == "memory"
+        assert cold.replace(b'"cached":false,', b'"cached":"memory",', 1) \
+            == hit
+
+        # A memory hit, with a structured id.
+        message = {**compile_msg, "id": {"n": 1, "tag": "hit"}}
+        assert _lines(routed, message) == _lines(direct, message)
+
+        # A bad request: the router answers itself, in the same bytes.
+        message = {**compile_msg, "options": {"warp_factor": 9}, "id": 5}
+        assert _lines(routed, message) == _lines(direct, message)
+
+        # A run: two fresh requests both land on the interpreter tier.
+        run_msg = {"op": "run", "source": source, "entry": "main",
+                   "args": [[6]], "id": "run"}
+        run_owner = fleet.router.router.ring.lookup(run_cache_key(run_msg))
+        with fleet.shard_client(run_owner) as run_direct:
+            (routed_run,) = _lines(routed, run_msg)
+            assert _lines(run_direct, run_msg) == [routed_run]
+        assert json.loads(routed_run)["tier"] == "interp"
+
+        # A batch: the sub-reply and the summary line.
+        batch = {"op": "batch", "id": "b1",
+                 "requests": [{**compile_msg, "id": "sub"}]}
+        routed_batch = _lines(routed, batch)
+        assert routed_batch == _lines(direct, batch)
+        assert routed_batch[0].startswith(b'{"id":"sub","batch":"b1",')
+        # And the routed line decodes to what the client returns.
+        assert json.loads(routed_batch[0])["cached"] == "memory"
 
 
 def test_routed_run_request(fleet):

@@ -16,10 +16,14 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.serve.cache import ArtifactCache, cache_key
-from repro.serve.client import ServeClient
-from repro.serve.protocol import MAX_LINE_BYTES
+from repro.core.snapshot import canonical_json
+from repro.serve import cache as cache_module
+from repro.serve.cache import ArtifactCache, cache_key, run_cache_key
+from repro.serve.client import ServeClient, ServeClientError
+from repro.serve.protocol import (MAX_LINE_BYTES, RawJSON, encode_message,
+                                  head_value, retag)
 from repro.serve.server import CompileServer, ServerConfig
 from repro.serve.worker import compile_request
 
@@ -322,13 +326,233 @@ def test_cache_key_pgo_profile_material():
         {**base, "opt": "static"})
 
 
+# Digests of fixed requests, taken before canonical_options was
+# memoized.  Existing on-disk stores are addressed by these; a change
+# here re-addresses every stored artifact.
+PINNED_KEYS = {
+    "compile-default":
+        "d6c55932d63f415ee74b8dc362fafd54a94d41fa0b13c3ac705e807f856f901b",
+    "compile-override":
+        "7b91401224b05ac2fcc4f120daf021739c4b4272fd91a1f73cdd6f58b1cea7fb",
+    "run-default":
+        "ce39c52669a294f70a9874f1e38916439acfdc4e9df334f26ab781275c00f626",
+    "run-override":
+        "e0fa82e6ce98f7ee56ae5c8554813c79ee61e7b99d5b7ebf12ea37948e1f31c6",
+}
+
+
+def test_cache_keys_are_pinned():
+    compile_base = {"op": "compile", "source": SRC, "opt": "static",
+                    "options": {}}
+    run_base = {"op": "run", "source": SRC, "entry": "main",
+                "args": [[4]], "options": {}}
+    for _ in range(2):  # the second round is served from the memo
+        assert cache_key(compile_base) == PINNED_KEYS["compile-default"]
+        assert cache_key({**compile_base, "options": {"max_rounds": 2}}) \
+            == PINNED_KEYS["compile-override"]
+        assert run_cache_key(run_base) == PINNED_KEYS["run-default"]
+        assert run_cache_key({**run_base, "options": {"mem_opt": False}}) \
+            == PINNED_KEYS["run-override"]
+
+
+def test_canonical_options_memo_is_bounded():
+    memo = cache_module._canonical_options
+    bound = cache_module.OPTIONS_MEMO_ENTRIES
+    for rounds in range(bound + 16):
+        cache_module.canonical_options({"max_rounds": 100 + rounds})
+    assert memo.cache_info().currsize == bound
+    # Values that compare equal in Python but encode differently stay
+    # distinct memo entries, as they are distinct cache keys.
+    for one, other in (({"max_rounds": 2}, {"max_rounds": 2.0}),
+                       ({"mem_opt": True}, {"mem_opt": 1})):
+        assert canonical_json(cache_module.canonical_options(one)) \
+            != canonical_json(cache_module.canonical_options(other))
+
+
 def test_artifact_cache_lru_and_disk(tmp_path):
     cache = ArtifactCache(tmp_path / "store", memory_entries=2)
     for index in range(3):
         cache.put(f"k{index}", {"n": index})
     assert len(cache._memory) == 2  # k0 evicted from memory...
-    entry, tier = cache.get("k0")
-    assert entry == {"n": 0} and tier == "disk"  # ...but not from disk
+    entry, tier = cache.get("k0")  # the entry's canonical JSON text
+    assert json.loads(entry) == {"n": 0}
+    assert tier == "disk"  # ...but not from disk
     entry, tier = cache.get("k2")
     assert tier == "memory"
     assert cache.stats()["hit_rate"] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# a corrupt disk object is a miss, never a reply
+# ---------------------------------------------------------------------------
+
+
+def _stub_handler(request):
+    """Pool handler with deterministic artifacts, so two compiles of one
+    request reply with identical bytes (real ones carry timings)."""
+    return {"ir": f"stub({request['source']})", "c": "int x;",
+            "bytecode": None, "stats": {"rounds": 1}}
+
+
+@pytest.mark.parametrize("damage", ["truncate", "empty", "binary"])
+def test_corrupt_disk_object_is_a_miss(tmp_path, damage):
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.core.pool import WorkerPool
+
+    async def scenario():
+        server = CompileServer(ServerConfig(
+            cache_dir=str(tmp_path / "cache"),
+            crash_dir=str(tmp_path / "crashes")))
+        server.pool = WorkerPool(_stub_handler, size=1)
+        server._executor = ThreadPoolExecutor(max_workers=2)
+        try:
+            line = encode_message({"op": "compile", "source": SRC,
+                                   "opt": "static", "id": 3})
+            clean = encode_message(await server._dispatch(line))
+            key = json.loads(clean)["key"]
+            path = server.cache._object_path(key)
+            text = path.read_bytes()
+            path.write_bytes({"truncate": text[:len(text) // 2],
+                              "empty": b"",
+                              "binary": b"\xff\xfe{"}[damage])
+            server.cache._memory.clear()
+            before = server.cache.stats()
+            compiled = server.metrics.snapshot()["latency"][
+                "compile_cold"]["count"]
+            again = encode_message(await server._dispatch(line))
+            after = server.cache.stats()
+            assert after["misses"] == before["misses"] + 1
+            assert after["hits_disk"] == before["hits_disk"]
+            assert server.metrics.snapshot()["latency"]["compile_cold"][
+                "count"] == compiled + 1
+            assert again == clean
+            # The recompile rewrote a whole object.
+            assert path.read_bytes() == text
+        finally:
+            await server.stop()
+
+    asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# the wire format: head members first, re-tagging without decoding
+# ---------------------------------------------------------------------------
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=6), children,
+                                        max_size=4)),
+    max_leaves=12)
+_head_members = st.fixed_dictionaries({}, optional={
+    "id": _json_values, "batch": _json_values, "ok": st.booleans()})
+_tags = st.fixed_dictionaries({}, optional={
+    "id": _json_values, "batch": _json_values})
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=st.dictionaries(st.text(max_size=10), _json_values,
+                            max_size=5),
+       head=_head_members, raw=st.none() | _json_values, tags=_tags)
+def test_retag_equals_encoding_the_retagged_reply(body, head, raw, tags):
+    reply = {**body, **head}
+    if raw is not None:
+        # A pre-encoded member, as the cache hands artifacts over.
+        reply["artifacts"] = RawJSON(canonical_json(raw))
+    plain = {name: json.loads(value.text) if isinstance(value, RawJSON)
+             else value for name, value in reply.items()}
+    line = encode_message(reply)
+    assert line == encode_message(plain)  # splicing == encoding
+    assert line.endswith(b"\n") and line.count(b"\n") == 1
+    assert json.loads(line) == plain
+    assert head_value(line, "ok") == plain.get("ok")
+
+    retagged = retag(line, **tags)
+    expected = {name: value for name, value in reply.items()
+                if name not in ("id", "batch")}
+    expected.update(tags)
+    assert retagged == encode_message(expected)
+    plain_expected = {name: value for name, value in plain.items()
+                      if name not in ("id", "batch")}
+    plain_expected.update(tags)
+    assert json.loads(retagged) == plain_expected
+
+
+def test_encode_message_head_order():
+    line = encode_message({"key": "k", "ok": True, "batch": "b",
+                           "cached": "memory", "id": 7,
+                           "artifacts": RawJSON('{"ir":"x"}')})
+    assert line == (b'{"id":7,"batch":"b","ok":true,"artifacts":{"ir":"x"},'
+                    b'"cached":"memory","key":"k"}\n')
+
+
+# ---------------------------------------------------------------------------
+# the client's line reader, against a socketpair standing in for a server
+# ---------------------------------------------------------------------------
+
+
+def _paired_client():
+    ours, theirs = socket.socketpair()
+    client = ServeClient()
+    client._sock = ours
+    return client, theirs
+
+
+def test_client_reads_many_lines_from_one_chunk():
+    client, server_end = _paired_client()
+    replies = [{"ok": True, "id": index, "pad": "x" * index}
+               for index in range(200)]
+    server_end.sendall(b"".join(encode_message(r) for r in replies))
+    try:
+        for reply in replies:
+            assert json.loads(client._read_line()) == reply
+        server_end.close()
+        with pytest.raises(ServeClientError, match="closed the connection"):
+            client._read_line()
+    finally:
+        client.close()
+
+
+def test_client_reassembles_a_line_from_tiny_chunks():
+    client, server_end = _paired_client()
+    line = encode_message({"ok": True, "id": "split", "body": "y" * 3000})
+
+    def trickle():
+        for start in range(0, len(line), 7):
+            server_end.sendall(line[start:start + 7])
+            time.sleep(0.0002)
+        server_end.sendall(encode_message({"ok": True, "id": "next"}))
+
+    writer = threading.Thread(target=trickle)
+    writer.start()
+    try:
+        assert client._read_line() + b"\n" == line
+        assert json.loads(client._read_line())["id"] == "next"
+    finally:
+        writer.join()
+        server_end.close()
+        client.close()
+
+
+def test_client_refuses_an_oversized_line():
+    client, server_end = _paired_client()
+
+    def flood():
+        try:
+            server_end.sendall(b"z" * (MAX_LINE_BYTES + 256 * 1024))
+        except OSError:
+            pass  # the client hung up, as it should
+
+    writer = threading.Thread(target=flood)
+    writer.start()
+    try:
+        with pytest.raises(ServeClientError, match="line limit"):
+            client._read_line()
+    finally:
+        client.close()
+        writer.join()
+        server_end.close()
+
