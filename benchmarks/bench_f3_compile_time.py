@@ -1,48 +1,39 @@
 """F3 — compile-time scaling and the analysis cache.
 
-Two workloads, one table:
+Three workloads, one table:
 
 * the generated *chain* family (N arithmetic-heavy functions in a call
   chain, each with loops) pushed through the full pipeline at
-  increasing N — shape check: close-to-linear growth;
-* the full evaluation suite, optimized twice per program — once with
-  ``cache_analyses`` off (every pass recomputes scopes/CFGs/schedules
-  from scratch) and once with the incremental analysis manager on.
+  increasing N — shape check: close-to-linear growth (the per-function
+  cost spread across sizes stays below 8x);
+* the full evaluation suite, one optimization-pipeline time per
+  program;
+* F3b, the long-lived-worker scenario: one warm analysis manager
+  patched across small edits against a fresh manager per edit.
 
-What is timed is the optimization pipeline on a freshly emitted world:
-parsing and IR construction are byte-for-byte identical in both arms
-(the cache only exists inside the pipeline), so including them would
-add an identical constant to both measurements and report dilution of
-the frontend rather than the effect under study.  ``frontend_s`` is
-still reported per row for context.
-
-Every row reports both timings plus the speedup; the cached pipeline
-must produce byte-identical printed IR and identical program behaviour
-(the cache is an optimization, never an approximation).  The suite-wide
-geometric-mean speedup is asserted to stay above 1.5x.
+What is timed is the optimization pipeline on a freshly emitted world;
+``frontend_s`` (parse + emit) is reported per row for context.  Every
+optimized program must still behave like its unoptimized self.
 """
 
 from __future__ import annotations
 
 import gc
-import math
 import time
 
 import pytest
 
 from repro.backend.interp import Interpreter
-from repro.core.printer import print_world
 from repro.core.world import World
 from repro.eval import collect_world_stats
 from repro.frontend import compile_to_ast, emit_module
 from repro.programs.suite import ALL_PROGRAMS
-from repro.transform.pipeline import OptimizeOptions, optimize
+from repro.transform.pipeline import optimize
 
 SIZES = [4, 8, 16, 32]
 ROUNDS = 5
 
 _chain_times: dict[int, float] = {}
-_suite_speedups: list[float] = []
 _initialized = False
 
 
@@ -71,36 +62,26 @@ def _emit(source: str) -> World:
     return world
 
 
-def _timed_pair(source: str):
-    """Best-of-``ROUNDS`` pipeline wall-clock for both cache modes.
+def _timed(source: str):
+    """Best-of-``ROUNDS`` pipeline wall-clock on freshly emitted worlds.
 
-    Alternating uncached/cached within each round (rather than timing
-    one mode then the other) spreads scheduler and allocator noise
-    evenly across both; the min filters out the remaining outliers.
-    Returns ``(world_uncached, world_cached, uncached_s, cached_s,
-    frontend_s)``.
+    Returns ``(world, optimize_s, frontend_s)``.
     """
-    best = {False: float("inf"), True: float("inf")}
-    worlds = {False: None, True: None}
-    frontend = float("inf")
+    best = frontend = float("inf")
+    world = None
     for _ in range(ROUNDS):
-        for cache in (False, True):
-            # Reclaim the previous round's (cyclic) dead world outside
-            # the timed region so collector pauses don't smear into
-            # whichever run happens to cross a GC threshold.
-            worlds[cache] = None
-            gc.collect()
-            begin = time.perf_counter()
-            world = _emit(source)
-            mid = time.perf_counter()
-            optimize(world,
-                     options=OptimizeOptions(cache_analyses=cache))
-            elapsed = time.perf_counter() - mid
-            frontend = min(frontend, mid - begin)
-            if elapsed < best[cache]:
-                best[cache] = elapsed
-            worlds[cache] = world
-    return worlds[False], worlds[True], best[False], best[True], frontend
+        # Reclaim the previous round's (cyclic) dead world outside the
+        # timed region so collector pauses don't smear into the run
+        # that happens to cross a GC threshold.
+        world = None
+        gc.collect()
+        begin = time.perf_counter()
+        world = _emit(source)
+        mid = time.perf_counter()
+        optimize(world)
+        best = min(best, time.perf_counter() - mid)
+        frontend = min(frontend, mid - begin)
+    return world, best, frontend
 
 
 def _table(report):
@@ -108,41 +89,37 @@ def _table(report):
     global _initialized
     if not _initialized:
         table.columns("case", "loc", "continuations", "primops",
-                      "frontend_s", "uncached_s", "cached_s", "speedup")
+                      "frontend_s", "optimize_s", "fresh_mgr_s",
+                      "warm_mgr_s", "warm_speedup")
         table.note("chain-N rows: generated N-function call chain "
                    "(scaling family); suite rows: evaluation programs. "
-                   "uncached_s/cached_s = best-of-"
-                   f"{ROUNDS} interleaved optimization-pipeline runs "
-                   "with cache_analyses off/on on freshly emitted "
-                   "worlds; frontend_s = parse+emit (identical in both "
-                   "arms, excluded from the ratio).")
+                   f"optimize_s = best-of-{ROUNDS} optimization-pipeline "
+                   "runs on freshly emitted worlds; frontend_s = "
+                   "parse+emit.")
         _initialized = True
     return table
 
 
-def _compare_worlds(world_uncached, world_cached, entry, args) -> None:
-    assert print_world(world_uncached) == print_world(world_cached), \
-        "analysis caching changed the optimized IR"
-    ref = Interpreter(world_uncached)
-    got = Interpreter(world_cached)
+def _check_behaviour(world, source, entry, args) -> None:
+    ref = Interpreter(_emit(source))
+    got = Interpreter(world)
     assert ref.call(entry, *args) == got.call(entry, *args), \
-        "analysis caching changed program results"
+        "optimization changed program results"
     assert "".join(ref.output) == "".join(got.output), \
-        "analysis caching changed program output"
+        "optimization changed program output"
 
 
 @pytest.mark.parametrize("size", SIZES)
 def test_f3_chain_compile_time(size, report):
     table = _table(report)
     source = generate_program(size)
-    (world_uncached, world_cached,
-     uncached, cached, frontend) = _timed_pair(source)
-    _compare_worlds(world_uncached, world_cached, "main", (7,))
-    stats = collect_world_stats(world_cached)
-    _chain_times[size] = cached
+    world, elapsed, frontend = _timed(source)
+    _check_behaviour(world, source, "main", (7,))
+    stats = collect_world_stats(world)
+    _chain_times[size] = elapsed
     table.row(f"chain-{size}", len(source.splitlines()),
-              stats.continuations, stats.primops,
-              frontend, uncached, cached, uncached / cached)
+              stats.continuations, stats.primops, frontend, elapsed,
+              "", "", "")
 
 
 def test_f3_shape(report):
@@ -157,18 +134,15 @@ def test_f3_shape(report):
 
 @pytest.mark.parametrize("program", ALL_PROGRAMS,
                          ids=lambda p: p.name)
-def test_f3_suite_cache(program, report):
+def test_f3_suite_compile_time(program, report):
     table = _table(report)
-    (world_uncached, world_cached,
-     uncached, cached, frontend) = _timed_pair(program.source)
-    _compare_worlds(world_uncached, world_cached,
-                    program.entry, program.test_args)
-    stats = collect_world_stats(world_cached)
-    speedup = uncached / cached
-    _suite_speedups.append(speedup)
+    world, elapsed, frontend = _timed(program.source)
+    _check_behaviour(world, program.source, program.entry,
+                     program.test_args)
+    stats = collect_world_stats(world)
     table.row(program.name, len(program.source.splitlines()),
-              stats.continuations, stats.primops,
-              frontend, uncached, cached, speedup)
+              stats.continuations, stats.primops, frontend, elapsed,
+              "", "", "")
 
 
 F3B_SIZES = [8, 32]
@@ -250,7 +224,7 @@ def test_f3b_long_lived_worker(size, report):
     table = _table(report)
     table.row(f"f3b-warm-{size}", len(source.splitlines()),
               len(entries), F3B_EDITS,
-              "", cold_total, warm_total, cold_total / warm_total)
+              "", "", cold_total, warm_total, cold_total / warm_total)
     assert warm_total * 2 < cold_total, (
         f"warm re-analysis ({warm_total:.4f}s over {F3B_EDITS} edits) "
         f"is not clearly cheaper than per-edit recompute "
@@ -268,23 +242,12 @@ def test_f3b_sublinear(report):
     warm_ratio = _f3b_totals[large][0] / _f3b_totals[small][0]
     cold_ratio = _f3b_totals[large][1] / _f3b_totals[small][1]
     table.note(f"f3b-warm rows: {F3B_EDITS} small edits against one "
-               f"long-lived world; uncached_s = fresh AnalysisManager "
-               f"per edit, cached_s = warm manager patched in place. "
+               f"long-lived world (continuations = entries, primops = "
+               f"edits); fresh_mgr_s = fresh AnalysisManager per edit, "
+               f"warm_mgr_s = warm manager patched in place. "
                f"warm growth {small}->{large}: {warm_ratio:.2f}x vs "
                f"cold {cold_ratio:.2f}x")
     assert warm_ratio < cold_ratio, (
         f"warm re-analysis grows as fast as recompute "
         f"({warm_ratio:.2f}x vs {cold_ratio:.2f}x "
         f"from chain-{small} to chain-{large})")
-
-
-def test_f3_cache_geomean(report):
-    table = _table(report)
-    assert len(_suite_speedups) == len(ALL_PROGRAMS)
-    geomean = math.exp(sum(map(math.log, _suite_speedups))
-                       / len(_suite_speedups))
-    table.row("geomean(suite)", "", "", "", "", "", "", geomean)
-    table.note(f"suite geomean optimization-time speedup "
-               f"(cached vs uncached): {geomean:.2f}x")
-    assert geomean >= 1.5, (
-        f"analysis cache speedup regressed: geomean {geomean:.2f}x < 1.5x")

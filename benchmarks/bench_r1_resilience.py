@@ -1,12 +1,11 @@
 """R1 — cost of fault isolation in the pipeline.
 
-The fault-tolerant pipeline buys checkpoint/rollback per pass; this
-benchmark prices it.  Each suite program is optimized three ways —
-strict (no checkpoints, the pre-fault-tolerance behaviour), per-phase
-checkpoints (the default), and per-round checkpoints (the cheaper
-granularity) — and the overhead of each non-strict mode over strict is
-reported.  Shape check: per-round checkpointing stays within a small
-multiple of strict compile time.
+The fault-tolerant pipeline buys an undo-log checkpoint before every
+pass; this benchmark prices it.  Each suite program is optimized two
+ways — strict (no checkpoints, the pre-fault-tolerance behaviour) and
+the default per-phase checkpoints — and the overhead of checkpointing
+over strict is reported.  Shape check: per-phase checkpointing stays
+within a small multiple of strict compile time.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ PROGRAMS = [p.name for p in ALL_PROGRAMS[:6]]
 
 MODES = {
     "strict": OptimizeOptions(strict=True),
-    "phase": OptimizeOptions(checkpoint_granularity="phase"),
-    "round": OptimizeOptions(checkpoint_granularity="round"),
+    "phase": OptimizeOptions(),
 }
 
 _times: dict[tuple[str, str], float] = {}
@@ -43,9 +41,9 @@ def test_r1_resilience(name, mode, report, benchmark):
     if not _initialized:
         table.columns("program", "mode", "checkpoints", "mean_s",
                       "overhead_vs_strict")
-        table.note("checkpoint/rollback tax: optimize() wall-clock by "
-                   "checkpoint granularity, normalized to strict "
-                   "(fail-fast, no snapshots).")
+        table.note("checkpoint/rollback tax: optimize() wall-clock with "
+                   "per-phase undo-log checkpoints, normalized to strict "
+                   "(fail-fast, no checkpoints).")
         _initialized = True
 
     from repro.programs.suite import by_name
@@ -71,10 +69,10 @@ def test_r1_shape(report, benchmark):
     ratios = []
     for name in PROGRAMS:
         strict = _times.get((name, "strict"))
-        round_ = _times.get((name, "round"))
-        if strict and round_:
-            ratios.append(round_ / strict)
+        phase = _times.get((name, "phase"))
+        if strict and phase:
+            ratios.append(phase / strict)
     if ratios:
         worst = max(ratios)
-        table.note(f"worst per-round overhead: {worst:.2f}x strict")
-        assert worst < 10, "round-granularity checkpointing too expensive"
+        table.note(f"worst per-phase overhead: {worst:.2f}x strict")
+        assert worst < 10, "per-phase checkpointing too expensive"

@@ -290,7 +290,7 @@ class CEmitter:
 
     def _emit_function(self, fn: Continuation) -> None:
         manager = self.world._analyses
-        if manager is not None and manager.enabled:
+        if manager is not None:
             scope = manager.scope(fn)
             schedule = manager.schedule(fn)
         else:

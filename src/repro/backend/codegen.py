@@ -255,7 +255,7 @@ class FunctionCodegen:
         self.entry = entry
         self.fn = parent.program.functions[parent.function_index(entry)]
         manager = self.world._analyses
-        if manager is not None and manager.enabled:
+        if manager is not None:
             self.scope = manager.scope(entry)
             self.schedule = manager.schedule(entry, parent.placement)
         else:

@@ -67,14 +67,10 @@ removed edge the *user* was already a member (any user of a member is
 flood-reachable, hence itself a member of the old scope — unless the
 member is ``e`` itself, whose uses the flood ignores).  Both sides are
 in the reported note, so every affected entry is marked — and a scope
-that survives unmarked is bit-identical to a fresh recomputation,
-which is what keeps ``cache_analyses`` on/off differentially checkable
-(the fuzz oracle's ``cache``/``incremental`` stages).
-
-Setting :attr:`AnalysisManager.incremental` to ``False`` reverts to
-the historical drop-on-touch behaviour (member touched → entry
-dropped), which the ``incremental(static)`` oracle stage uses as the
-differential baseline for the patching logic.
+that survives unmarked is bit-identical to a fresh recomputation.
+:func:`~repro.core.verify.verify_analyses` checks exactly that: it
+recomputes every cached artifact from scratch and diffs it against the
+cache, after every pass under ``verify_each_pass``.
 """
 
 from __future__ import annotations
@@ -84,7 +80,6 @@ from typing import TYPE_CHECKING, Iterable
 from .alias import AliasAnalysis
 from .cfg import CFG
 from .defs import Continuation, Def
-from .domtree import DomTree
 from .looptree import LoopTree
 from .schedule import Placement, Schedule
 from .scope import Scope, top_level_continuations
@@ -109,39 +104,19 @@ class AnalysisStats:
         self.cfg_patches = 0     # CFGs rebuilt in place on a surviving scope
         self.cfg_survivals = 0   # CFGs proven unchanged after body rewires
 
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "analysis_hits": self.hits,
-            "analysis_misses": self.misses,
-            "analysis_invalidations": self.invalidations,
-            "analysis_drop_alls": self.drop_alls,
-            "analysis_scope_patches": self.scope_patches,
-            "analysis_scope_refloods": self.scope_refloods,
-            "analysis_scope_survivals": self.scope_survivals,
-            "analysis_cfg_patches": self.cfg_patches,
-            "analysis_cfg_survivals": self.cfg_survivals,
-        }
-
 
 class AnalysisManager:
-    """Memoized ``Scope``/``CFG``/``LoopTree``/``Schedule`` (+``DomTree``).
+    """Memoized ``Scope``/``CFG``/``LoopTree``/``Schedule``/alias/top-level.
 
     One manager per :class:`~repro.core.world.World` (created lazily via
-    ``world.analyses``).  When ``enabled`` is False every query builds a
-    fresh analysis — exactly the pre-caching behaviour — which is the
-    differential baseline for the fuzz oracle's cache check.  When
-    ``incremental`` is False, mutations drop touched entries instead of
-    patching them — the baseline for the incremental check.
+    ``world.analyses``), patched in place as the world mutates.
     """
 
-    def __init__(self, world: "World", *, enabled: bool = True):
+    def __init__(self, world: "World"):
         self.world = world
-        self.enabled = enabled
-        self.incremental = True
         self.stats = AnalysisStats()
         self._scopes: dict[Continuation, Scope] = {}
         self._cfgs: dict[Continuation, CFG] = {}
-        self._domtrees: dict[Continuation, DomTree] = {}
         self._looptrees: dict[Continuation, LoopTree] = {}
         self._schedules: dict[tuple[Continuation, Placement], Schedule] = {}
         self._top_level: tuple[int, tuple[Continuation, ...]] | None = None
@@ -180,13 +155,13 @@ class AnalysisManager:
     # ------------------------------------------------------------------
 
     def _record_touched(self, user: Def, ops: Iterable[Def]) -> None:
-        if self._dropall or not self.enabled:
+        if self._dropall:
             return
         self._pending_users.add(user)
         self._pending_refs.update(ops)
 
     def _record_structural(self, touched: Iterable[Def]) -> None:
-        if self._dropall or not self.enabled:
+        if self._dropall:
             return
         self._pending_structural.update(touched)
 
@@ -205,16 +180,10 @@ class AnalysisManager:
         else:
             self._record_structural(touched)
 
-    def set_enabled(self, enabled: bool) -> None:
-        if not enabled:
-            self._drop_all()
-        self.enabled = enabled
-
     def _drop_all(self) -> None:
         dropped = len(self._scopes)
         self._scopes.clear()
         self._cfgs.clear()
-        self._domtrees.clear()
         self._looptrees.clear()
         self._schedules.clear()
         self._top_level = None
@@ -230,24 +199,12 @@ class AnalysisManager:
         self.stats.invalidations += dropped
         self.stats.drop_alls += 1
 
-    def _drop_entry(self, entry: Continuation) -> None:
-        del self._scopes[entry]
-        self._cfgs.pop(entry, None)
-        self._drop_derived(entry)
-        self._stale.pop(entry, None)
-        self._grow.pop(entry, None)
-        self._dirty_cfg.pop(entry, None)
-        self.stats.invalidations += 1
-
     def _drop_derived(self, entry: Continuation) -> None:
         """Drop everything hanging off *entry*'s CFG (but not the scope)."""
-        self._domtrees.pop(entry, None)
         self._looptrees.pop(entry, None)
-        for placement in Placement:
-            self._schedules.pop((entry, placement), None)
+        self._drop_schedules(entry)
 
     def _drop_schedules(self, entry: Continuation) -> None:
-        self._domtrees.pop(entry, None)
         for placement in Placement:
             self._schedules.pop((entry, placement), None)
 
@@ -271,9 +228,6 @@ class AnalysisManager:
         refs = self._pending_refs
         structural = self._pending_structural
         if not users and not refs and not structural:
-            return
-        if not self.incremental:
-            self._sync_drop_on_touch(users | refs | structural)
             return
         scopes = self._scopes
         stale = self._stale
@@ -325,19 +279,6 @@ class AnalysisManager:
         users.clear()
         refs.clear()
         structural.clear()
-
-    def _sync_drop_on_touch(self, pending: set[Def]) -> None:
-        """Legacy invalidation: any touched member drops its entries."""
-        drop: set[Continuation] = set()
-        for d in pending:
-            for entry in self._entries_of(d):
-                drop.add(entry)
-        for entry in drop:
-            if entry in self._scopes:
-                self._drop_entry(entry)
-        self._pending_users.clear()
-        self._pending_refs.clear()
-        self._pending_structural.clear()
 
     # ------------------------------------------------------------------
     # per-entry validation (consumes repair marks lazily)
@@ -425,7 +366,6 @@ class AnalysisManager:
                 cfg._refresh()
                 self.stats.cfg_patches += 1
                 self._looptrees.pop(entry, None)
-                self._domtrees.pop(entry, None)
         self.stats.hits += 1
         return cfg
 
@@ -434,35 +374,14 @@ class AnalysisManager:
     # ------------------------------------------------------------------
 
     def scope(self, entry: Continuation) -> Scope:
-        if not self.enabled:
-            return Scope(entry)
         self._sync()
         return self._scope_synced(entry)
 
     def cfg(self, entry: Continuation) -> CFG:
-        if not self.enabled:
-            return CFG(Scope(entry))
         self._sync()
         return self._cfg_synced(entry)
 
-    def domtree(self, entry: Continuation) -> DomTree:
-        """Explicit dominator tree (test/tooling API; the pipeline's
-        scheduling path answers dominance from CFG bitmasks instead)."""
-        if not self.enabled:
-            return DomTree(CFG(Scope(entry)))
-        self._sync()
-        tree = self._domtrees.get(entry)
-        if tree is None:
-            self.stats.misses += 1
-            tree = DomTree(self._cfg_synced(entry))
-            self._domtrees[entry] = tree
-        else:
-            self.stats.hits += 1
-        return tree
-
     def looptree(self, entry: Continuation) -> LoopTree:
-        if not self.enabled:
-            return LoopTree(CFG(Scope(entry)))
         self._sync()
         return self._looptree_synced(entry)
 
@@ -479,8 +398,6 @@ class AnalysisManager:
 
     def schedule(self, entry: Continuation,
                  placement: Placement = Placement.SMART) -> Schedule:
-        if not self.enabled:
-            return Schedule(Scope(entry), placement)
         self._sync()
         looptree = self._looptree_synced(entry)  # validates scope + CFG
         schedule = self._schedules.get((entry, placement))
@@ -503,8 +420,6 @@ class AnalysisManager:
         in the graph, so the cache is stamped with the whole-world
         generation rather than tracked per scope.
         """
-        if not self.enabled:
-            return AliasAnalysis(self.world)
         generation = self.world.generation
         cached = self._alias
         if cached is not None and cached.generation == generation:
@@ -516,8 +431,6 @@ class AnalysisManager:
         return result
 
     def top_level(self) -> list[Continuation]:
-        if not self.enabled:
-            return top_level_continuations(self.world)
         generation = self.world.structural_generation
         cached = self._top_level
         if cached is not None and cached[0] == generation:

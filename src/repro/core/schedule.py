@@ -18,7 +18,7 @@ Three placement policies, following the sea-of-nodes playbook:
   pass required (experiment A2 measures exactly this).
 
 All dominance questions are answered by the CFG's availability bitmasks
-(:meth:`CFG.dom_depth` and friends) — no :class:`DomTree` is built, so
+(:meth:`CFG.dom_depth` and friends) — no dominator tree is built, so
 scheduling needs only a Scope, a CFG and a LoopTree, all of which the
 analysis manager maintains incrementally.
 

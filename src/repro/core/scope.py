@@ -72,8 +72,7 @@ class Scope:
         # in-place patch cannot reproduce; gid order is a pure function
         # of the member *set*, so a patched scope and a from-scratch
         # recomputation are bit-identical — the property the incremental
-        # analysis manager and the ``cache``/``incremental`` fuzz-oracle
-        # stages check.
+        # analysis manager relies on and ``verify_analyses`` checks.
         self._defs = dict.fromkeys(sorted(self._defs, key=_gid_of))
 
     def _insert(self, d: Def, queue: list[Def]) -> None:
@@ -206,23 +205,22 @@ class Scope:
 
 
 def scope_of(entry: Continuation) -> Scope:
-    """An entry's scope, via the world's analysis cache when active.
+    """An entry's scope, via the world's analysis cache if it has one.
 
-    Falls back to a fresh :class:`Scope` when the world has no
-    :class:`~repro.core.analyses.AnalysisManager` yet or caching is
-    disabled — exactly the historical behaviour, which keeps the cached
-    and uncached pipelines differentially comparable.
+    Falls back to a fresh :class:`Scope` while the world has no
+    :class:`~repro.core.analyses.AnalysisManager` yet, so building a
+    world (the frontend) never creates one.
     """
     manager = entry.world._analyses
-    if manager is not None and manager.enabled:
+    if manager is not None:
         return manager.scope(entry)
     return Scope(entry)
 
 
 def top_level_of(world) -> list[Continuation]:
-    """``top_level_continuations`` via the analysis cache when active."""
+    """``top_level_continuations`` via the analysis cache if any."""
     manager = world._analyses
-    if manager is not None and manager.enabled:
+    if manager is not None:
         return manager.top_level()
     return top_level_continuations(world)
 

@@ -21,20 +21,21 @@ An :class:`UndoLog` exploits the fact that every mutation of a
 * ``World.global_`` — a GVN hit can re-``name`` a pre-existing global.
 
 Everything else a pass does either creates *new* defs (which a rollback
-simply abandons: the restored registries don't mention them, and
-replaying old operand tuples detaches them from every use list) or is
-registry-only surgery covered by the eager shallow copies taken when
-the log is armed.  Defs minted after the checkpoint are filtered out of
-the lazy logs by a gid floor, so the log's size is proportional to the
-defs a pass actually touched, not to the world.
+abandons: the restored registries don't mention them, and each one is
+detached from its operands' use lists) or is registry-only surgery
+covered by the eager shallow copies taken when the log is armed.  Defs
+minted after the checkpoint are filtered out of the lazy logs by a gid
+floor, so the log's size is proportional to the defs a pass actually
+touched, not to the world.
 
-``restore()`` reinstates absolute state — old operand tuples are
-replayed through ``_set_ops`` (which maintains use lists pairwise, so
-replay order is irrelevant), params/types/flags/names are reassigned,
-the registry copies and counters are swapped back in — and finishes
-with ``world._note_all()`` so cached analyses drop, exactly like a
-snapshot restore.  The generation counter stays monotone throughout:
-a rollback *advances* it.
+``restore()`` reinstates absolute state — new defs drop their operands
+and old operand tuples are replayed through ``_set_ops`` (which
+maintains use lists pairwise, so order is irrelevant), so no surviving
+use list keeps a def minted after the checkpoint; params/types/flags/
+names are reassigned, the registry copies and counters are swapped
+back in — and notes ``world._note_all()`` so cached analyses drop,
+exactly like a snapshot restore.  The generation counter stays
+monotone throughout: a rollback *advances* it.
 
 A wholesale :func:`~repro.core.snapshot.restore_world` disarms any
 active log (``_note_all`` clears ``world._undo``): after a rebuild the
@@ -43,6 +44,7 @@ logged objects no longer belong to the world and the log is meaningless.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -137,10 +139,13 @@ class UndoLog:
 
     def _on_prune_primops(self) -> None:
         if self._primop_copy is None:
-            from itertools import islice
-
-            self._primop_copy = dict(
-                islice(self.world._primops.items(), self._primop_len))
+            # dict.copy() keeps the stored key hashes; rebuilding from
+            # items would re-hash every GVN key (Python-level type
+            # hashes).  Fresh keys sit at the end: peel them off.
+            copy = self.world._primops.copy()
+            for _ in range(len(copy) - self._primop_len):
+                copy.popitem()
+            self._primop_copy = copy
 
     # ------------------------------------------------------------------
     # restore
@@ -157,6 +162,25 @@ class UndoLog:
         surviving use list.
         """
         w = self.world
+        # Wholesale change: cached analyses drop and the log disarms, so
+        # the rewiring below records nothing anywhere.
+        w._note_all()
+        # A new def left on an old def's use list would still sit in
+        # every scope flooded through that def, so detach them all.
+        # Every new def is registered: continuations on creation,
+        # primops in the GVN table.  New defs a GC pruned inside the
+        # window were detached by that GC.
+        floor = self._gid_floor
+        if self._cont_copy is None:
+            fresh = w._continuations[self._cont_len:]
+        else:
+            fresh = [c for c in w._continuations if c.gid > floor]
+        if self._primop_copy is None:
+            fresh += islice(w._primops.values(), self._primop_len, None)
+        else:
+            fresh += [op for op in w._primops.values() if op.gid > floor]
+        for d in fresh:
+            d._set_ops(())
         # Params/types first so replayed bodies see the original arity.
         for cont, (params, type) in self._params.items():
             cont.params = list(params)
@@ -164,9 +188,8 @@ class UndoLog:
                 param.index = index
             cont.type = type
         # Absolute-state replay: _set_ops maintains use lists pairwise,
-        # so the order of replay is irrelevant.  Replaying notes each
-        # user again, but every one is already in the log (no growth).
-        for user, old_ops in list(self._ops.items()):
+        # so the order of replay is irrelevant.
+        for user, old_ops in self._ops.items():
             user._set_ops(old_ops)
         for cont, flag in self._flags.items():
             cont.is_external = flag
@@ -177,7 +200,7 @@ class UndoLog:
         else:
             del w._continuations[self._cont_len:]
         if self._primop_copy is not None:
-            w._primops = dict(self._primop_copy)
+            w._primops = self._primop_copy.copy()
         else:
             # Fresh GVN keys land at the end of the insertion-ordered
             # table; popitem() peels them off most-recent-first.
@@ -188,5 +211,4 @@ class UndoLog:
         (w._gid, w._slot_id, w._alloc_id, w._global_id) = self._counters
         (w.stats.gvn_hits, w.stats.gvn_misses,
          w.stats.folds) = self._stats
-        w._note_all()  # disarms the log (wholesale change)
         self.arm()

@@ -1,11 +1,16 @@
 """IR well-formedness and control-flow-form (CFF) checking.
 
-Three layers:
+Four layers:
 
 * :func:`verify` — structural sanity of a world: jump arities and types,
   intrinsic call shapes, parameter ownership.  Transformations call this
   in tests after every pass.  ``verify(world, full=True)`` additionally
-  runs the deep graph invariants below.
+  runs the analysis audit and the deep graph invariants below.
+* :func:`verify_analyses` — every artifact the world's analysis manager
+  has cached (scopes, CFGs, loop depths, schedules, the top-level set)
+  equals a from-scratch recomputation.  The manager patches its caches
+  in place instead of recomputing them; this audit is what turns an
+  unsound patch into an error at the pass that triggered it.
 * :func:`verify_uses` / :func:`verify_scopes` /
   :func:`verify_effect_threads` — deep graph invariants:
   the def↔use edges must agree in both directions; no live def may
@@ -29,7 +34,9 @@ Three layers:
 
 from __future__ import annotations
 
+from .cfg import CFG
 from .defs import Continuation, Def, Intrinsic, Param, Use
+from .looptree import LoopTree
 from .primops import (
     Alloc,
     Bottom,
@@ -41,7 +48,8 @@ from .primops import (
     Store,
     TupleVal,
 )
-from .scope import Scope, scope_of, top_level_of
+from .schedule import Placement, Schedule
+from .scope import Scope, scope_of, top_level_continuations, top_level_of
 from .types import FnType
 from .world import World
 
@@ -59,10 +67,13 @@ def _peel(d: Def) -> Def:
 def verify(world: World, *, full: bool = False) -> None:
     """Check structural well-formedness; raises :class:`VerifyError`.
 
-    With ``full=True``, also run the deep graph invariants
+    With ``full=True``, first audit the cached analyses
+    (:func:`verify_analyses`), then also run the deep graph invariants
     (:func:`verify_uses`, :func:`verify_scopes`) — slower, intended for
     ``verify_each_pass`` pipelines and the fuzzing oracle.
     """
+    if full:
+        verify_analyses(world)
     for cont in world.continuations():
         _verify_params(cont)
         if cont.has_body():
@@ -135,6 +146,87 @@ def _verify_match(cont: Continuation, callee: Continuation,
                 f"{cont.unique_name()}: match operand {index} typed "
                 f"{arg.type}, expected {t}"
             )
+
+
+# ---------------------------------------------------------------------------
+# analysis audit: cached artifacts vs from-scratch recomputation
+# ---------------------------------------------------------------------------
+
+
+def _node_key(node) -> Continuation | None:
+    # Every CFG has its own ExitNode object; compare exits by role.
+    return node if isinstance(node, Continuation) else None
+
+
+def _cfg_image(cfg: CFG) -> list:
+    return [(_node_key(n), [_node_key(s) for s in cfg.succs(n)],
+             _node_key(cfg.idom(n)))
+            for n in cfg.nodes()]
+
+
+def _schedule_image(schedule: Schedule) -> list:
+    return [(block, list(schedule.ops_in(block)))
+            for block in schedule.blocks()]
+
+
+def verify_analyses(world: World) -> None:
+    """Check every cached analysis against a from-scratch recomputation.
+
+    Each cached artifact of a live entry continuation is queried through
+    the manager — which first applies any pending patch — and compared
+    with a fresh ``Scope`` (member order included), ``CFG`` (RPO nodes,
+    successor lists, immediate dominators), ``LoopTree`` (per-node
+    depth) and ``Schedule`` per cached placement.  A cached
+    ``top_level`` set that is current is compared with a fresh sweep.
+    Entries whose continuation garbage collection pruned are skipped —
+    nothing can query them any more — and artifacts the patching itself
+    dropped are not rebuilt just to be audited.  Raises
+    :class:`VerifyError` naming the first stale artifact; a world
+    without an analysis manager has nothing to audit.
+    """
+    manager = world._analyses
+    if manager is None:
+        return
+
+    def stale(kind: str, entry: Continuation) -> VerifyError:
+        return VerifyError(
+            f"stale cached {kind} for {entry.unique_name()}: differs "
+            f"from a from-scratch recomputation")
+
+    manager._sync()
+    live = set(world.continuations())
+    for entry in [e for e in manager._scopes if e in live]:
+        fresh = Scope(entry)
+        if list(manager.scope(entry).defs()) != list(fresh.defs()):
+            raise stale("scope", entry)
+        if entry not in manager._cfgs:
+            continue
+        cfg = manager.cfg(entry)
+        fresh_cfg = CFG(fresh)
+        if _cfg_image(cfg) != _cfg_image(fresh_cfg):
+            raise stale("CFG", entry)
+        if entry not in manager._looptrees:
+            continue
+        loops = manager.looptree(entry)
+        fresh_loops = LoopTree(fresh_cfg)
+        # Same RPO on both sides (checked above), so compare depths
+        # position by position.
+        if ([loops.depth(n) for n in cfg.nodes()]
+                != [fresh_loops.depth(n) for n in fresh_cfg.nodes()]):
+            raise stale("loop tree", entry)
+        for placement in Placement:
+            if (entry, placement) not in manager._schedules:
+                continue
+            fresh_schedule = Schedule(fresh, placement, cfg=fresh_cfg,
+                                      looptree=fresh_loops)
+            if (_schedule_image(manager.schedule(entry, placement))
+                    != _schedule_image(fresh_schedule)):
+                raise stale(f"{placement.value} schedule", entry)
+    cached = manager._top_level
+    if (cached is not None and cached[0] == world.structural_generation
+            and list(cached[1]) != top_level_continuations(world)):
+        raise VerifyError("stale cached top_level set: differs from a "
+                          "from-scratch sweep")
 
 
 # ---------------------------------------------------------------------------

@@ -16,20 +16,15 @@ identical to a sequential run; results are consumed in seed order, so
 the report is deterministic too.  Shrinking and repro-writing happen in
 the worker that found the divergence.
 
-``--cache-check`` adds the ``cache(static)`` oracle stage: every program
-is compiled a second time with analysis caching flipped and the printed
-IR must be byte-identical (see ``OracleConfig.check_cache``).
+Optimized compiles run with ``verify_each_pass`` (``--no-verify`` turns
+it off), which also audits every cached analysis against a from-scratch
+recomputation after each phase (``verify_analyses``).
 
 ``--mem-heavy`` switches generation to the memory-heavy profile
 (buffers always present, stores and loads weighted up, aliasing index
 pairs, stores on branch arms, loads in loops).  The ``memopt(static)``
 stage — recompile with ``mem_opt`` off, require byte-identical
 observations — runs by default; ``--no-memopt`` is the escape hatch.
-
-The ``incremental(static)`` stage — recompile with in-place analysis
-patching flipped to drop-on-touch invalidation, require byte-identical
-IR and observations — also runs by default; ``--no-incremental`` skips
-it.
 
 ``--case-timeout S`` bounds the wall-clock a single seed may take
 (generation + all oracle paths); a timed-out seed is recorded and
@@ -80,20 +75,12 @@ def _parse_args(argv):
     parser.add_argument("--no-pgo", action="store_true",
                         help="skip the profile-guided path")
     parser.add_argument("--no-verify", action="store_true",
-                        help="skip pass-level IR verification")
-    parser.add_argument("--cache-check", action="store_true",
-                        help="differentially check the analysis cache: "
-                             "recompile each program with caching "
-                             "flipped and require identical IR")
+                        help="skip pass-level IR verification (and the "
+                             "analysis audit it runs)")
     parser.add_argument("--no-memopt", action="store_true",
                         help="skip the memopt(static) differential "
                              "stage (recompile with mem_opt off and "
                              "require identical observations)")
-    parser.add_argument("--no-incremental", action="store_true",
-                        help="skip the incremental(static) differential "
-                             "stage (recompile with drop-on-touch "
-                             "analysis invalidation and require "
-                             "identical IR and observations)")
     parser.add_argument("--mem-heavy", action="store_true",
                         help="use the memory-heavy generator profile "
                              "(more buffers, stores, aliasing index "
@@ -194,9 +181,7 @@ def _campaign_case(item):
                           run_native=not args.no_native,
                           run_pgo=not args.no_pgo,
                           verify_each_pass=not args.no_verify,
-                          check_cache=args.cache_check,
                           check_memopt=not args.no_memopt,
-                          check_incremental=not args.no_incremental,
                           record={})
     result = {"seed": seed, "status": "ok", "record": config.record}
     mem_heavy = getattr(args, "mem_heavy", False)

@@ -21,8 +21,6 @@ path            what runs
                 stream all compared
 ``ssa``         the classical CFG+SSA baseline (first-order programs)
 ``cps``         the nested-CPS baseline (expression-only programs)
-``cache``       (opt-in) the static pipeline rerun with analysis
-                caching flipped — printed IR must be byte-identical
 ==============  ========================================================
 
 Each observation is *(result, print output, trap kind)*; traps are
@@ -30,9 +28,10 @@ normalized to a sentinel so "both paths trap" still agrees, and when
 both paths trap the *kind* (``div-by-zero`` vs ``step-limit``) must
 also agree for the engines that report one.  Optimized
 compiles run under ``OptimizeOptions(verify_each_pass=True)``, so an IR
-invariant broken by a single pass surfaces as a
+invariant broken by a single pass — or a cached analysis it left stale
+(:func:`~repro.core.verify.verify_analyses`) — surfaces as a
 :class:`~repro.transform.pipeline.PassVerifyError` attributed to that
-pass — reported as a divergence like any output mismatch.
+pass, reported as a divergence like any output mismatch.
 
 ``run_oracle`` returns ``None`` on agreement or a :class:`FuzzFailure`
 describing the first divergence.
@@ -118,20 +117,6 @@ class OracleConfig:
     run_ssa: bool = True
     run_cps: bool = True
     verify_each_pass: bool = True
-    # Analysis caching for the optimized compiles (the production
-    # default).  ``check_cache`` adds a ``cache(static)`` stage: compile
-    # the program a second time with caching flipped and require the
-    # printed IR to be byte-identical and the interpreter observations
-    # to agree — any divergence is a stale-cache bug.
-    cache_analyses: bool = True
-    check_cache: bool = False
-    # ``check_incremental`` (on by default) adds an
-    # ``incremental(static)`` stage: compile a second time with in-place
-    # scope/CFG patching flipped to drop-on-touch invalidation and
-    # require byte-identical printed IR plus matching interpreter
-    # observations — any divergence is an unsound patch (a grown scope
-    # missing a member, a stale CFG edge surviving revalidation).
-    check_incremental: bool = True
     # ``check_memopt`` (on by default) adds a ``memopt(static)`` stage:
     # compile a second time with ``mem_opt`` flipped off and require the
     # interpreter observations — results, traps, print streams — to be
@@ -168,22 +153,12 @@ class OracleConfig:
     record: dict = field(default_factory=dict)
 
 
-def _options(config: OracleConfig,
-             cache: bool | None = None,
-             mem_opt: bool | None = None,
-             incremental: bool | None = None) -> OptimizeOptions:
+def _options(config: OracleConfig, mem_opt: bool = True) -> OptimizeOptions:
     # strict: the oracle *wants* fail-fast.  The production default
     # quarantines a crashing/corrupting pass and compiles around it,
     # which would hide exactly the bugs differential fuzzing hunts.
-    options = OptimizeOptions(verify_each_pass=config.verify_each_pass,
-                              strict=True,
-                              cache_analyses=(config.cache_analyses
-                                              if cache is None else cache))
-    if mem_opt is not None:
-        options.mem_opt = mem_opt
-    if incremental is not None:
-        options.incremental = incremental
-    return options
+    return OptimizeOptions(verify_each_pass=config.verify_each_pass,
+                           strict=True, mem_opt=mem_opt)
 
 
 def _trap_kind(exc: BaseException) -> str:
@@ -373,64 +348,6 @@ def run_oracle(prog: FuzzProgram,
     if failure is not None:
         return failure
     ran("interp(static)")
-
-    # --- cached vs uncached analysis differential ----------------------
-    if config.check_cache:
-        from ..core.printer import print_world
-
-        try:
-            world_alt = compile_source(
-                source, options=_options(config,
-                                         cache=not config.cache_analyses))
-        except Exception as exc:
-            return FuzzFailure(prog.seed, "cache(static)",
-                               f"flipped-cache compile failed: {exc}",
-                               source=source)
-        printed = print_world(world_opt)
-        printed_alt = print_world(world_alt)
-        if printed != printed_alt:
-            return FuzzFailure(prog.seed, "cache(static)",
-                               "printed IR differs between cached and "
-                               "uncached pipelines",
-                               expected=printed, got=printed_alt,
-                               source=source)
-        failure = _compare("cache(static)", prog, reference,
-                           _run_interp(world_alt, prog.entry, prog.arg_sets,
-                                       config.interp_max_steps))
-        if failure is not None:
-            return failure
-        ran("cache(static)")
-
-    # --- incremental-patching differential -----------------------------
-    # ``world_opt`` compiled with in-place patching (the production
-    # default).  Compile once more with drop-on-touch invalidation and
-    # demand byte-identical IR and observations: patched artifacts must
-    # be indistinguishable from freshly recomputed ones.
-    if config.check_incremental and config.cache_analyses:
-        from ..core.printer import print_world
-
-        try:
-            world_drop = compile_source(
-                source, options=_options(config, incremental=False))
-        except Exception as exc:
-            return FuzzFailure(prog.seed, "incremental(static)",
-                               f"drop-on-touch compile failed: {exc}",
-                               source=source)
-        printed = print_world(world_opt)
-        printed_drop = print_world(world_drop)
-        if printed != printed_drop:
-            return FuzzFailure(prog.seed, "incremental(static)",
-                               "printed IR differs between patched and "
-                               "drop-on-touch analysis invalidation",
-                               expected=printed_drop, got=printed,
-                               source=source)
-        failure = _compare("incremental(static)", prog, reference,
-                           _run_interp(world_drop, prog.entry,
-                                       prog.arg_sets,
-                                       config.interp_max_steps))
-        if failure is not None:
-            return failure
-        ran("incremental(static)")
 
     # --- memory optimization differential ------------------------------
     # ``world_opt`` above ran with mem_opt on (the default) and already

@@ -52,6 +52,12 @@ CACHE_FORMAT = 1
 # Options fields with no bearing on the produced artifacts.
 _NON_SEMANTIC_OPTIONS = ("crash_dir", "crash_context", "pass_hook")
 
+# Retired OptimizeOptions fields, at the only value they ever took.
+# They stay in the key material so every stored artifact keeps its
+# address; requests naming them are rejected like any unknown field.
+_RETIRED_OPTIONS = {"cache_analyses": True, "incremental": True,
+                    "checkpoint_granularity": "phase"}
+
 _OPTION_NAMES = frozenset(f.name for f in fields(OptimizeOptions))
 
 # Distinct override sets whose canonical options stay memoized.  Real
@@ -82,6 +88,7 @@ def _canonical_options(overrides_json: str) -> dict:
     out = asdict(OptimizeOptions(**json.loads(overrides_json)))
     for name in _NON_SEMANTIC_OPTIONS:
         out.pop(name, None)
+    out.update(_RETIRED_OPTIONS)
     return out
 
 

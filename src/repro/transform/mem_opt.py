@@ -89,9 +89,9 @@ def _mem_extract(d: Def) -> tuple[Def, int] | None:
 
 
 def _analysis(world: World) -> AliasAnalysis:
-    manager = getattr(world, "_analyses", None)
-    if manager is not None and manager.enabled:
-        return world.analyses.alias()
+    manager = world._analyses
+    if manager is not None:
+        return manager.alias()
     return AliasAnalysis(world)
 
 

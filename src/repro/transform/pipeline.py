@@ -16,7 +16,7 @@ All knobs live on :class:`OptimizeOptions`; ``optimize(world,
 options=...)`` threads them through to the individual passes.
 
 Fault isolation (the default, ``strict=False``): every phase runs
-inside a checkpoint/rollback guard built on :mod:`repro.core.snapshot`.
+inside a checkpoint/rollback guard built on :mod:`repro.core.undo`.
 If a pass raises, breaks an IR invariant (under ``verify_each_pass``),
 overruns its wall-clock ``pass_deadline``, or blows the world-growth
 budget, the pipeline **rolls back** to the last checkpoint,
@@ -24,21 +24,29 @@ budget, the pipeline **rolls back** to the last checkpoint,
 records a :class:`PassIncident` in :class:`PipelineStats`, and keeps
 going — a buggy pass degrades one compilation to "less optimized", it
 does not take the compiler down.  If recovery itself fails, a crash
-bundle (pre-pipeline IR, pass trace, options, context) is written via
-:mod:`repro.transform.crashreport` and :class:`PipelineCrash` is
-raised.
+bundle (pre-pipeline IR, deep-snapshotted at entry via
+:mod:`repro.core.snapshot`, plus pass trace, options and context) is
+written via :mod:`repro.transform.crashreport` and
+:class:`PipelineCrash` is raised.
 
 ``OptimizeOptions(strict=True)`` restores fail-fast behaviour: no
 checkpoints, no quarantine, the first error propagates to the caller.
 The differential fuzz oracle runs strict so that a miscompiling or
 crashing pass is *reported*, not silently optimized around.
 
+Analyses are memoized in the world's
+:class:`~repro.core.analyses.AnalysisManager` and patched in place as
+passes mutate the graph; there is no uncached mode.
+
 Pass-level checking (``OptimizeOptions(verify_each_pass=True)``): the
-full IR verifier (structural + use-list + scope invariants) runs after
-every phase, and the first broken invariant is attributed — via
-:class:`PassVerifyError` — to the pass that introduced it.  In strict
-mode the error is raised; in non-strict mode it triggers rollback and
-quarantine like any other pass failure.  At pipeline exit the
+full IR verifier (analysis audit + structural + use-list + scope
+invariants) runs after every phase, and the first broken invariant —
+a stale cached analysis included — is attributed via
+:class:`PassVerifyError` to the pass that introduced it.  Phases the
+runner would skip as provable no-ops are run instead, and must leave
+``World.generation`` unmoved.  In strict mode the error is raised; in
+non-strict mode it triggers rollback and quarantine like any other
+pass failure.  At pipeline exit the
 control-flow-form criterion is asserted and any residual violations
 (e.g. first-class callees closure elimination failed to remove) are
 reported in ``PipelineStats.cff_residual`` (raised only under strict).
@@ -61,6 +69,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..core.limits import DeadlineExceeded, ResourceLimitError, deadline
+from ..core.undo import UndoLog
 from ..core.world import World
 from .cleanup import cleanup
 
@@ -106,22 +115,6 @@ class OptimizeOptions:
     # continuations behind is treated as blown up and rolled back.
     growth_cap_factor: float = 64.0
     growth_cap_floor: int = 4096
-    # Memoize scopes/CFGs/schedules in the world's AnalysisManager and
-    # invalidate them by mutation generation + touched sets.  Off must
-    # be bit-identical (the fuzz oracle differentially checks this);
-    # off also disables checkpoint reuse, restoring the exact uncached
-    # snapshot cadence.
-    cache_analyses: bool = True
-    # Patch cached scopes/CFGs in place (grow floods, revalidate dirty
-    # successor lists) instead of dropping any entry whose member was
-    # touched.  Off restores drop-on-touch invalidation — the
-    # differential baseline the fuzz oracle's ``incremental`` stage
-    # compares against; both must be bit-identical.
-    incremental: bool = True
-    # "phase": checkpoint before every pass (precise rollback);
-    # "round": checkpoint once per static round (fewer snapshots, a
-    # failing pass loses the whole round's progress).
-    checkpoint_granularity: str = "phase"
     # Where crash bundles go on unrecoverable failure (None disables).
     crash_dir: str | None = "crash_reports"
     # Caller-provided provenance recorded in crash bundles.  JSON-safe
@@ -206,8 +199,8 @@ class PipelineStats:
         self.quarantined: list[str] = []
         self.skipped: list[str] = []
         self.checkpoints = 0
-        # Checkpoints satisfied by the previous snapshot because the
-        # world's mutation generation (and stats) had not moved.
+        # Checkpoints satisfied by the previous one because the world's
+        # mutation generation had not moved.
         self.checkpoints_reused = 0
         self.rollbacks = 0
         # Aggregate analysis-cache counters for this optimize() call
@@ -259,12 +252,12 @@ class _PhaseRunner:
     """Runs one phase at a time, fault-isolated unless strict.
 
     Non-strict protocol per phase: skip if quarantined; otherwise
-    checkpoint (per ``checkpoint_granularity``), run the body (and the
-    fault-injection hook) under the deadline, then enforce the growth
-    cap and — under ``verify_each_pass`` — the full verifier.  Any
-    failure rolls the world back to the checkpoint and quarantines the
-    pass.  A failure *of the rollback itself* propagates; ``optimize``
-    turns it into a crash bundle.
+    checkpoint (an :class:`~repro.core.undo.UndoLog`), run the body (and
+    the fault-injection hook) under the deadline, then enforce the
+    growth cap and — under ``verify_each_pass`` — the full verifier.
+    Any failure rolls the world back to the checkpoint and quarantines
+    the pass.  A failure *of the rollback itself* propagates;
+    ``optimize`` turns it into a crash bundle.
     """
 
     def __init__(self, world: World, options: OptimizeOptions,
@@ -273,7 +266,7 @@ class _PhaseRunner:
         self.options = options
         self.stats = stats
         self.quarantine: set[str] = set()
-        self.checkpoint = None
+        self.checkpoint: UndoLog | None = None
         self._checkpoint_generation: int | None = None
         # Generation observed right after the last completed cleanup;
         # while it stands, further cleanups are provably no-ops.
@@ -286,79 +279,50 @@ class _PhaseRunner:
         self.growth_cap = max(options.growth_cap_floor,
                               int(options.growth_cap_factor * baseline))
         # The manager is world-owned (PGO optimizes the same world
-        # twice); this runner flips it to the requested mode and tracks
-        # its counters as deltas from here.
+        # twice), so every counter this runner reports is a delta from
+        # here.
         self.analyses = world.analyses
-        self.analyses.set_enabled(options.cache_analyses)
-        self.analyses.incremental = options.incremental
         self._analysis_base = self._analysis_counters()
 
     # -- analysis-cache telemetry -------------------------------------------
 
-    def _analysis_counters(self) -> tuple[int, int, int]:
-        counters = self.analyses.stats
-        return (counters.hits, counters.misses, counters.invalidations)
+    def _analysis_counters(self) -> dict[str, int]:
+        return dict(vars(self.analyses.stats))
 
     def _with_analysis_delta(self, result: dict,
-                             before: tuple[int, int, int]) -> dict:
-        if not self.options.cache_analyses:
-            return result
-        now = self._analysis_counters()
+                             before: dict[str, int]) -> dict:
+        now = self.analyses.stats
         result = dict(result)
-        result["analysis_hits"] = now[0] - before[0]
-        result["analysis_misses"] = now[1] - before[1]
-        result["analysis_invalidations"] = now[2] - before[2]
+        result["analysis_hits"] = now.hits - before["hits"]
+        result["analysis_misses"] = now.misses - before["misses"]
+        result["analysis_invalidations"] = (now.invalidations
+                                            - before["invalidations"])
         return result
 
     def finish(self) -> None:
-        now = self._analysis_counters()
         base = self._analysis_base
-        counters = self.analyses.stats
         self.stats.analysis_cache = {
-            "enabled": int(self.options.cache_analyses),
-            "incremental": int(self.options.incremental),
-            "hits": now[0] - base[0],
-            "misses": now[1] - base[1],
-            "invalidations": now[2] - base[2],
-            "scope_patches": counters.scope_patches,
-            "scope_refloods": counters.scope_refloods,
-            "scope_survivals": counters.scope_survivals,
-            "cfg_patches": counters.cfg_patches,
-            "cfg_survivals": counters.cfg_survivals,
-        }
+            name: value - base[name]
+            for name, value in self._analysis_counters().items()}
 
     # -- checkpoints --------------------------------------------------------
 
     def _take_checkpoint(self) -> None:
-        from ..core.undo import UndoLog
-
-        if (self.options.cache_analyses and self.checkpoint is not None
-                and self._checkpoint_generation == self.world.generation
-                and (not isinstance(self.checkpoint, UndoLog)
-                     or self.checkpoint.armed)):
-            # The generation covers every snapshot-visible mutation (def
-            # creation, use-edge rewiring, registry surgery), so an
-            # unchanged generation means the previous checkpoint is still
-            # an exact image of the graph: re-establish it for free.
-            # Read-only churn (GVN hit counters) may have advanced; a
-            # rollback through the reused checkpoint rewinds it to the
-            # checkpoint's values, which is the rollback contract anyway.
-            self.stats.checkpoints += 1
-            self.stats.checkpoints_reused += 1
-            return
-        if self.options.cache_analyses and self.options.incremental:
-            # Cheap checkpoint: shallow registry copies plus a
-            # first-touch undo log fed by the same mutation notes the
-            # analysis manager listens to.  Deep snapshots remain the
-            # entry/crash-bundle mechanism only.
-            if isinstance(self.checkpoint, UndoLog) and self.checkpoint.armed:
-                self.checkpoint.arm()
-            else:
-                self.checkpoint = UndoLog(self.world)
+        checkpoint = self.checkpoint
+        if checkpoint is not None and checkpoint.armed:
+            if self._checkpoint_generation == self.world.generation:
+                # The generation covers every mutation the log could
+                # have to undo, so an unchanged generation means the
+                # armed checkpoint is still exact: reuse it for free.
+                # Read-only churn (GVN hit counters) may have advanced;
+                # a rollback rewinds it to the checkpoint's values,
+                # which is the rollback contract anyway.
+                self.stats.checkpoints += 1
+                self.stats.checkpoints_reused += 1
+                return
+            checkpoint.arm()
         else:
-            from ..core.snapshot import snapshot_world
-
-            self.checkpoint = snapshot_world(self.world)
+            self.checkpoint = UndoLog(self.world)
         self._checkpoint_generation = self.world.generation
         self.stats.checkpoints += 1
 
@@ -367,59 +331,54 @@ class _PhaseRunner:
 
         Cleanup is deterministic and idempotent: on a world that has not
         mutated since the previous cleanup completed, it rewrites
-        nothing.  Under ``cache_analyses`` the mutation generation
-        witnesses exactly that, so the phase is skipped outright —
-        bit-identical to running it, minus the full-graph sweeps.  A
-        rollback cannot fake this: ``restore_world`` always advances the
-        generation.
+        nothing.  The mutation generation witnesses exactly that, so the
+        phase is skipped outright — bit-identical to running it, minus
+        the full-graph sweeps.  A rollback cannot fake this: restoring a
+        checkpoint always advances the generation.
         """
-        if (self.options.cache_analyses
-                and self._clean_generation == self.world.generation):
-            return {"noop": 1}
-        result = self.run(label, lambda: cleanup(self.world))
+        noop = self._clean_generation == self.world.generation
+        result = self.run(label, lambda: cleanup(self.world), noop=noop)
         if "rolled_back" not in result and "quarantined" not in result:
             self._clean_generation = self.world.generation
         return result
 
-    def new_round(self) -> None:
-        """Round boundary: refresh the checkpoint in "round" granularity."""
-        if (not self.options.strict
-                and self.options.checkpoint_granularity == "round"):
-            self._take_checkpoint()
-
     # -- the guarded region -------------------------------------------------
 
-    def run(self, phase: str, body: Callable[[], dict]) -> dict:
+    def run(self, phase: str, body: Callable[[], dict], *,
+            noop: bool = False) -> dict:
+        """Run one phase; *noop* claims it provably changes nothing.
+
+        A pass that last completed as a *pure* no-op — zero generation
+        movement — on a world that has not mutated since is such a
+        claim too (unless a ``pass_hook`` could act on it).  Passes are
+        deterministic, so a claimed no-op is skipped outright,
+        checkpoint included.  Under ``verify_each_pass`` it runs instead
+        and must leave the generation unmoved.
+        """
         options = self.options
-        if (options.cache_analyses and options.pass_hook is None
-                and self._pass_noop.get(phase) == self.world.generation):
-            # This pass last completed as a *pure* no-op — zero reported
-            # changes and zero generation movement — and the world has
-            # not mutated since.  Passes are deterministic, so rerunning
-            # it would sweep the identical world and do nothing again:
-            # skip it outright, checkpoint included (a no-op cannot need
-            # rolling back).  Bit-identical to running it; the fuzz
-            # oracle's cache(static) stage differentially checks this.
+        noop = noop or (options.pass_hook is None
+                        and self._pass_noop.get(phase)
+                        == self.world.generation)
+        if noop and not options.verify_each_pass:
             return {"noop": 1}
+        generation_before = self.world.generation
+        unmoved = generation_before if noop else None
         if options.strict:
             before = self._analysis_counters()
-            generation_before = self.world.generation
             started = time.perf_counter()
             result = body()
             if options.pass_hook is not None:
                 options.pass_hook(phase, self.world)
-            self._verify(phase)
+            self._verify(phase, unmoved)
             return self._finish_phase(phase, result, before, started,
-                                      generation_before)
+                                      generation_before, noop)
 
         if _quarantine_key(phase) in self.quarantine:
             self.stats.skipped.append(phase)
             return {"quarantined": 1}
 
-        if options.checkpoint_granularity != "round" or self.checkpoint is None:
-            self._take_checkpoint()
+        self._take_checkpoint()
         before = self._analysis_counters()
-        generation_before = self.world.generation
         started = time.perf_counter()
         try:
             with deadline(options.pass_deadline, what=f"pass {phase}"):
@@ -436,42 +395,46 @@ class _PhaseRunner:
             size = len(self.world._continuations)
             if size > self.growth_cap:
                 raise PassGrowthError(phase, size, self.growth_cap)
-            self._verify(phase)
+            self._verify(phase, unmoved)
             return self._finish_phase(phase, result, before, started,
-                                      generation_before)
+                                      generation_before, noop)
         except Exception as exc:
             self.stats.record_time(phase, time.perf_counter() - started)
             self._rollback(phase, exc)
             return {"rolled_back": 1}
 
     def _finish_phase(self, phase: str, result: dict,
-                      before: tuple[int, int, int], started: float,
-                      generation_before: int) -> dict:
+                      before: dict[str, int], started: float,
+                      generation_before: int, noop: bool) -> dict:
+        elapsed = time.perf_counter() - started
+        self.stats.record_time(phase, elapsed)
+        if noop:
+            # A verified rerun of a claimed no-op reports like the skip.
+            return {"noop": 1}
         generation = self.world.generation
         if generation == generation_before:
             self._pass_noop[phase] = generation
         else:
             self._pass_noop.pop(phase, None)
-        elapsed = time.perf_counter() - started
-        self.stats.record_time(phase, elapsed)
         result = self._with_analysis_delta(result, before)
-        result = dict(result)
         result["elapsed_s"] = round(elapsed, 6)
         return result
 
-    def _verify(self, phase: str) -> None:
+    def _verify(self, phase: str, unmoved: int | None) -> None:
         if not self.options.verify_each_pass:
             return
         from ..core.verify import VerifyError, verify
 
         try:
+            if unmoved is not None and self.world.generation != unmoved:
+                raise VerifyError(
+                    "a phase the runner would skip as a no-op mutated "
+                    "the world")
             verify(self.world, full=True)
         except VerifyError as exc:
             raise PassVerifyError(phase, self.stats.rounds, exc) from exc
 
     def _rollback(self, phase: str, exc: Exception) -> None:
-        from ..core.undo import UndoLog
-
         if isinstance(exc, PassVerifyError):
             kind = "verify"
         elif isinstance(exc, DeadlineExceeded):
@@ -480,12 +443,7 @@ class _PhaseRunner:
             kind = "growth"
         else:
             kind = "exception"
-        if isinstance(self.checkpoint, UndoLog):
-            self.checkpoint.restore()
-        else:
-            from ..core.snapshot import restore_world
-
-            restore_world(self.checkpoint, into=self.world)
+        self.checkpoint.restore()
         self.stats.rollbacks += 1
         key = _quarantine_key(phase)
         if key not in self.quarantine:
@@ -528,7 +486,6 @@ def _run_static_rounds(world: World, options: OptimizeOptions,
 
     for _ in range(options.max_rounds):
         stats.rounds += 1
-        runner.new_round()
         changed = 0
         for phase, changed_key, body in passes:
             result = runner.run(phase, body)
@@ -646,13 +603,9 @@ def _optimize_paused(world: World, options: OptimizeOptions,
 
     from ..core.snapshot import snapshot_world
 
+    # The crash bundle's pre-pipeline image; phase checkpoints are
+    # undo logs.
     entry_snapshot = snapshot_world(world)
-    if options.cache_analyses:
-        # The first phase checkpoint would re-capture this exact world;
-        # hand it the entry snapshot so generation-based reuse applies.
-        runner.checkpoint = entry_snapshot
-        runner._checkpoint_generation = world.generation
-        stats.checkpoints += 1
     try:
         return _optimize_guarded(world, options, profile, stats, runner)
     except Exception as exc:

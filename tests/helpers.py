@@ -60,3 +60,48 @@ def make_loop_sum(world: World, name: str = "sum_to") -> Continuation:
                 body.params[0]))
     world.jump(exit_, ret, (exit_.params[0], acc))
     return f
+
+
+def path_dominators(cfg) -> dict:
+    """Dominator sets by the path definition, for checking ``CFG``.
+
+    ``a`` dominates ``b`` iff ``a is b`` or removing ``a`` disconnects
+    ``b`` from the entry.  Quadratic brute force over the reachable
+    nodes: the reference the CFG's bitmask dominance is checked against.
+    """
+    def reaches_without(target, removed) -> bool:
+        seen = set()
+        stack = [cfg.entry]
+        while stack:
+            node = stack.pop()
+            if node is removed or node in seen:
+                continue
+            seen.add(node)
+            if node is target:
+                return True
+            stack.extend(cfg.succs(node))
+        return False
+
+    nodes = cfg.nodes()
+    return {b: {a for a in nodes
+                if a is b or not reaches_without(b, a)}
+            for b in nodes}
+
+
+def assert_dominance_matches_paths(cfg) -> None:
+    """``CFG.dominates``/``idom``/``dom_lca``/``dom_depth`` against
+    :func:`path_dominators`."""
+    doms = path_dominators(cfg)
+
+    def deepest(candidates):
+        # Dominators of a node form a chain, so the deepest is unique.
+        return max(candidates, key=lambda n: len(doms[n]))
+
+    for b, dominators in doms.items():
+        assert cfg.dom_depth(b) == len(dominators) - 1, b
+        strict = dominators - {b}
+        assert cfg.idom(b) is (deepest(strict) if strict else b), b
+        for a in doms:
+            assert cfg.dominates(a, b) == (a in dominators), (a, b)
+            assert cfg.dom_lca(a, b) is deepest(doms[a] & dominators), \
+                (a, b)

@@ -9,11 +9,12 @@ Three layers of guarantees, mirroring ``core/analyses.py``:
   re-flood and keep the object when membership is unchanged, and entry
   body rewires refresh only the CFG — while anything that cannot report
   what it touched still loses everything;
-* with caching on, the optimization pipeline produces byte-identical
-  printed IR and identical program behaviour to the uncached pipeline —
-  and a hypothesis-driven edit-script property asserts patched
-  Scope/CFG/Schedule artifacts equal from-scratch recomputations after
-  every single edit.
+* ``verify_analyses`` audits every cached artifact against a
+  from-scratch recomputation: it rejects a planted stale entry, turns
+  one into a ``PassVerifyError`` for the pass that left it under
+  ``verify_each_pass``, and a hypothesis-driven edit-script property
+  runs it after every single edit.  Compiling with the audit on yields
+  byte-identical printed IR to the default compile.
 """
 
 from __future__ import annotations
@@ -22,14 +23,15 @@ import pytest
 
 from repro.core import types as ct
 from repro.core.cfg import CFG
-from repro.core.domtree import DomTree
-from repro.core.schedule import Schedule
+from repro.core.schedule import Placement, Schedule
 from repro.core.scope import Scope, top_level_of
 from repro.core.snapshot import restore_world, snapshot_world
+from repro.core.verify import VerifyError, verify_analyses
 from repro.core.world import World
 
-from .helpers import (FN_I64, RET_I64, make_add_const, make_fib,
-                      make_identity, make_loop_sum)
+from .helpers import (FN_I64, RET_I64, assert_dominance_matches_paths,
+                      make_add_const, make_fib, make_identity,
+                      make_loop_sum)
 
 
 @pytest.fixture
@@ -274,32 +276,13 @@ class TestManagerInvalidation:
         manager.invalidate(None)
         assert manager.scope(f) is not cached
 
-    def test_disabled_manager_builds_fresh(self, world):
-        f = make_fib(world)
-        manager = world.analyses
-        manager.set_enabled(False)
-        assert manager.scope(f) is not manager.scope(f)
-
-    def test_non_incremental_drops_on_touch(self, world):
-        """``incremental=False`` restores the historical drop-on-touch
-        behaviour — the differential baseline for the patching logic."""
-        f = make_fib(world)
-        mem, n, ret = f.params
-        manager = world.analyses
-        manager.incremental = False
-        first = manager.scope(f)
-        world.jump(f, ret, (mem, n))
-        assert manager.scope(f) is not first
-
     def test_derived_analyses_follow_scope(self, world):
         f = make_fib(world)
         manager = world.analyses
         cfg = manager.cfg(f)
-        dom = manager.domtree(f)
         loops = manager.looptree(f)
         sched = manager.schedule(f)
         assert manager.cfg(f) is cfg
-        assert manager.domtree(f) is dom
         assert manager.looptree(f) is loops
         assert manager.schedule(f) is sched
         mem, n, ret = f.params
@@ -355,36 +338,14 @@ class TestTopLevelSweep:
 
 
 class TestDominanceFree:
-    """The scheduler answers dominance from CFG availability bitmasks;
-    no default pipeline path may construct an explicit DomTree."""
+    """The scheduler answers dominance from CFG availability bitmasks,
+    the only dominance in the system; they must match the path
+    definition."""
 
-    def _check_against_tree(self, cfg):
-        tree = DomTree(cfg)
-        nodes = cfg.nodes()
-        for n in nodes:
-            assert cfg.dom_depth(n) == tree.depth(n)
-            assert cfg.idom(n) is tree.idom(n)
-        for a in nodes:
-            for b in nodes:
-                assert cfg.dominates(a, b) == tree.dominates(a, b)
-                assert cfg.dom_lca(a, b) is tree.lca(a, b)
-
-    def test_masks_match_domtree(self, world):
+    def test_masks_match_path_definition(self, world):
         for maker in (make_identity, make_fib, make_loop_sum):
             f = maker(World("t"))
-            self._check_against_tree(CFG(Scope(f)))
-
-    def test_default_pipeline_builds_no_domtrees(self):
-        from repro import compile_source
-        from repro.backend.interp import Interpreter
-        from repro.programs.suite import by_name
-
-        program = by_name("quicksort")
-        before = DomTree.constructed
-        compiled = compile_source(program.source)
-        Interpreter(compiled).call(program.entry, *program.test_args)
-        assert DomTree.constructed == before, \
-            "optimize + interp must run dominance-free"
+            assert_dominance_matches_paths(CFG(Scope(f)))
 
 
 def _cfg_fingerprint(cfg):
@@ -408,10 +369,9 @@ class TestEditScriptProperty:
     """Hypothesis-driven random edit scripts: after *every* edit, the
     patched Scope/CFG/Schedule must equal from-scratch recomputations.
 
-    This is the in-process mirror of the fuzz oracle's
-    ``incremental(static)`` stage: the oracle checks end-to-end compiles
-    diverge nowhere; this property localizes a patching bug to the exact
-    edit that broke an artifact.
+    The pipeline runs the same audit (``verify_analyses``) after every
+    pass under ``verify_each_pass``; this property localizes a patching
+    bug to the exact edit that broke an artifact.
     """
 
     ENTRIES = ("fib", "sum_to", "id")
@@ -473,6 +433,8 @@ class TestEditScriptProperty:
             assert (_schedule_fingerprint(sched)
                     == _schedule_fingerprint(Schedule(fresh))), \
                 f"patched schedule of {entry.name} diverged"
+        manager.top_level()
+        verify_analyses(manager.world)
 
     def test_edit_scripts(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -494,11 +456,113 @@ class TestEditScriptProperty:
         run()
 
 
+class TestAnalysisAudit:
+    """``verify_analyses`` accepts patched caches and rejects stale ones."""
+
+    def _warm(self, world, *entries):
+        manager = world.analyses
+        for entry in entries:
+            for placement in Placement:
+                manager.schedule(entry, placement)
+        manager.top_level()
+        return manager
+
+    def test_patched_caches_pass(self, world):
+        f = make_fib(world)
+        g = make_loop_sum(world)
+        self._warm(world, f, g)
+        mem, n, ret = f.params
+        world.mul(n, world.literal(ct.I64, 3))   # growth
+        world.jump(f, ret, (mem, n))             # entry rewire
+        verify_analyses(world)
+
+    def test_planted_stale_scope_is_rejected(self, world):
+        f = make_fib(world)
+        manager = self._warm(world, f)
+        k2 = next(c for c in manager.scope(f).continuations()
+                  if c.name == "k2")
+        del manager.scope(f)._defs[k2]
+        with pytest.raises(VerifyError, match="stale cached scope"):
+            verify_analyses(world)
+
+    def test_missed_mutation_is_rejected(self, world):
+        """A body rewire the manager never hears about leaves the
+        cached CFG (and what hangs off it) stale."""
+        f = make_fib(world)
+        manager = self._warm(world, f)
+        mem, n, ret = f.params
+        world._analyses = None   # the note goes nowhere
+        world.jump(f, ret, (mem, n))
+        world._analyses = manager
+        with pytest.raises(VerifyError, match="stale cached CFG"):
+            verify_analyses(world)
+
+    def test_planted_stale_top_level_is_rejected(self, world):
+        make_fib(world)
+        manager = self._warm(world)
+        generation, tops = manager._top_level
+        manager._top_level = (generation, tops[1:])
+        with pytest.raises(VerifyError, match="top_level"):
+            verify_analyses(world)
+
+    def test_stale_entry_fails_the_pass_that_left_it(self):
+        from repro import compile_source
+        from repro.programs.suite import by_name
+        from repro.transform.pipeline import (OptimizeOptions,
+                                              PassVerifyError)
+
+        def plant(phase, world):
+            if phase != "inline":
+                return
+            entry = world.find_external("main")
+            scope = world.analyses.scope(entry)
+            victim = next(d for d in scope.defs() if d is not entry)
+            del scope._defs[victim]
+
+        program = by_name("quicksort")
+        with pytest.raises(PassVerifyError) as info:
+            compile_source(program.source, options=OptimizeOptions(
+                strict=True, verify_each_pass=True, pass_hook=plant))
+        assert info.value.phase == "inline"
+        assert "stale cached scope" in str(info.value)
+
+    def test_noop_claim_is_checked_under_verify(self, monkeypatch):
+        """A phase the runner would skip as a no-op runs under
+        ``verify_each_pass`` and must leave the generation unmoved."""
+        import itertools
+
+        from repro import compile_source
+        from repro.programs.suite import by_name
+        from repro.transform import pipeline
+        from repro.transform.pipeline import (OptimizeOptions,
+                                              PassVerifyError)
+
+        real_cleanup = pipeline.cleanup
+        salt = itertools.count()
+
+        def leaky_cleanup(world):
+            result = real_cleanup(world)
+            world.literal(ct.I64, 10**9 + next(salt))   # a fresh def
+            return result
+
+        monkeypatch.setattr(pipeline, "cleanup", leaky_cleanup)
+        source = by_name("compose").source
+        compile_source(source, options=OptimizeOptions(strict=True))
+        with pytest.raises(PassVerifyError) as info:
+            compile_source(source, options=OptimizeOptions(
+                strict=True, verify_each_pass=True))
+        assert info.value.phase.startswith("cleanup(")
+        assert "no-op" in str(info.value)
+
+
 class TestCachedPipelineIdentity:
     PROGRAMS = ("quicksort", "sort_hof", "compose", "sieve")
 
     @pytest.mark.parametrize("name", PROGRAMS)
     def test_bit_identical_ir_and_behaviour(self, name):
+        """The audit under ``verify_each_pass`` queries the cache at a
+        different cadence than the default compile; the output must not
+        notice."""
         from repro import compile_source
         from repro.backend.interp import Interpreter
         from repro.core.printer import print_world
@@ -506,77 +570,45 @@ class TestCachedPipelineIdentity:
         from repro.transform.pipeline import OptimizeOptions
 
         program = by_name(name)
-        world_off = compile_source(
-            program.source, options=OptimizeOptions(cache_analyses=False))
-        world_on = compile_source(
-            program.source, options=OptimizeOptions(cache_analyses=True))
-        assert print_world(world_off) == print_world(world_on)
-        ref = Interpreter(world_off)
-        got = Interpreter(world_on)
+        world_default = compile_source(program.source)
+        world_audited = compile_source(
+            program.source, options=OptimizeOptions(verify_each_pass=True))
+        assert print_world(world_default) == print_world(world_audited)
+        ref = Interpreter(world_default)
+        got = Interpreter(world_audited)
         assert (ref.call(program.entry, *program.test_args)
                 == got.call(program.entry, *program.test_args))
         assert "".join(ref.output) == "".join(got.output)
 
-    @pytest.mark.parametrize("name", PROGRAMS[:2])
-    def test_incremental_matches_drop_on_touch(self, name):
-        from repro import compile_source
-        from repro.core.printer import print_world
-        from repro.programs.suite import by_name
-        from repro.transform.pipeline import OptimizeOptions
-
-        program = by_name(name)
-        world_inc = compile_source(
-            program.source, options=OptimizeOptions(incremental=True))
-        world_drop = compile_source(
-            program.source, options=OptimizeOptions(incremental=False))
-        assert print_world(world_inc) == print_world(world_drop)
-
-    def test_cache_telemetry(self):
+    def _emitted(self, name):
         from repro.frontend import compile_to_ast, emit_module
         from repro.programs.suite import by_name
-        from repro.transform.pipeline import OptimizeOptions, optimize
 
-        program = by_name("quicksort")
-        module = compile_to_ast(program.source)
         world = World("t")
-        emit_module(module, world)
-        stats = optimize(world,
-                         options=OptimizeOptions(cache_analyses=True))
-        assert stats.analysis_cache["enabled"] == 1
+        emit_module(compile_to_ast(by_name(name).source), world)
+        return world
+
+    def test_cache_telemetry(self):
+        from repro.transform.pipeline import optimize
+
+        stats = optimize(self._emitted("quicksort"))
         assert stats.analysis_cache["hits"] > 0
+        assert "enabled" not in stats.analysis_cache
         assert stats.checkpoints_reused > 0, \
             "quiescent phases should reuse the previous checkpoint"
 
-        module = compile_to_ast(program.source)
-        world = World("t")
-        emit_module(module, world)
-        stats = optimize(world,
-                         options=OptimizeOptions(cache_analyses=False))
-        assert stats.analysis_cache["enabled"] == 0
-        assert stats.checkpoints_reused == 0
+    def test_counters_are_per_call(self):
+        """Two ``optimize`` calls on one world (the PGO path) each
+        report only their own analysis work."""
+        from repro.transform.pipeline import optimize
 
-
-class TestOracleCacheCheck:
-    def test_fuzz_smoke_with_cache_check(self):
-        from repro.fuzz.gen import generate_program
-        from repro.fuzz.oracle import OracleConfig, run_oracle
-
-        for seed in range(4):
-            prog = generate_program(seed)
-            config = OracleConfig(run_c=False, run_pgo=False,
-                                  check_cache=True, record={})
-            failure = run_oracle(prog, config)
-            assert failure is None, failure.describe()
-            assert "cache(static)" in config.record["paths"]
-
-    def test_fuzz_smoke_with_incremental_check(self):
-        from repro.fuzz.gen import generate_program
-        from repro.fuzz.oracle import OracleConfig, run_oracle
-
-        for seed in range(4):
-            prog = generate_program(seed)
-            config = OracleConfig(run_c=False, run_pgo=False,
-                                  check_incremental=True, record={})
-            failure = run_oracle(prog, config)
-            assert failure is None, failure.describe()
-            assert "incremental(static)" in config.record["paths"]
+        world = self._emitted("quicksort")
+        first = optimize(world).analysis_cache
+        second = optimize(world).analysis_cache
+        lifetime = vars(world.analyses.stats)
+        assert set(first) == set(second) == set(lifetime)
+        for name, total in lifetime.items():
+            assert first[name] + second[name] == total, name
+        assert first["scope_refloods"] > 0
+        assert second["misses"] == 0
+        assert second["scope_refloods"] == 0

@@ -4,13 +4,13 @@ import pytest
 
 from repro.core import types as ct
 from repro.core.cfg import CFG, ExitNode
-from repro.core.domtree import DomTree
 from repro.core.looptree import LoopTree
 from repro.core.schedule import Placement, Schedule
 from repro.core.scope import Scope
 from repro.core.world import World
 
-from .helpers import FN_I64, make_fib, make_loop_sum
+from .helpers import (FN_I64, assert_dominance_matches_paths, make_fib,
+                      make_loop_sum)
 
 
 @pytest.fixture()
@@ -66,58 +66,37 @@ class TestCFG:
 RET_BOOL = ct.fn_type((ct.MEM, ct.BOOL))
 
 
-class TestDomTree:
+class TestDominance:
+    """Dominance comes from the CFG's availability bitmasks; no
+    dominator tree is ever built."""
+
     def test_dominance_basics(self, world):
         fib = make_fib(world)
         cfg = CFG(Scope(fib))
-        dom = DomTree(cfg)
         by_name = {c.name: c for c in cfg.continuations()}
-        assert dom.idom(by_name["then"]) is fib
-        assert dom.dominates(fib, by_name["k2"])
-        assert not dom.dominates(by_name["then"], by_name["else"])
-        assert dom.dominates(by_name["else"], by_name["k1"])
+        assert cfg.idom(by_name["then"]) is fib
+        assert cfg.dominates(fib, by_name["k2"])
+        assert not cfg.dominates(by_name["then"], by_name["else"])
+        assert cfg.dominates(by_name["else"], by_name["k1"])
 
     def test_dominates_is_reflexive(self, world):
         fib = make_fib(world)
         cfg = CFG(Scope(fib))
-        dom = DomTree(cfg)
         for node in cfg.nodes():
-            assert dom.dominates(node, node)
+            assert cfg.dominates(node, node)
 
     def test_dominance_matches_path_definition(self, world):
-        """a dom b iff removing a disconnects b from the entry."""
+        """a dom b iff removing a disconnects b from the entry — and
+        idom, LCA and depth follow from the same dominator sets."""
         loop = make_loop_sum(world)
-        cfg = CFG(Scope(loop))
-        dom = DomTree(cfg)
-
-        def reaches_without(target, removed):
-            seen = set()
-            stack = [cfg.entry]
-            while stack:
-                node = stack.pop()
-                if node is removed or node in seen:
-                    continue
-                seen.add(node)
-                if node is target:
-                    return True
-                stack.extend(cfg.succs(node))
-            return False
-
-        nodes = cfg.nodes()
-        for a in nodes:
-            for b in nodes:
-                if a is b or b is cfg.entry:
-                    continue
-                expected = not reaches_without(b, a)
-                assert dom.dominates(a, b) == expected, (a, b)
+        assert_dominance_matches_paths(CFG(Scope(loop)))
 
     def test_lca(self, world):
         fib = make_fib(world)
         cfg = CFG(Scope(fib))
-        dom = DomTree(cfg)
         by_name = {c.name: c for c in cfg.continuations()}
-        assert dom.lca(by_name["then"], by_name["else"]) is fib
-        assert dom.lca(by_name["k1"], by_name["k2"]) is by_name["k1"]
+        assert cfg.dom_lca(by_name["then"], by_name["else"]) is fib
+        assert cfg.dom_lca(by_name["k1"], by_name["k2"]) is by_name["k1"]
 
 
 class TestLoopTree:

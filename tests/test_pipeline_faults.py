@@ -117,9 +117,8 @@ def test_unrecoverable_failure_writes_crash_bundle(tmp_path, monkeypatch):
     def broken_restore(self):
         raise RuntimeError("simulated rollback failure")
 
-    # Phase checkpoints are undo logs on the default (incremental)
-    # configuration; breaking their restore breaks recovery without
-    # touching checkpoint-taking itself.
+    # Phase checkpoints are undo logs; breaking their restore breaks
+    # recovery without touching checkpoint-taking itself.
     monkeypatch.setattr(undo_mod.UndoLog, "restore", broken_restore)
 
     world = _world()
@@ -162,11 +161,3 @@ def test_crash_dir_none_disables_bundles(monkeypatch):
                                                 crash_dir=None))
     assert info.value.report_path is None
 
-
-def test_round_granularity_checkpoints_once_per_round():
-    world = _world()
-    stats = optimize(world, options=OptimizeOptions(
-        checkpoint_granularity="round"))
-    # One checkpoint for the leading cleanup + one per round, instead of
-    # one per phase.
-    assert stats.checkpoints == stats.rounds + 1

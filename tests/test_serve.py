@@ -194,6 +194,11 @@ def test_bad_requests(served):
         reply = client.compile(SRC, options={"warp_factor": 9})
         assert reply["error"]["code"] == "bad-request"
         assert "warp_factor" in reply["error"]["message"]
+        # a retired option is unknown too, though its old value still
+        # sits in every cache key
+        reply = client.compile(SRC, options={"cache_analyses": False})
+        assert reply["error"]["code"] == "bad-request"
+        assert "cache_analyses" in reply["error"]["message"]
 
 
 def test_compile_error_is_not_a_crash(served):

@@ -1,8 +1,7 @@
 """UndoLog checkpoints: first-touch rollback must be byte-identical.
 
 The pipeline's per-phase checkpoints are :class:`repro.core.undo.UndoLog`
-instances on the default (cached, incremental) configuration.  These
-tests drive the full mutation surface — body rewires, new defs,
+instances, its only rollback mechanism.  These tests drive the full mutation surface — body rewires, new defs,
 registry surgery, param surgery, external flags, GVN-hit renames —
 and require ``restore()`` to reproduce the armed world exactly, as
 printed and as executed.
@@ -55,10 +54,14 @@ class TestRoundtrip:
         g = world.continuation(FN_I64, "extra")
         g.jump(f, [g.params[0], world.literal(ct.I64, 3), g.params[2]])
         world.make_external(g)
+        # A new user of f's parameter would sit in f's scope.
+        stray = world.mul(f.params[1], world.literal(ct.I64, 7))
 
         undo.restore()
         assert _fingerprint(world) == before
         assert g not in world._continuations
+        assert not any(user in (g, stray)
+                       for d in (f, f.params[1]) for user, _ in d.uses)
         verify(world, full=True)
 
     def test_param_surgery_roundtrip(self):
@@ -176,25 +179,44 @@ class TestPipelineRollback:
         verify(world, full=True)
         assert self._run(world) == expected
 
-    def test_rollback_matches_snapshot_rollback(self):
-        """The undo-log rollback and the deep-snapshot rollback must
-        leave behaviourally identical worlds (same recovered output,
-        same verified IR) for the same injected fault."""
+    def test_rollback_matches_snapshot_rollback(self, monkeypatch):
+        """Rolling a faulted phase back through the undo log leaves
+        exactly the world a deep snapshot taken at the previous phase
+        boundary restores to — including no trace of the defs the
+        faulted phase created on the use lists of surviving ones."""
+        from repro.core.snapshot import restore_world, snapshot_world
         from repro.fuzz.inject import FaultInjector, FaultPlan
+        from repro.programs.suite import by_name
 
-        def recovered(incremental):
-            world = compile_source(SOURCE, optimize=False)
-            injector = FaultInjector(FaultPlan("raise", target="partial_eval"))
-            optimize(world, options=OptimizeOptions(
-                pass_hook=injector, crash_dir=None,
-                incremental=incremental))
+        real_restore = UndoLog.restore
+        for name, target in (("compose", "inline"),
+                             ("sort_hof", "lambda_drop"),
+                             ("dot_generic", "closure_elim"),
+                             ("nbody", "mem_opt")):
+            injector = FaultInjector(FaultPlan("raise", target=target))
+            boundaries = []
+            rolled_back = []
+
+            def hook(phase, world):
+                injector(phase, world)   # raises on the target
+                boundaries.append(snapshot_world(world))
+
+            def restore(log):
+                faulted = print_world(log.world)
+                real_restore(log)
+                rolled_back.append(
+                    (faulted, print_world(log.world), boundaries[-1]))
+
+            monkeypatch.setattr(UndoLog, "restore", restore)
+            world = compile_source(by_name(name).source, optimize=False)
+            stats = optimize(world, options=OptimizeOptions(
+                pass_hook=hook, crash_dir=None))
+            monkeypatch.undo()
+            assert stats.rollbacks == 1, name
+            ((faulted, undone, snapshot),) = rolled_back
+            assert faulted != undone, f"{name}: {target} changed nothing"
+            assert undone == print_world(restore_world(snapshot)), name
             verify(world, full=True)
-            return self._run(world), print_world(world)
-
-        undo_result, undo_ir = recovered(True)
-        snap_result, snap_ir = recovered(False)
-        assert undo_result == snap_result
-        assert undo_ir == snap_ir
 
     def test_pipeline_disarms_on_exit(self):
         world = compile_source(SOURCE)
