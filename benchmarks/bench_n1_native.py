@@ -24,11 +24,6 @@ Everything skips when the host has no C compiler.
 from __future__ import annotations
 
 import math
-import os
-import signal
-import socket
-import subprocess
-import sys
 import time
 
 import pytest
@@ -38,7 +33,7 @@ from repro.backend.codegen import compile_world
 from repro.backend.interp import Interpreter
 from repro.native import compile_native_world, find_cc
 from repro.programs.suite import ALL_PROGRAMS
-from repro.serve.client import ServeClient
+from repro.serve.smoke import boot
 
 pytestmark = pytest.mark.skipif(find_cc() is None,
                                 reason="no C compiler on PATH")
@@ -115,35 +110,6 @@ def test_n1_summary(report):
 # ---------------------------------------------------------------------------
 
 
-def _free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def _daemon(tmp, tag):
-    port = _free_port()
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.serve", "--port", str(port),
-         "--workers", "2", "--cache-dir", str(tmp / f"cache-{tag}"),
-         "--crash-dir", str(tmp / "crashes"),
-         "--native-dir", str(tmp / "native"),   # shared across daemons
-         "--hot-requests", "2"],
-        env=dict(os.environ))
-    client = ServeClient(port=port, timeout=180.0)
-    deadline = time.monotonic() + 30.0
-    while True:
-        try:
-            client.ping()
-            return proc, client
-        except Exception:
-            if time.monotonic() > deadline:
-                proc.kill()
-                raise RuntimeError("serve daemon did not come up")
-            client.close()
-            time.sleep(0.2)
-
-
 def _promote(client) -> tuple[float, float]:
     """(seconds the background native compile took, native request ms).
 
@@ -181,27 +147,21 @@ def test_n1_serve_promotion(tmp_path_factory, report):
     table = report("N1_native")
     tmp = tmp_path_factory.mktemp("bench-native-serve")
 
-    proc, client = _daemon(tmp, "cold")
-    try:
+    args = ["--native-dir", str(tmp / "native"),  # shared by both daemons
+            "--hot-requests", "2"]
+    with boot(tmp / "cold", extra_args=args) as service, \
+            service.client(timeout=180.0) as client:
         cold_s, native_ms = _promote(client)
         stats = client.stats()["tiering"]
         assert stats["native_compiles"] == 1
         assert stats["native_cache_hits"] == 0
-    finally:
-        client.close()
-        proc.send_signal(signal.SIGTERM)
-        proc.wait(timeout=15.0)
 
     # Second daemon, same object store: promotion is a content hit.
-    proc, client = _daemon(tmp, "warm")
-    try:
+    with boot(tmp / "warm", extra_args=args) as service, \
+            service.client(timeout=180.0) as client:
         warm_s, _ = _promote(client)
         stats = client.stats()["tiering"]
         assert stats["native_cache_hits"] == 1
-    finally:
-        client.close()
-        proc.send_signal(signal.SIGTERM)
-        proc.wait(timeout=15.0)
 
     table.row("serve cold promote", "", "", cold_s * 1e3, "cc run")
     table.row("serve warm promote", "", "", warm_s * 1e3, ".so store hit")

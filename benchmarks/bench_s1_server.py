@@ -14,18 +14,13 @@ smoke) at interactive latency once the cache is hot.
 
 from __future__ import annotations
 
-import os
-import signal
-import socket
 import statistics
-import subprocess
-import sys
 import time
 
 import pytest
 
 from repro.programs.suite import ALL_PROGRAMS
-from repro.serve.client import ServeClient
+from repro.serve.smoke import boot
 
 PROGRAMS = ALL_PROGRAMS
 WARM_TRIES = 3
@@ -34,37 +29,11 @@ _rows: dict[str, dict] = {}
 _initialized = False
 
 
-def _free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
 @pytest.fixture(scope="module")
 def daemon(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("bench-serve")
-    port = _free_port()
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.serve", "--port", str(port),
-         "--workers", "2", "--cache-dir", str(tmp / "cache"),
-         "--crash-dir", str(tmp / "crashes")],
-        env=dict(os.environ))
-    client = ServeClient(port=port, timeout=180.0)
-    deadline = time.monotonic() + 30.0
-    while True:
-        try:
-            client.ping()
-            break
-        except Exception:
-            if time.monotonic() > deadline:
-                proc.kill()
-                raise RuntimeError("serve daemon did not come up")
-            client.close()
-            time.sleep(0.2)
-    yield client
-    client.close()
-    proc.send_signal(signal.SIGTERM)
-    proc.wait(timeout=15.0)
+    with boot(tmp_path_factory.mktemp("bench-serve")) as service:
+        with service.client(timeout=180.0) as client:
+            yield client
 
 
 def _timed_request(client, source):

@@ -23,13 +23,10 @@ architecture; the numbers are still reported.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import hashlib
 import json
 import os
-import signal
-import statistics
-import subprocess
-import sys
 import time
 
 import pytest
@@ -37,6 +34,7 @@ import pytest
 from repro.programs.suite import ALL_PROGRAMS
 from repro.serve.client import (RETRY_ATTEMPTS, ServeClient,
                                 backoff_delay)
+from repro.serve.smoke import boot
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 SHARD_COUNTS = [1, 2] if SMOKE else [1, 2, 4]
@@ -70,39 +68,13 @@ def _traffic_mix() -> list[dict]:
 
 @pytest.fixture()
 def fleet_factory(tmp_path_factory):
-    procs = []
+    with contextlib.ExitStack() as stack:
+        def start(shards: int):
+            return stack.enter_context(boot(
+                tmp_path_factory.mktemp(f"bench-fleet-{shards}"), shards,
+                ["--workers", "2", "--max-pending", "64", "--no-native"]))
 
-    def boot(shards: int):
-        tmp = tmp_path_factory.mktemp(f"bench-fleet-{shards}")
-        port_file = tmp / "router.port"
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.serve",
-             "--shards", str(shards), "--port", "0",
-             "--port-file", str(port_file),
-             "--workers", "2", "--max-pending", "64", "--no-native",
-             "--cache-dir", str(tmp / "cache"),
-             "--crash-dir", str(tmp / "crashes")],
-            env=dict(os.environ))
-        procs.append(proc)
-        deadline = time.monotonic() + 120.0
-        while not port_file.exists():
-            if proc.poll() is not None:
-                raise RuntimeError(f"fleet({shards}) died on startup")
-            if time.monotonic() > deadline:
-                proc.kill()
-                raise RuntimeError(f"fleet({shards}) reported no port")
-            time.sleep(0.1)
-        return proc, int(port_file.read_text())
-
-    yield boot
-    for proc in procs:
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGTERM)
-    for proc in procs:
-        try:
-            proc.wait(timeout=60.0)
-        except subprocess.TimeoutExpired:
-            proc.kill()
+        yield start
 
 
 def _warm_store(port: int, mix: list[dict]) -> dict[str, str]:
@@ -191,13 +163,13 @@ def test_s2_load(shards, fleet_factory, report):
             f"throughput at 4 shards vs 1 on >= 4 cores.")
         _initialized = True
 
-    proc, port = fleet_factory(shards)
+    fleet = fleet_factory(shards)
     mix = _traffic_mix()
-    digests = _warm_store(port, mix)
+    digests = _warm_store(fleet.port, mix)
 
     latencies, failures, retries, elapsed = asyncio.run(
-        _generate_load(port, mix))
-    assert proc.poll() is None, "fleet died under load"
+        _generate_load(fleet.port, mix))
+    assert fleet.proc.poll() is None, "fleet died under load"
     assert not failures, failures[:3]
     total = CLIENTS * REQUESTS_PER_CLIENT
     assert len(latencies) == total

@@ -4,27 +4,28 @@ The differential harness (``repro.fuzz``) is only useful if a campaign
 covers enough seeds per CPU-minute, so its cost profile is tracked like
 any other experiment: programs/second for the oracle with progressively
 more paths enabled — interpreter-only, +VM, +pass-level verification,
-and the full configuration (+PGO, +C when a compiler is present).
+and the full configuration (+PGO, +native when a C compiler is
+present).
 """
 
 from __future__ import annotations
 
-import shutil
 import time
 
 import pytest
 
 from repro.fuzz import GenConfig, OracleConfig, generate_program, run_oracle
+from repro.native import native_available
 
 SEEDS = 20
-HAVE_CC = shutil.which("gcc") is not None
+HAVE_CC = native_available()
 
 CONFIGS = [
-    ("interp", dict(run_vm=False, run_c=False, run_pgo=False,
+    ("interp", dict(run_vm=False, run_pgo=False,
                     run_ssa=False, run_cps=False, verify_each_pass=False)),
-    ("interp+vm", dict(run_c=False, run_pgo=False, run_ssa=False,
+    ("interp+vm", dict(run_pgo=False, run_ssa=False,
                        run_cps=False, verify_each_pass=False)),
-    ("interp+vm+verify", dict(run_c=False, run_pgo=False, run_ssa=False,
+    ("interp+vm+verify", dict(run_pgo=False, run_ssa=False,
                               run_cps=False)),
     ("all-paths", dict()),
 ]
@@ -43,7 +44,7 @@ def test_t4_fuzz_throughput(label, overrides, report):
                    "expression-only so the CPS/SSA baselines are "
                    "exercised in the full configuration.")
         if not HAVE_CC:
-            table.note("gcc unavailable: the C path was skipped in "
+            table.note("no C compiler: the native path was skipped in "
                        "'all-paths'.")
         _initialized = True
 

@@ -67,8 +67,6 @@ def _parse_args(argv):
                         metavar="K",
                         help="every K-th seed uses the expression-only "
                              "generator (0 disables; default 5)")
-    parser.add_argument("--no-c", action="store_true",
-                        help="skip the C-emitter path")
     parser.add_argument("--no-native", action="store_true",
                         help="skip the native execution tier "
                              "(emit C, build a .so, run via ctypes)")
@@ -177,8 +175,7 @@ def _campaign_case(item):
     and does all the printing so output is ordered even under ``--jobs``.
     """
     seed, expr_only, args = item
-    config = OracleConfig(run_c=not args.no_c,
-                          run_native=not args.no_native,
+    config = OracleConfig(run_native=not args.no_native,
                           run_pgo=not args.no_pgo,
                           verify_each_pass=not args.no_verify,
                           check_memopt=not args.no_memopt,

@@ -13,12 +13,11 @@ path            what runs
 ``pgo``         interpreter and VM on a world optimized by the two-phase
                 profile-guided driver (``compile_profiled``), trained on
                 the program's own argument sets
-``c``           the C emitter's output for the statically optimized
-                world, compiled with the system C compiler and executed
-``native``      the hardened native tier (:mod:`repro.native`): the same
-                optimized world compiled to a ``.so`` and executed
-                in-process via ctypes — result, trap *kind* and print
-                stream all compared
+``native``      the hardened native tier (:mod:`repro.native`): the C
+                emitter's output for the statically optimized world,
+                compiled to a ``.so`` and executed in-process via
+                ctypes — result, trap *kind* and print stream all
+                compared
 ``ssa``         the classical CFG+SSA baseline (first-order programs)
 ``cps``         the nested-CPS baseline (expression-only programs)
 ==============  ========================================================
@@ -39,14 +38,9 @@ describing the first divergence.
 
 from __future__ import annotations
 
-import shutil
-import subprocess
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from ..backend.codegen import CompiledWorld, compile_world
-from ..backend.c_emitter import emit_c
 from ..backend.interp import Interpreter, InterpError
 from ..backend import bytecode as bc
 from ..core import fold
@@ -79,7 +73,7 @@ class FuzzFailure:
     """One divergence found by the oracle.
 
     ``stage`` names the path/phase that disagreed (e.g. ``"vm(static)"``,
-    ``"verify(pgo)"``, ``"c-run"``); the pair ``(stage, kind)`` is the
+    ``"verify(pgo)"``, ``"native-build"``); the pair ``(stage, kind)`` is the
     *signature* the shrinker preserves while minimizing.
     """
 
@@ -112,7 +106,6 @@ class OracleConfig:
     """Which paths run and how (all on by default)."""
 
     run_vm: bool = True
-    run_c: bool = True
     run_pgo: bool = True
     run_ssa: bool = True
     run_cps: bool = True
@@ -131,13 +124,8 @@ class OracleConfig:
     # analogue of vm_max_steps — a miscompile-manufactured infinite
     # loop traps as "step-limit" instead of hanging the fuzz worker.
     native_fuel: int = 100_000_000
-    cc: str = "gcc"
-    # -fwrapv: match the IR's two's-complement wrapping; -fno-builtin:
-    # keep the compiler from pattern-matching our arithmetic into
-    # library calls with different edge-case behaviour.
-    cc_flags: tuple = ("-O1", "-fwrapv", "-fno-builtin")
+    # Budget for the cc run that builds the native .so.
     cc_timeout: float = 60.0
-    run_timeout: float = 60.0
     # Step bound for the graph interpreter: generated programs are
     # cost-bounded far below this, so hitting it means a transformation
     # manufactured divergence-by-nontermination — observed as a trap
@@ -217,65 +205,6 @@ def _compare(stage: str, prog: FuzzProgram, reference: list[Observation],
                                args=args, expected=ref.trap, got=got.trap,
                                source=prog.render())
     return None
-
-
-def _c_driver(prog: FuzzProgram) -> str:
-    """A ``main`` that runs every argument set with ``\\x1f`` markers.
-
-    stdout becomes ``out0 \\x1f res0 \\x1f out1 \\x1f res1 \\x1f ...`` —
-    print output never contains the marker (digits and ``-`` only), so a
-    split recovers each observation exactly.
-    """
-    lines = ["int main(void) {"]
-    for index, args in enumerate(prog.arg_sets):
-        call_args = ", ".join(f"{a}ll" for a in args)
-        lines.append(f"    int64_t r{index} = {prog.entry}({call_args});")
-        lines.append(f'    printf("\\x1f%lld\\x1f", (long long)r{index});')
-    lines.append("    return 0;")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def _run_c(world, prog: FuzzProgram,
-           config: OracleConfig) -> list[Observation] | str | None:
-    """Compile+run the C emission; ``None`` = skipped, ``str`` = error."""
-    if shutil.which(config.cc) is None:
-        return None
-    try:
-        csrc = emit_c(world)
-    except Exception as exc:  # an emitter crash is itself a finding
-        return f"emit_c failed: {exc}"
-    csrc = csrc + "\n\n" + _c_driver(prog) + "\n"
-    with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as tmp:
-        cfile = Path(tmp) / "prog.c"
-        exe = Path(tmp) / "prog"
-        cfile.write_text(csrc)
-        try:
-            built = subprocess.run(
-                [config.cc, *config.cc_flags, str(cfile), "-o", str(exe),
-                 "-lm"],
-                capture_output=True, text=True, timeout=config.cc_timeout)
-        except subprocess.TimeoutExpired:
-            return f"{config.cc} timed out"
-        if built.returncode != 0:
-            return f"{config.cc} rejected the emission: {built.stderr[:500]}"
-        try:
-            ran = subprocess.run([str(exe)], capture_output=True, text=True,
-                                 timeout=config.run_timeout)
-        except subprocess.TimeoutExpired:
-            return "compiled binary timed out"
-        if ran.returncode != 0:
-            return f"compiled binary exited with {ran.returncode}"
-    parts = ran.stdout.split("\x1f")
-    # out0, res0, out1, res1, ..., trailing ""
-    if len(parts) != 2 * len(prog.arg_sets) + 1:
-        return f"malformed C output ({len(parts)} marker fields)"
-    obs = []
-    for index in range(len(prog.arg_sets)):
-        output = parts[2 * index]
-        result = int(parts[2 * index + 1])
-        obs.append(Observation(result, output))
-    return obs
 
 
 def _run_native(world, prog: FuzzProgram,
@@ -389,22 +318,6 @@ def run_oracle(prog: FuzzProgram,
         if failure is not None:
             return failure
         ran("vm(static)")
-
-    # --- C emission of the statically optimized world ------------------
-    if config.run_c:
-        if any(obs.result == TRAP for obs in reference):
-            skipped("c", "reference traps; C would be undefined")
-        else:
-            c_obs = _run_c(world_opt, prog, config)
-            if c_obs is None:
-                skipped("c", f"{config.cc} not available")
-            elif isinstance(c_obs, str):
-                return FuzzFailure(prog.seed, "c-run", c_obs, source=source)
-            else:
-                failure = _compare("c(static)", prog, reference, c_obs)
-                if failure is not None:
-                    return failure
-                ran("c(static)")
 
     # --- native tier on the statically optimized world -----------------
     if config.run_native:

@@ -9,7 +9,9 @@ the three optimization levels (``none``, ``static``, ``pgo``).
 The interesting parts, each in its own module:
 
 * :mod:`.protocol` — wire format: one JSON object per line, bounded
-  line length, structured error replies;
+  line length, structured error replies; and the one server-side
+  transport (:class:`~repro.serve.protocol.LineServer`) that the
+  daemon and the router both extend;
 * :mod:`.cache` — content-addressed artifact cache keyed by
   ``sha256(source × options × profile digest)``; in-memory LRU over an
   on-disk object store;
@@ -27,7 +29,9 @@ The interesting parts, each in its own module:
   redispatch, fleet-wide stats aggregation;
 * :mod:`.fleet` — the fleet manager behind ``--shards N``: spawns and
   supervises N shard daemons (restart-on-crash with backoff,
-  staggered SIGTERM drain) around one router.
+  staggered SIGTERM drain) around one router;
+* :mod:`.smoke` — the service driver (``--shards 0`` for a daemon,
+  ``N`` for a fleet) and the ``boot`` helper benchmarks and tests use.
 """
 
 from .cache import ArtifactCache, cache_key

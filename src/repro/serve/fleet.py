@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .client import ServeClient
+from .protocol import wait_for_stop
 from .router import Router, RouterConfig
 
 RESTART_BACKOFF_BASE = 0.5
@@ -248,14 +249,9 @@ class Fleet:
               f"{len(self.shards)} shard(s): "
               + ", ".join(f"{s.name}@{s.port}" for s in self.shards),
               flush=True)
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(signum, self._stopping.set)
         try:
-            await self._stopping.wait()
+            await wait_for_stop(self._stopping)
         finally:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                loop.remove_signal_handler(signum)
             await self.stop()
 
 

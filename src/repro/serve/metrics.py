@@ -70,14 +70,26 @@ class Metrics:
                 hist = self.latency[name] = Histogram()
             hist.observe(seconds)
 
-    def record_phase_timings(self, timings: dict) -> None:
-        if not isinstance(timings, dict):
-            return
+    def record_compile(self, stats) -> None:
+        """Fold one compile's ``stats`` artifact into the totals: phase
+        timings, plus the ``pipeline_rollbacks`` and
+        ``pipeline_quarantines`` counters, so a compile that recovered
+        from a failed pass is visible although its reply is ``ok``.
+        PGO artifacts nest one record per optimize round."""
+        if not isinstance(stats, dict):
+            return  # opt "none" runs no pipeline
+        records = ([stats] if "timings" in stats else
+                   [sub for sub in stats.values() if isinstance(sub, dict)])
         with self._lock:
-            for phase, seconds in timings.items():
-                if isinstance(seconds, (int, float)):
+            for record in records:
+                for phase, seconds in record.get("timings", {}).items():
                     self.phase_seconds[phase] = (
                         self.phase_seconds.get(phase, 0.0) + seconds)
+                for name, amount in (
+                        ("pipeline_rollbacks", record.get("rollbacks", 0)),
+                        ("pipeline_quarantines",
+                         len(record.get("quarantined", ())))):
+                    self.counters[name] = self.counters.get(name, 0) + amount
 
     def snapshot(self) -> dict:
         with self._lock:

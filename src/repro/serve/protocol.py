@@ -78,11 +78,28 @@ forwards every shard reply this way, so a cached artifact is encoded
 once, when it enters the cache, and never decoded on its way to the
 client.  The result is byte-identical to encoding the re-tagged reply
 from scratch.
+
+Transport
+---------
+
+:class:`LineServer` is the one server side of this protocol: the shard
+daemon (:class:`~repro.serve.server.CompileServer`) and the fleet
+router (:class:`~repro.serve.router.Router`) both subclass it and only
+supply :meth:`LineServer.dispatch`.  It listens, publishes the bound
+port, serves every line of a connection concurrently, fans batches
+out, tags replies and drains on SIGTERM/SIGINT.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
+import os
+import signal
+import time
+from pathlib import Path
+
+from .metrics import Metrics
 
 # Hard ceiling on one request/reply line.  Artifacts for the suite
 # programs are tens of KiB; 8 MiB leaves room without letting a rogue
@@ -95,6 +112,8 @@ MAX_LINE_BYTES = 8 * 1024 * 1024
 MAX_BATCH_REQUESTS = 1024
 
 OPT_LEVELS = ("none", "static", "pgo")
+
+OPS = ("compile", "run", "batch", "stats", "ping")
 
 ERROR_CODES = (
     "malformed-json",   # the line was not a JSON object
@@ -116,8 +135,8 @@ class ProtocolError(Exception):
         self.code = code
         super().__init__(message)
 
-    def as_reply(self, request_id=None) -> dict:
-        return error_reply(self.code, str(self), request_id=request_id)
+    def as_reply(self) -> dict:
+        return error_reply(self.code, str(self))
 
 
 # Members a line leads with, in this order; a hop may rewrite TAGS.
@@ -215,14 +234,10 @@ def decode_line(line: bytes) -> dict:
     return message
 
 
-def error_reply(code: str, message: str, *, request_id=None,
-                **extra) -> dict:
+def error_reply(code: str, message: str, **extra) -> dict:
     assert code in ERROR_CODES, code
-    reply = {"ok": False, "error": {"code": code, "message": message,
-                                    **extra}}
-    if request_id is not None:
-        reply["id"] = request_id
-    return reply
+    return {"ok": False, "error": {"code": code, "message": message,
+                                   **extra}}
 
 
 def validate_compile_request(request: dict) -> dict:
@@ -336,3 +351,209 @@ def validate_run_request(request: dict) -> dict:
         raise ProtocolError("bad-request", "'options' must be an object")
     return {"op": "run", "source": source, "entry": entry, "args": args,
             "options": options}
+
+
+async def wait_for_stop(stopping: asyncio.Event) -> None:
+    """Wait until *stopping* is set, by a ``stop()`` call or by
+    SIGTERM/SIGINT (the handlers are removed again on return)."""
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        loop.add_signal_handler(signum, stopping.set)
+    try:
+        await stopping.wait()
+    finally:
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            loop.remove_signal_handler(signum)
+
+
+class LineServer:
+    """The asyncio server side of the wire protocol.
+
+    One connection is one NDJSON stream, *pipelined*: every line becomes
+    a task and its replies are written, under a per-connection lock, as
+    they complete.  That is what makes a pooled router->shard
+    connection a pipeline instead of a turn-taking RPC channel: a cold
+    compile does not block the cache hits queued behind it.  A ``batch``
+    line fans its sub-requests out concurrently, streams each sub-reply
+    as it finishes and closes with a summary line.
+
+    Subclasses implement :meth:`dispatch` for the ``compile``, ``run``,
+    ``stats`` and ``ping`` ops.  Request counters, error replies, the
+    ``request`` latency histogram and the ``id``/``batch`` tags are
+    handled here, once, for both.
+
+    *config* is read for ``host``, ``port`` and ``port_file``.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.metrics = Metrics()
+        self.started = time.time()
+        self._server: asyncio.base_events.Server | None = None
+        self._connections: set[asyncio.StreamWriter] = set()
+        self._stopping = asyncio.Event()
+
+    async def dispatch(self, message: dict) -> dict | bytes:
+        """The reply to one non-batch request whose ``op`` is in
+        :data:`OPS`: a reply object, or a reply line encoded elsewhere
+        (a shard's), which is re-tagged rather than re-encoded.  Raise
+        :class:`ProtocolError` for an error reply."""
+        raise NotImplementedError
+
+    # -- lifecycle ----------------------------------------------------------
+
+    async def start(self) -> None:
+        """Listen; with ``port_file`` set, publish the bound port there."""
+        self._server = await asyncio.start_server(
+            self._connection, self.config.host, self.config.port,
+            limit=MAX_LINE_BYTES + 2)
+        if self.config.port_file:
+            # Atomic: supervisors poll for this file and must never read
+            # a half-written port number.
+            target = Path(self.config.port_file)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            tmp = target.with_suffix(f".tmp.{os.getpid()}")
+            tmp.write_text(str(self.port))
+            os.replace(tmp, target)
+
+    @property
+    def port(self) -> int:
+        """The bound port (useful with ``port=0``)."""
+        assert self._server is not None
+        return self._server.sockets[0].getsockname()[1]
+
+    async def stop(self) -> None:
+        """Stop listening and close every accepted connection."""
+        self._stopping.set()
+        if self._server is not None:
+            self._server.close()
+        # A process exit would close these sockets anyway, but an
+        # in-process stop (tests, the fleet manager's router) must not
+        # leave peers blocked on a dead stream.
+        for writer in list(self._connections):
+            writer.close()
+        if self._server is not None:
+            await self._server.wait_closed()
+
+    async def run(self) -> None:
+        """Start, serve until SIGTERM/SIGINT, stop."""
+        await self.start()
+        try:
+            await wait_for_stop(self._stopping)
+        finally:
+            await self.stop()
+
+    # -- connections --------------------------------------------------------
+
+    async def _connection(self, reader: asyncio.StreamReader,
+                          writer: asyncio.StreamWriter) -> None:
+        write_lock = asyncio.Lock()
+
+        async def send(line: bytes) -> None:
+            try:
+                async with write_lock:
+                    writer.write(line)
+                    await writer.drain()
+            except (ConnectionResetError, BrokenPipeError, OSError):
+                pass  # peer vanished; the work itself already happened
+
+        tasks: set[asyncio.Task] = set()
+        self._connections.add(writer)
+        try:
+            while not self._stopping.is_set():
+                try:
+                    line = await reader.readline()
+                except (asyncio.LimitOverrunError, ValueError):
+                    # The line outgrew the stream limit; the framing is
+                    # lost, so reply and drop the connection.
+                    await send(encode_message(error_reply(
+                        "oversized",
+                        f"request line exceeds {MAX_LINE_BYTES} bytes")))
+                    break
+                if not line.endswith(b"\n"):
+                    break  # EOF (possibly mid-request): just drop it.
+                if line.strip():
+                    task = asyncio.create_task(self.serve_line(line, send))
+                    tasks.add(task)
+                    task.add_done_callback(tasks.discard)
+            # Drain in-flight replies before closing the stream; a
+            # disconnect mid-compile still runs the job to completion
+            # (the artifact lands in the cache) but its write fails.
+            await asyncio.gather(*tasks, return_exceptions=True)
+        except (ConnectionResetError, BrokenPipeError):
+            pass  # peer vanished mid-reply; nothing to salvage
+        except asyncio.CancelledError:
+            # Shutdown with this connection still open.  Nothing awaits
+            # this task, and asyncio's stream callback (3.11) reports a
+            # cancelled handler as an error, so it ends here.
+            pass
+        finally:
+            self._connections.discard(writer)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError, OSError):
+                pass
+
+    async def serve_line(self, line: bytes, send) -> None:
+        """Answer one request line.  Each reply line is passed to the
+        coroutine function *send*: one reply, or a batch's sub-replies
+        in completion order followed by its summary."""
+        try:
+            message = decode_line(line)
+        except ProtocolError as exc:
+            self.metrics.bump("requests_total")
+            self.metrics.bump(f"errors_{exc.code}")
+            await send(encode_message(exc.as_reply()))
+            return
+        request_id = message.get("id")
+        tags = {} if request_id is None else {"id": request_id}
+        if message.get("op") != "batch":
+            await send(await self._reply(message, tags))
+            return
+
+        self.metrics.bump("requests_total")
+        self.metrics.bump("batch_requests")
+        try:
+            subs = validate_batch_request(message)
+        except ProtocolError as exc:
+            self.metrics.bump(f"errors_{exc.code}")
+            await send(encode_message({**exc.as_reply(), **tags}))
+            return
+
+        async def one(sub: dict) -> bool:
+            sub_tags = {"id": sub["id"]}
+            if request_id is not None:
+                sub_tags["batch"] = request_id
+            reply = await self._reply(sub, sub_tags)
+            await send(reply)
+            return head_value(reply, "ok") is True
+
+        oks = await asyncio.gather(*(one(sub) for sub in subs))
+        summary = {"ok": True, "batch_complete": True,
+                   "replies": len(oks), "failed": oks.count(False)}
+        if request_id is not None:
+            summary["batch"] = summary["id"] = request_id
+        await send(encode_message(summary))
+
+    async def _reply(self, message: dict, tags: dict) -> bytes:
+        """One non-batch request's reply line, tagged with *tags*."""
+        started = time.perf_counter()
+        self.metrics.bump("requests_total")
+        try:
+            op = message.get("op")
+            if op == "batch":
+                raise ProtocolError("bad-request", "batches do not nest")
+            if op not in OPS:
+                raise ProtocolError(
+                    "bad-request", f"unknown op {op!r}; expected 'compile', "
+                                   f"'run', 'batch', 'stats' or 'ping'")
+            reply = await self.dispatch(message)
+        except ProtocolError as exc:
+            self.metrics.bump(f"errors_{exc.code}")
+            reply = exc.as_reply()
+        finally:
+            self.metrics.observe("request", time.perf_counter() - started)
+        if isinstance(reply, bytes):
+            return retag(reply, **tags)
+        return encode_message({**reply, **tags})

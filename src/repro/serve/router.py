@@ -23,13 +23,15 @@ internally and are *redispatched* to the next live shard — safe
 because requests are pure — so a shard SIGKILL under load produces
 zero client-visible failures.
 
+The client side (listening, pipelined lines, ``batch`` fan-out and
+summary, reply tags, SIGTERM drain) is the shard server's own
+:class:`~repro.serve.protocol.LineServer`; a batch's sub-requests are
+routed one by one, so one client line fans out across the fleet.
+
 Router->shard transport is a small pool of *pipelined* connections
 per shard (:class:`ShardLink`): many requests in flight per
 connection, tagged with router-assigned ids and matched to replies by
-id (the shard serves one connection's lines concurrently).  The
-``batch`` op is decomposed at the router: every sub-request routes by
-its own key, so one client line fans out across the whole fleet and
-the sub-replies stream back in completion order.
+id (the shard serves one connection's lines concurrently).
 
 Replies are forwarded, not rebuilt: a link hands back the shard's
 reply line undecoded, and the router rewrites only its head — the
@@ -58,18 +60,15 @@ import bisect
 import hashlib
 import itertools
 import os
-import signal
 import sys
 import time
 from dataclasses import dataclass, field
 
 from .. import __version__
 from .cache import cache_key, run_cache_key
-from .metrics import Metrics
-from .protocol import (MAX_LINE_BYTES, ProtocolError, decode_line,
-                       encode_message, error_reply, head_value, retag,
-                       validate_batch_request, validate_compile_request,
-                       validate_run_request)
+from .protocol import (MAX_LINE_BYTES, LineServer, ProtocolError,
+                       decode_line, encode_message, head_value,
+                       validate_compile_request, validate_run_request)
 
 # Virtual nodes per shard on the ring.  96 points x sha256 keeps the
 # per-shard share of the key space within a few percent of uniform for
@@ -307,19 +306,14 @@ class RouterConfig:
     port_file: str | None = None
 
 
-class Router:
+class Router(LineServer):
     def __init__(self, config: RouterConfig | None = None):
-        self.config = config or RouterConfig()
-        self.metrics = Metrics()
+        super().__init__(config or RouterConfig())
         self.ring = HashRing()
         self._addrs: dict[str, ShardAddr] = {}
         self._links: dict[str, ShardLink] = {}
         self._health: dict[str, dict] = {}  # last ping identity per shard
-        self._server: asyncio.base_events.Server | None = None
         self._health_task: asyncio.Task | None = None
-        self._stopping = asyncio.Event()
-        self._connections: set[asyncio.StreamWriter] = set()
-        self.started = time.time()
         # The fleet manager plugs in extra stats (restarts, shard
         # process table) through this hook.
         self.extra_stats = None
@@ -372,49 +366,16 @@ class Router:
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port,
-            limit=MAX_LINE_BYTES + 2)
+        await super().start()
         if self.config.health_interval > 0:
             self._health_task = asyncio.create_task(self._health_loop())
-        if self.config.port_file:
-            from pathlib import Path
-            target = Path(self.config.port_file)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            tmp = target.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(str(self.port))
-            os.replace(tmp, target)
-
-    @property
-    def port(self) -> int:
-        assert self._server is not None
-        return self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        self._stopping.set()
         if self._health_task is not None:
             self._health_task.cancel()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        # In-process stops (tests, the fleet manager's own loop) must
-        # unblock clients parked on open connections.
-        for writer in list(self._connections):
-            writer.close()
+        await super().stop()
         for name in list(self._links):
             self._drop_link(name)
-
-    async def run(self) -> None:
-        await self.start()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(signum, self._stopping.set)
-        try:
-            await self._stopping.wait()
-        finally:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                loop.remove_signal_handler(signum)
-            await self.stop()
 
     # -- health -------------------------------------------------------------
 
@@ -457,139 +418,17 @@ class Router:
             if not in_ring:
                 self.add_shard(name, addr.host, addr.port)
 
-    # -- connections (same concurrent-line pattern as the shard server) ----
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        write_lock = asyncio.Lock()
-        tasks: set[asyncio.Task] = set()
-        self._connections.add(writer)
-        try:
-            while not self._stopping.is_set():
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    async with write_lock:
-                        await self._send(writer, encode_message(error_reply(
-                            "oversized",
-                            f"request line exceeds {MAX_LINE_BYTES} bytes")))
-                    break
-                if not line or not line.endswith(b"\n"):
-                    break
-                if line.strip() == b"":
-                    continue
-                task = asyncio.create_task(
-                    self._serve_line(line, writer, write_lock))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    async def _send(self, writer: asyncio.StreamWriter,
-                    line: bytes) -> None:
-        writer.write(line)
-        await writer.drain()
-
-    async def _send_locked(self, writer, write_lock, line: bytes) -> None:
-        try:
-            async with write_lock:
-                await self._send(writer, line)
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-
-    async def _serve_line(self, line: bytes, writer,
-                          write_lock: asyncio.Lock) -> None:
-        try:
-            message = decode_line(line)
-        except ProtocolError as exc:
-            self.metrics.bump("requests_total")
-            self.metrics.bump(f"errors_{exc.code}")
-            await self._send_locked(writer, write_lock,
-                                    encode_message(exc.as_reply(None)))
-            return
-        if message.get("op") == "batch":
-            await self._serve_batch(message, writer, write_lock)
-            return
-        request_id = message.get("id")
-        tags = {} if request_id is None else {"id": request_id}
-        await self._send_locked(writer, write_lock,
-                                await self._dispatch_message(message, tags))
-
-    async def _serve_batch(self, message: dict, writer,
-                           write_lock: asyncio.Lock) -> None:
-        """Decompose a batch: each sub-request routes by its *own* key,
-        so one client line fans out across the fleet; sub-replies
-        stream back in completion order."""
-        self.metrics.bump("requests_total")
-        self.metrics.bump("batch_requests")
-        batch_id = message.get("id")
-        try:
-            subs = validate_batch_request(message)
-        except ProtocolError as exc:
-            self.metrics.bump(f"errors_{exc.code}")
-            await self._send_locked(writer, write_lock,
-                                    encode_message(exc.as_reply(batch_id)))
-            return
-
-        async def one(sub: dict) -> bool:
-            tags = {"id": sub["id"]}
-            if batch_id is not None:
-                tags["batch"] = batch_id
-            line = await self._dispatch_message(sub, tags)
-            await self._send_locked(writer, write_lock, line)
-            return head_value(line, "ok") is True
-
-        oks = await asyncio.gather(*(one(sub) for sub in subs))
-        summary = {"ok": True, "batch_complete": True,
-                   "replies": len(oks), "failed": oks.count(False)}
-        if batch_id is not None:
-            summary["batch"] = batch_id
-            summary["id"] = batch_id
-        await self._send_locked(writer, write_lock, encode_message(summary))
-
     # -- routing ------------------------------------------------------------
 
-    async def _dispatch_message(self, message: dict, tags: dict) -> bytes:
-        """One non-batch request's reply line, tagged with *tags*.
-
-        Routed replies are the shard's own line with only its head
-        rewritten; the router's own replies are encoded here.
-        """
-        started = time.perf_counter()
-        self.metrics.bump("requests_total")
-        try:
-            op = message.get("op")
-            if op in ("compile", "run"):
-                key = self._routing_key(message)
-                return retag(await self._forward(key, message), **tags)
-            if op == "ping":
-                reply = self._ping_reply()
-            elif op == "stats":
-                reply = await self._stats_reply()
-            elif op == "batch":
-                raise ProtocolError("bad-request", "batches do not nest")
-            else:
-                raise ProtocolError("bad-request",
-                                    f"unknown op {op!r}; expected "
-                                    f"'compile', 'run', 'batch', 'stats' "
-                                    f"or 'ping'")
-        except ProtocolError as exc:
-            self.metrics.bump(f"errors_{exc.code}")
-            reply = exc.as_reply()
-        finally:
-            self.metrics.observe("request", time.perf_counter() - started)
-        return encode_message({**reply, **tags})
+    async def dispatch(self, message: dict) -> dict | bytes:
+        """``ping``/``stats`` are answered here; ``compile``/``run``
+        come back as the owning shard's reply line."""
+        op = message["op"]
+        if op == "ping":
+            return self._ping_reply()
+        if op == "stats":
+            return await self._stats_reply()
+        return await self._forward(self._routing_key(message), message)
 
     def _routing_key(self, message: dict) -> str:
         """The shard-affinity key: exactly the shard's own cache key.

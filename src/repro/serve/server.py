@@ -1,10 +1,8 @@
 """The asyncio compile server.
 
-One connection = one NDJSON request/reply stream, *pipelined*: every
-incoming line is dispatched concurrently (replies may interleave in
-completion order, serialized by a per-connection write lock), and a
-``batch`` op carries many sub-requests on one line with sub-replies
-streamed back as they finish plus a trailing summary.  The event loop
+The transport — pipelined NDJSON connections, ``batch`` fan-out, reply
+tagging, SIGTERM drain — is :class:`~repro.serve.protocol.LineServer`;
+this module is what a shard does with each request.  The event loop
 only parses, routes and replies; every compile runs in a forked worker
 (:class:`repro.core.pool.WorkerPool`) reached through a small thread
 executor, so the loop stays responsive while compiles grind and stays
@@ -59,7 +57,6 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import os
-import signal
 import tempfile
 import time
 from dataclasses import dataclass
@@ -70,11 +67,8 @@ from ..core.pool import JobError, WorkerCrash, WorkerPool
 from ..native import (TierDecision, TieringManager, TieringPolicy,
                       native_available)
 from .cache import ArtifactCache, cache_key, run_cache_key
-from .metrics import Metrics
-from .protocol import (MAX_LINE_BYTES, ProtocolError, RawJSON,
-                       decode_line, encode_message, error_reply,
-                       validate_batch_request, validate_compile_request,
-                       validate_run_request)
+from .protocol import (LineServer, ProtocolError, RawJSON, error_reply,
+                       validate_compile_request, validate_run_request)
 from .worker import CompileHandler
 
 
@@ -123,21 +117,16 @@ class ServerConfig:
     native_fuel: int = 1 << 40
 
 
-class CompileServer:
+class CompileServer(LineServer):
     def __init__(self, config: ServerConfig | None = None):
-        self.config = config or ServerConfig()
-        self.metrics = Metrics()
+        super().__init__(config or ServerConfig())
         self.cache = ArtifactCache(self.config.cache_dir,
                                    self.config.memory_cache_entries,
                                    max_bytes=self.config.cache_max_bytes)
         self.pool: WorkerPool | None = None
-        self._server: asyncio.base_events.Server | None = None
         self._executor: concurrent.futures.ThreadPoolExecutor | None = None
         self._inflight: dict[str, asyncio.Future] = {}
-        self._connections: set[asyncio.StreamWriter] = set()
         self._pending = 0
-        self._stopping = asyncio.Event()
-        self.started = time.time()
         self.tiering = TieringManager(TieringPolicy(
             enabled=self.config.native and native_available(),
             interp_runs=self.config.tier_interp_runs,
@@ -159,219 +148,40 @@ class CompileServer:
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.config.workers + 2,
             thread_name_prefix="serve-pool")
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port,
-            limit=MAX_LINE_BYTES + 2)
-        if self.config.port_file:
-            # Atomic: the fleet manager polls for this file and must
-            # never read a half-written port number.
-            target = Path(self.config.port_file)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            tmp = target.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(str(self.port))
-            os.replace(tmp, target)
-
-    @property
-    def port(self) -> int:
-        """The bound port (useful with ``port=0`` in tests)."""
-        assert self._server is not None
-        return self._server.sockets[0].getsockname()[1]
+        await super().start()
 
     async def stop(self) -> None:
-        self._stopping.set()
+        """Drain: queued requests get ``shutting-down`` replies, then the
+        pool is torn down."""
         for task in list(self._promotions.values()):
             task.cancel()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await super().stop()
         for future in list(self._inflight.values()):
             if not future.done():
                 future.set_result(error_reply(
                     "shutting-down", "server is shutting down"))
         self._inflight.clear()
-        # Close accepted connections too: a process exit would close
-        # these sockets anyway, but an in-process stop (tests, embedded
-        # shards) must not leave peers blocked on a dead stream.
-        for writer in list(self._connections):
-            writer.close()
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
         if self.pool is not None:
             self.pool.close()
 
-    async def run(self) -> None:
-        """Start, install signal handlers, serve until SIGTERM/SIGINT."""
-        await self.start()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(signum, self._stopping.set)
-        try:
-            await self._stopping.wait()
-        finally:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                loop.remove_signal_handler(signum)
-            await self.stop()
-
-    # -- connections --------------------------------------------------------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        # One connection may have many requests in flight: every line
-        # becomes a task, replies are written (lock-serialized) as they
-        # complete.  That is what makes a pooled router->shard
-        # connection a pipeline instead of a turn-taking RPC channel —
-        # a cold compile no longer blocks the cache hits queued behind
-        # it.  Plain one-at-a-time clients see the old behavior.
-        write_lock = asyncio.Lock()
-        tasks: set[asyncio.Task] = set()
-        self._connections.add(writer)
-        try:
-            while not self._stopping.is_set():
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    # The line outgrew the stream limit; the framing is
-                    # lost, so reply and drop the connection.
-                    async with write_lock:
-                        await self._send(writer, error_reply(
-                            "oversized",
-                            f"request line exceeds {MAX_LINE_BYTES} bytes"))
-                    break
-                if not line or not line.endswith(b"\n"):
-                    break  # EOF (possibly mid-request): just drop it.
-                if line.strip() == b"":
-                    continue
-                task = asyncio.create_task(
-                    self._serve_line(line, writer, write_lock))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-            if tasks:
-                # Drain in-flight replies before closing the stream; a
-                # disconnect mid-compile still runs the job to
-                # completion (the artifact lands in the cache) but the
-                # write fails silently below.
-                await asyncio.gather(*tasks, return_exceptions=True)
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # peer vanished mid-reply; nothing to salvage
-        except asyncio.CancelledError:
-            pass  # server shutdown with this connection still open
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    async def _serve_line(self, line: bytes, writer: asyncio.StreamWriter,
-                          write_lock: asyncio.Lock) -> None:
-        try:
-            message = decode_line(line)
-        except ProtocolError as exc:
-            self.metrics.bump("requests_total")
-            self.metrics.bump(f"errors_{exc.code}")
-            await self._send_locked(writer, write_lock, exc.as_reply(None))
-            return
-        if message.get("op") == "batch":
-            await self._serve_batch(message, writer, write_lock)
-            return
-        reply = await self._dispatch_message(message)
-        await self._send_locked(writer, write_lock, reply)
-
-    async def _serve_batch(self, message: dict,
-                           writer: asyncio.StreamWriter,
-                           write_lock: asyncio.Lock) -> None:
-        """One batch line: fan out, stream sub-replies, close with a
-        summary.  Sub-requests run concurrently; each reply leaves as
-        soon as its sub-request finishes."""
-        self.metrics.bump("requests_total")
-        self.metrics.bump("batch_requests")
-        batch_id = message.get("id")
-        try:
-            subs = validate_batch_request(message)
-        except ProtocolError as exc:
-            self.metrics.bump(f"errors_{exc.code}")
-            await self._send_locked(writer, write_lock,
-                                    exc.as_reply(batch_id))
-            return
-
-        async def one(sub: dict) -> bool:
-            reply = await self._dispatch_message(sub)
-            reply.setdefault("id", sub["id"])
-            if batch_id is not None:
-                reply["batch"] = batch_id
-            await self._send_locked(writer, write_lock, reply)
-            return bool(reply.get("ok"))
-
-        oks = await asyncio.gather(*(one(sub) for sub in subs))
-        summary = {"ok": True, "batch_complete": True,
-                   "replies": len(oks), "failed": oks.count(False)}
-        if batch_id is not None:
-            summary["batch"] = batch_id
-            summary["id"] = batch_id
-        await self._send_locked(writer, write_lock, summary)
-
-    async def _send_locked(self, writer: asyncio.StreamWriter,
-                           write_lock: asyncio.Lock, reply: dict) -> None:
-        try:
-            async with write_lock:
-                await self._send(writer, reply)
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass  # peer vanished; the work itself already happened
-
-    async def _send(self, writer: asyncio.StreamWriter,
-                    reply: dict) -> None:
-        writer.write(encode_message(reply))
-        await writer.drain()
-
     # -- request routing ----------------------------------------------------
 
-    async def _dispatch(self, line: bytes) -> dict:
-        """Decode one wire line and dispatch it (non-batch ops)."""
-        try:
-            message = decode_line(line)
-        except ProtocolError as exc:
-            self.metrics.bump("requests_total")
-            self.metrics.bump(f"errors_{exc.code}")
-            return exc.as_reply(None)
-        return await self._dispatch_message(message)
+    async def dispatch(self, message: dict) -> dict:
+        op = message["op"]
+        if op == "ping":
+            return {"ok": True, "pong": True, "version": __version__,
+                    "pid": os.getpid(), "shard": self.config.shard_name}
+        if op == "stats":
+            return self._stats_reply()
+        if op == "compile":
+            return await self._compile(message)
+        return await self._run(message)
 
-    async def _dispatch_message(self, message: dict) -> dict:
-        started = time.perf_counter()
-        self.metrics.bump("requests_total")
-        request_id = message.get("id")
-        try:
-            op = message.get("op")
-            if op == "ping":
-                return self._ping_reply(request_id)
-            if op == "stats":
-                return self._stats_reply(request_id)
-            if op == "compile":
-                return await self._compile(message, request_id, started)
-            if op == "run":
-                return await self._run(message, request_id, started)
-            if op == "batch":
-                raise ProtocolError("bad-request", "batches do not nest")
-            raise ProtocolError("bad-request",
-                                f"unknown op {op!r}; expected "
-                                f"'compile', 'run', 'batch', 'stats' or "
-                                f"'ping'")
-        except ProtocolError as exc:
-            self.metrics.bump(f"errors_{exc.code}")
-            return exc.as_reply(request_id)
-        finally:
-            self.metrics.observe("request", time.perf_counter() - started)
-
-    def _ping_reply(self, request_id) -> dict:
-        reply = {"ok": True, "pong": True, "version": __version__,
-                 "pid": os.getpid(), "shard": self.config.shard_name}
-        if request_id is not None:
-            reply["id"] = request_id
-        return reply
-
-    def _stats_reply(self, request_id) -> dict:
+    def _stats_reply(self) -> dict:
         assert self.pool is not None
-        reply = {
+        return {
             "ok": True,
             "shard": self.config.shard_name,
             "version": __version__,
@@ -385,13 +195,11 @@ class CompileServer:
             "tiering": self.tiering.snapshot(),
             **self.metrics.snapshot(),
         }
-        if request_id is not None:
-            reply["id"] = request_id
-        return reply
 
     # -- the compile path ---------------------------------------------------
 
-    async def _compile(self, message: dict, request_id, started) -> dict:
+    async def _compile(self, message: dict) -> dict:
+        started = time.perf_counter()
         self.metrics.bump("compile_requests")
         request = validate_compile_request(message)
         try:
@@ -407,19 +215,16 @@ class CompileServer:
                 self.metrics.bump("cache_hits")
                 self.metrics.observe("compile_cached",
                                      time.perf_counter() - started)
-                return self._ok(request_id, key, RawJSON(text), cached=tier)
+                return self._ok(key, RawJSON(text), cached=tier)
             self.metrics.bump("cache_misses")
 
             inflight = self._inflight.get(key)
             if inflight is not None:
                 self.metrics.bump("coalesced")
-                reply = dict(await inflight)
+                reply = await inflight
                 if reply.get("ok"):
-                    reply = self._ok(request_id, key,
-                                     reply["artifacts"], cached=False,
+                    reply = self._ok(key, reply["artifacts"], cached=False,
                                      coalesced=True)
-                elif request_id is not None:
-                    reply["id"] = request_id
                 return reply
 
         if self._pending >= self.config.max_pending:
@@ -434,7 +239,7 @@ class CompileServer:
             self._inflight[key] = future
         self._pending += 1
         try:
-            reply = await self._execute(request, key, request_id, started)
+            reply = await self._execute(request, key, started)
         finally:
             self._pending -= 1
             if cacheable and self._inflight.get(key) is future:
@@ -443,8 +248,7 @@ class CompileServer:
                 future.set_result(reply)
         return reply
 
-    async def _execute(self, request: dict, key: str, request_id,
-                       started) -> dict:
+    async def _execute(self, request: dict, key: str, started) -> dict:
         assert self.pool is not None and self._executor is not None
         loop = asyncio.get_running_loop()
         try:
@@ -455,29 +259,28 @@ class CompileServer:
         except JobError as exc:
             self.metrics.bump("compile_errors")
             return error_reply(
-                "compile-error", f"{exc.kind}: {exc.detail}",
-                request_id=request_id, kind=exc.kind)
+                "compile-error", f"{exc.kind}: {exc.detail}", kind=exc.kind)
         except WorkerCrash as exc:
             self.metrics.bump("worker_crashes")
             if "deadline" in exc.reason:
                 self.metrics.bump("deadline_kills")
             bundle = self._write_crash_bundle(exc, request)
             return error_reply(
-                "worker-crash", exc.reason, request_id=request_id,
-                crash_bundle=bundle, exitcode=exc.exitcode)
+                "worker-crash", exc.reason, crash_bundle=bundle,
+                exitcode=exc.exitcode)
         except RuntimeError as exc:  # pool closed during shutdown
-            return error_reply("shutting-down", str(exc),
-                               request_id=request_id)
+            return error_reply("shutting-down", str(exc))
 
-        self._record_phase_timings(artifacts)
+        self.metrics.record_compile(artifacts.get("stats"))
         if "fault" not in request:
             artifacts = RawJSON(self.cache.put(key, artifacts))
         self.metrics.observe("compile_cold", time.perf_counter() - started)
-        return self._ok(request_id, key, artifacts, cached=False)
+        return self._ok(key, artifacts, cached=False)
 
     # -- the tiered run path ------------------------------------------------
 
-    async def _run(self, message: dict, request_id, started) -> dict:
+    async def _run(self, message: dict) -> dict:
+        started = time.perf_counter()
         self.metrics.bump("run_requests")
         request = validate_run_request(message)
         try:
@@ -502,14 +305,12 @@ class CompileServer:
 
         self._pending += 1
         try:
-            return await self._execute_run(request, key, decision,
-                                           request_id, started)
+            return await self._execute_run(request, key, decision, started)
         finally:
             self._pending -= 1
 
     async def _execute_run(self, request: dict, key: str,
-                           decision: TierDecision, request_id,
-                           started) -> dict:
+                           decision: TierDecision, started) -> dict:
         assert self.pool is not None and self._executor is not None
         loop = asyncio.get_running_loop()
         job = {"op": "run", "tier": decision.tier, "key": key,
@@ -527,8 +328,7 @@ class CompileServer:
         except JobError as exc:
             self.metrics.bump("run_errors")
             return error_reply(
-                "compile-error", f"{exc.kind}: {exc.detail}",
-                request_id=request_id, kind=exc.kind)
+                "compile-error", f"{exc.kind}: {exc.detail}", kind=exc.kind)
         except WorkerCrash as exc:
             self.metrics.bump("worker_crashes")
             if decision.tier == "native":
@@ -536,28 +336,23 @@ class CompileServer:
                 # retried on the VM — the client still gets an answer.
                 self.tiering.fallback(key, exc.reason)
                 return await self._execute_run(
-                    request, key, TierDecision("vm", False),
-                    request_id, started)
+                    request, key, TierDecision("vm", False), started)
             if "deadline" in exc.reason:
                 self.metrics.bump("deadline_kills")
             bundle = self._write_crash_bundle(exc, request)
             return error_reply(
-                "worker-crash", exc.reason, request_id=request_id,
-                crash_bundle=bundle, exitcode=exc.exitcode)
+                "worker-crash", exc.reason, crash_bundle=bundle,
+                exitcode=exc.exitcode)
         except RuntimeError as exc:  # pool closed during shutdown
-            return error_reply("shutting-down", str(exc),
-                               request_id=request_id)
+            return error_reply("shutting-down", str(exc))
 
         if decision.tier == "vm":
             self.tiering.note_steps(key, result.get("steps", 0))
             self.tiering.note_profile(key, result.get("profile"))
         self.metrics.observe("run", time.perf_counter() - started)
-        reply = {"ok": True, "key": key, "tier": decision.tier,
-                 "native_state": self.tiering.state_of(key),
-                 "results": result["results"]}
-        if request_id is not None:
-            reply["id"] = request_id
-        return reply
+        return {"ok": True, "key": key, "tier": decision.tier,
+                "native_state": self.tiering.state_of(key),
+                "results": result["results"]}
 
     def _start_promotion(self, key: str, request: dict) -> None:
         if key in self._promotions:
@@ -614,25 +409,11 @@ class CompileServer:
         except Exception:  # reporting is best-effort
             return None
 
-    def _record_phase_timings(self, artifacts: dict) -> None:
-        stats = artifacts.get("stats")
-        if not isinstance(stats, dict):
-            return
-        if "timings" in stats:
-            self.metrics.record_phase_timings(stats["timings"])
-        else:  # PGO: one record per phase group
-            for sub in stats.values():
-                if isinstance(sub, dict):
-                    self.metrics.record_phase_timings(sub.get("timings"))
-
     @staticmethod
-    def _ok(request_id, key: str, artifacts: dict | RawJSON, *, cached,
+    def _ok(key: str, artifacts: dict | RawJSON, *, cached,
             coalesced: bool = False) -> dict:
-        reply = {"ok": True, "key": key, "cached": cached,
-                 "coalesced": coalesced, "artifacts": artifacts}
-        if request_id is not None:
-            reply["id"] = request_id
-        return reply
+        return {"ok": True, "key": key, "cached": cached,
+                "coalesced": coalesced, "artifacts": artifacts}
 
 
 def run_server(config: ServerConfig) -> None:

@@ -1,56 +1,109 @@
-"""CI smoke driver: ``python -m repro.serve.smoke``.
+"""The service driver: ``python -m repro.serve.smoke --shards N``.
 
-Boots a real daemon (``python -m repro.serve`` subprocess), fires a
-mixed batch of requests at it, and asserts the service contract:
+Boots ``python -m repro.serve --shards N`` as a subprocess — ``0`` is
+one daemon, ``N > 0`` a fleet of N supervised shards behind a router —
+streams one batched request mix at it and asserts the service
+contract.  On both targets:
 
-* every suite program compiles at every optimization level;
-* repeated requests hit the cache (hit rate > 0, warm replies marked);
-* served artifacts are **byte-identical** to a direct in-process
-  :func:`repro.serve.worker.compile_request` for the same request;
-* an injected worker ``kill`` yields a structured ``worker-crash``
-  reply with a crash bundle, and the server keeps serving afterwards;
+* every sub-reply of the mix is ``ok``: compiles of every suite program
+  at every optimization level, plus runs of the cheap programs;
+* every distinct compile is byte-identical to an in-process
+  :func:`repro.serve.worker.compile_request`, and every distinct run
+  agrees with the graph interpreter;
+* an injected worker ``kill`` yields a ``worker-crash`` reply with a
+  crash bundle, and the next request is served from the cache;
 * SIGTERM produces a clean exit (status 0).
 
-Exit status 0 = contract holds.  Used by the ``serve-smoke`` CI job.
+With ``N > 0`` one shard is SIGKILLed halfway through the mix: its
+in-flight sub-requests must be redispatched (still zero failed
+sub-replies), and the fleet's ``stats`` must then report a supervised
+restart with all N shards live.
+
+Exit status 0 = contract holds.  :func:`boot` is the same boot, wait
+and teardown for the benchmarks and tests that need a live service.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import signal
-import socket
 import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import dataclass
+from pathlib import Path
 
 from ..programs.suite import ALL_PROGRAMS
+from .cache import run_cache_key
 from .client import ServeClient
-from .worker import compile_request
+from .worker import compile_request, run_request
+
+BATCH_SIZE = 20
+BOOT_TIMEOUT_S = 120.0
+# The run mix sticks to cheap programs: the interpreter tier runs them
+# before the VM takes over, and the heavy ones would dominate a small
+# box's time there.
+RUN_PROGRAMS = ("pow", "ackermann", "nqueens", "sieve", "compose")
+# The compared artifacts; ``stats`` carries wall-clock phase timings.
+ARTIFACTS = ("ir", "c", "bytecode")
 
 
-def _free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
+@dataclass
+class Service:
+    """A booted ``python -m repro.serve``: the process, its router or
+    daemon port, and (after :func:`boot` exits) its exit status."""
+
+    proc: subprocess.Popen
+    port: int
+    exit_code: int | None = None
+
+    def client(self, timeout: float = 300.0) -> ServeClient:
+        return ServeClient(port=self.port, timeout=timeout)
 
 
-def _wait_for_server(client: ServeClient, deadline: float) -> None:
-    while True:
-        try:
-            assert client.ping()["ok"]
-            return
-        except Exception:
+@contextlib.contextmanager
+def boot(tmp, shards: int = 0, extra_args=()):
+    """Run ``python -m repro.serve --shards N`` with its cache, crash
+    reports and port file under *tmp*; yield a :class:`Service` once it
+    listens.  On exit: SIGTERM, wait, SIGKILL after a timeout."""
+    tmp = Path(tmp)
+    tmp.mkdir(parents=True, exist_ok=True)
+    port_file = tmp / "port"
+    port_file.unlink(missing_ok=True)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.serve", "--shards", str(shards),
+         "--port", "0", "--port-file", str(port_file),
+         "--cache-dir", str(tmp / "cache"),
+         "--crash-dir", str(tmp / "crashes"), *extra_args])
+    try:
+        deadline = time.monotonic() + BOOT_TIMEOUT_S
+        while not port_file.exists():
+            if proc.poll() is not None:
+                raise RuntimeError(f"repro.serve exited with "
+                                   f"{proc.returncode} during startup")
             if time.monotonic() > deadline:
-                raise SystemExit("server did not come up in time")
-            client.close()
-            time.sleep(0.2)
+                raise RuntimeError("repro.serve reported no port")
+            time.sleep(0.1)
+        service = Service(proc, int(port_file.read_text()))
+        yield service
+    finally:
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGTERM)
+        try:
+            proc.wait(timeout=60.0)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+    service.exit_code = proc.returncode
 
 
-def _mixed_requests(count: int) -> list[dict]:
-    """A deterministic batch: every program × level, then repeats."""
-    batch: list[dict] = []
+def _distinct_requests() -> list[dict]:
+    """Every suite program at every optimization level, plus runs of
+    :data:`RUN_PROGRAMS`."""
+    pool: list[dict] = []
     for program in ALL_PROGRAMS:
         for opt in ("none", "static", "pgo"):
             request = {"op": "compile", "source": program.source,
@@ -58,98 +111,133 @@ def _mixed_requests(count: int) -> list[dict]:
             if opt == "pgo":
                 request["entry"] = program.entry
                 request["train_args"] = [list(program.test_args)]
-            batch.append(request)
-    while len(batch) < count:
-        batch.append(dict(batch[len(batch) % (len(ALL_PROGRAMS) * 3)]))
-    return batch[:count]
+            pool.append(request)
+        if program.name in RUN_PROGRAMS:
+            pool.append({"op": "run", "source": program.source,
+                         "entry": program.entry,
+                         "args": [list(program.test_args)]})
+    return pool
+
+
+def _direct(request: dict):
+    """What the service must answer, computed in this process."""
+    if request["op"] == "compile":
+        artifacts = compile_request(dict(request))
+        return {name: artifacts[name] for name in ARTIFACTS}
+    job = {**request, "tier": "interp", "options": {},
+           "key": run_cache_key({**request, "options": {}})}
+    return run_request(job)["results"]
+
+
+def _served(request: dict, reply: dict):
+    if request["op"] == "compile":
+        return {name: reply["artifacts"][name] for name in ARTIFACTS}
+    return reply["results"]
+
+
+def _stream(client: ServeClient, mix: list[dict], victim: int | None,
+            failures: list[str]) -> dict:
+    """Send *mix* in batches, SIGKILLing *victim* halfway; returns the
+    sub-replies by their index in *mix*."""
+    replies: dict = {}
+    batches = range(0, len(mix), BATCH_SIZE)
+    kill_at = len(batches) // 2
+    for number, start in enumerate(batches):
+        if number == kill_at and victim is not None:
+            os.kill(victim, signal.SIGKILL)
+            print(f"SIGKILLed shard pid {victim} before batch {number}",
+                  flush=True)
+        batch = [{**request, "id": start + offset} for offset, request
+                 in enumerate(mix[start:start + BATCH_SIZE])]
+        got, summary = client.batch(batch, request_id=number)
+        replies.update(got)
+        if summary.get("replies") != len(batch):
+            failures.append(f"batch {number}: summary {summary}")
+    failed = {index: reply for index, reply in replies.items()
+              if not reply.get("ok")}
+    for index, reply in sorted(failed.items()):
+        failures.append(f"request {index} failed: {reply.get('error')}")
+    print(f"{len(replies)} sub-replies, {len(failed)} failed", flush=True)
+    return replies
+
+
+def _check_identity(distinct: list[dict], replies: dict,
+                    failures: list[str]) -> None:
+    for index, request in enumerate(distinct):
+        reply = replies.get(index, {})
+        if reply.get("ok") and _served(request, reply) != _direct(request):
+            failures.append(f"request {index} ({request['op']}, "
+                            f"{request.get('opt', 'run')}) differs from "
+                            f"the in-process answer")
+    print(f"identity checked on {len(distinct)} distinct request(s)",
+          flush=True)
+
+
+def _check_worker_crash(client: ServeClient, failures: list[str]) -> None:
+    source = ALL_PROGRAMS[0].source
+    crash = client.compile(source + "\n", opt="static",
+                           fault={"mode": "kill", "target": "inline"})
+    error = crash.get("error") or {}
+    if crash.get("ok") or error.get("code") != "worker-crash":
+        failures.append(f"expected a worker-crash reply, got {crash}")
+    elif not error.get("crash_bundle"):
+        failures.append(f"worker-crash reply without a bundle: {crash}")
+    else:
+        print(f"worker crash handled; bundle at {error['crash_bundle']}",
+              flush=True)
+    after = client.compile(source, opt="static")
+    if not (after.get("ok") and after.get("cached")):
+        failures.append(f"no cache hit after the worker crash: {after}")
+
+
+def _check_restart(client: ServeClient, shards: int,
+                   failures: list[str]) -> None:
+    deadline = time.monotonic() + 60.0
+    while True:
+        stats = client.stats()
+        restarts = stats["fleet"].get("restarts", 0)
+        live = stats["router"]["shards_live"]
+        if (restarts >= 1 and live == shards) or \
+                time.monotonic() > deadline:
+            break
+        time.sleep(0.5)
+    print(f"restarts={restarts} shards_live={live} redispatches="
+          f"{stats['router']['counters'].get('redispatches', 0)}",
+          flush=True)
+    if restarts < 1:
+        failures.append(f"fleet stats show no restart: {stats['fleet']}")
+    if live != shards:
+        failures.append(f"{live}/{shards} shards live after the restart "
+                        f"window")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.serve.smoke")
-    parser.add_argument("--requests", type=int, default=50, metavar="N")
-    parser.add_argument("--workers", type=int, default=2, metavar="N")
-    parser.add_argument("--identity-checks", type=int, default=6,
-                        metavar="N",
-                        help="requests to re-run in-process and compare "
-                             "byte-for-byte (default 6; -1 = all)")
+    parser.add_argument("--shards", type=int, default=0, metavar="N",
+                        help="0 boots one daemon (default), N > 0 a fleet "
+                             "of N shards with one SIGKILLed mid-run")
+    parser.add_argument("--requests", type=int, default=50, metavar="N",
+                        help="requests in the batched mix (default 50)")
     args = parser.parse_args(argv)
 
-    port = _free_port()
-    tmp = tempfile.mkdtemp(prefix="serve-smoke-")
-    daemon = subprocess.Popen(
-        [sys.executable, "-m", "repro.serve", "--port", str(port),
-         "--workers", str(args.workers),
-         "--cache-dir", os.path.join(tmp, "cache"),
-         "--crash-dir", os.path.join(tmp, "crashes")],
-        env={**os.environ, "PYTHONPATH": os.environ.get("PYTHONPATH", "")},
-    )
     failures: list[str] = []
-    try:
-        client = ServeClient(port=port, timeout=180.0)
-        _wait_for_server(client, time.monotonic() + 30.0)
-
-        batch = _mixed_requests(args.requests)
-        replies = []
-        for index, request in enumerate(batch):
-            reply = client.request({**request, "id": index})
-            if not reply.get("ok"):
-                failures.append(f"request {index} failed: {reply}")
-            replies.append(reply)
-        print(f"{len(batch)} requests, "
-              f"{sum(1 for r in replies if r.get('cached'))} served "
-              f"from cache")
-
-        stats = client.stats()
-        hit_rate = stats["cache"]["hit_rate"]
-        print(f"cache: {stats['cache']}")
-        if not hit_rate > 0:
-            failures.append(f"expected cache hit rate > 0, got {hit_rate}")
-
-        # Byte-identity: the daemon must return exactly what a direct
-        # in-process compile produces.
-        checks = (len(batch) if args.identity_checks < 0
-                  else min(args.identity_checks, len(batch)))
-        step = max(1, len(batch) // checks)
-        for index in range(0, checks * step, step):
-            request, reply = batch[index], replies[index]
-            if not reply.get("ok"):
-                continue
-            direct = compile_request(dict(request))
-            served = dict(reply["artifacts"])
-            for artifact in ("ir", "c", "bytecode"):
-                if served.get(artifact) != direct.get(artifact):
-                    failures.append(
-                        f"request {index} ({request['opt']}): artifact "
-                        f"{artifact!r} differs between daemon and direct "
-                        f"compile")
-        print(f"byte-identity verified on {checks} request(s)")
-
-        # Crash isolation: kill a worker mid-compile, expect a bundle
-        # and continued service.
-        source = ALL_PROGRAMS[0].source
-        crash = client.compile(source + "\n", opt="static",
-                               fault={"mode": "kill", "target": "inline"})
-        if crash.get("ok") or crash["error"]["code"] != "worker-crash":
-            failures.append(f"expected worker-crash reply, got {crash}")
-        elif not crash["error"].get("crash_bundle"):
-            failures.append(f"worker-crash reply without a bundle: {crash}")
-        else:
-            print(f"worker crash handled; bundle at "
-                  f"{crash['error']['crash_bundle']}")
-        after = client.compile(source, opt="static")
-        if not after.get("ok"):
-            failures.append(f"server unusable after worker crash: {after}")
-
-        client.close()
-    finally:
-        daemon.send_signal(signal.SIGTERM)
-        try:
-            exit_code = daemon.wait(timeout=15.0)
-        except subprocess.TimeoutExpired:
-            daemon.kill()
-            exit_code = None
-    if exit_code != 0:
-        failures.append(f"daemon exit status {exit_code} after SIGTERM "
+    pool = _distinct_requests()
+    mix = [pool[index % len(pool)] for index in range(args.requests)]
+    with tempfile.TemporaryDirectory(prefix="serve-smoke-") as tmp:
+        with boot(tmp, args.shards, ["--workers", "1", "--max-pending",
+                                     "64", "--no-native"]) as service:
+            with service.client() as client:
+                victim = None
+                if args.shards:
+                    procs = client.stats()["fleet"]["shard_procs"]
+                    victim = procs["shard-0"]["pid"]
+                replies = _stream(client, mix, victim, failures)
+                _check_identity(mix[:len(pool)], replies, failures)
+                _check_worker_crash(client, failures)
+                if args.shards:
+                    _check_restart(client, args.shards, failures)
+    if service.exit_code != 0:
+        failures.append(f"exit status {service.exit_code} after SIGTERM "
                         f"(want 0)")
     else:
         print("clean SIGTERM shutdown")

@@ -166,10 +166,15 @@ class PartialEvaluator:
         re-marked.  Intra-scope jumps — loop heads in particular — are
         left alone: unrolling a dynamically bounded loop would only burn
         the budget.  This is the predictable-termination compromise.
+
+        Only blocks reachable in the copy's CFG are walked: arms that
+        folding made dead while mangling (the recursive arm of a base
+        case) would otherwise re-mark their calls and specialize
+        garbage until the budget runs out.
         """
         scope = scope_of(new_entry)
         discovered = self._discovered
-        for cont in scope.continuations():
+        for cont in self.world.analyses.cfg(new_entry).continuations():
             if not cont.has_body():
                 continue
             callee = cont.callee

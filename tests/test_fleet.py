@@ -4,7 +4,8 @@ Two in-process shard servers (the same :class:`_ServerThread` pattern
 as test_serve) sit behind an in-process :class:`Router` on its own
 loop thread; tests talk to the router — and, for the direct/routed
 comparisons, straight to a shard — over real sockets with the
-blocking client.  One subprocess test drives the real fleet manager
+blocking client.  One subprocess test runs the service driver
+(:mod:`repro.serve.smoke`) against the real fleet manager
 (``python -m repro.serve --shards 2``) through a SIGKILL + supervised
 restart.
 """
@@ -15,9 +16,6 @@ import asyncio
 import collections
 import json
 import os
-import signal
-import subprocess
-import sys
 import threading
 import time
 
@@ -26,6 +24,7 @@ import pytest
 from repro import __version__
 from repro.serve.cache import cache_key, run_cache_key
 from repro.serve.client import ServeClient, backoff_delay
+from repro.serve import smoke
 from repro.serve.protocol import encode_message
 from repro.serve.router import HashRing, Router, RouterConfig, ShardAddr
 from repro.serve.server import CompileServer, ServerConfig
@@ -401,6 +400,36 @@ def test_fleet_stats_aggregate(fleet):
     assert "hit_rate" in fleet_view["cache"]
 
 
+def _rollback_counters(stats: dict) -> tuple[int, int]:
+    return (stats["counters"].get("pipeline_rollbacks", 0),
+            stats["counters"].get("pipeline_quarantines", 0))
+
+
+def test_recovered_compiles_are_counted(fleet):
+    """A compile that rolled a failed pass back still replies ``ok``;
+    the shard's counters say so, directly and summed by the router,
+    counting both optimize rounds of a PGO compile."""
+    fault = {"mode": "raise", "target": "inline"}
+    with fleet.shard_client("shard-a") as direct:
+        before = _rollback_counters(direct.stats())
+        reply = direct.compile(SRC + " // recovered", fault=fault)
+        after = _rollback_counters(direct.stats())
+    assert reply["ok"] and reply["artifacts"]["stats"]["rollbacks"] == 1
+    assert after == (before[0] + 1, before[1] + 1)
+
+    with fleet.client() as routed:
+        before = _rollback_counters(routed.stats()["fleet"])
+        reply = routed.compile(SRC + " // recovered", opt="pgo",
+                               entry="main", train_args=[[3]], fault=fault)
+        after = _rollback_counters(routed.stats()["fleet"])
+    assert reply["ok"]
+    records = reply["artifacts"]["stats"].values()
+    expected = (sum(record["rollbacks"] for record in records),
+                sum(len(record["quarantined"]) for record in records))
+    assert expected[0] >= 1
+    assert after == (before[0] + expected[0], before[1] + expected[1])
+
+
 def test_dead_shard_redispatch_and_revival(fleet):
     """Killing a shard yields zero failed requests; the survivor takes
     its keys; re-adding restores two-shard routing."""
@@ -441,57 +470,11 @@ def test_dead_shard_redispatch_and_revival(fleet):
 # ---------------------------------------------------------------------------
 
 
-def test_fleet_manager_restart_and_drain(tmp_path):
-    port_file = tmp_path / "router.port"
-    fleet_proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.serve", "--shards", "2",
-         "--port", "0", "--port-file", str(port_file),
-         "--workers", "1", "--no-native",
-         "--cache-dir", str(tmp_path / "cache"),
-         "--crash-dir", str(tmp_path / "crashes")],
-        env={**os.environ,
-             "PYTHONPATH": os.environ.get("PYTHONPATH", "")})
-    try:
-        deadline = time.monotonic() + 120.0
-        while not port_file.exists():
-            assert fleet_proc.poll() is None, "fleet died during startup"
-            assert time.monotonic() < deadline, "no router port file"
-            time.sleep(0.1)
-        port = int(port_file.read_text())
-        client = ServeClient(port=port, timeout=120.0)
-        assert client.ping()["shards_live"] == 2
-
-        stats = client.stats()
-        procs = stats["fleet"]["shard_procs"]
-        victim_pid = procs["shard-0"]["pid"]
-        os.kill(victim_pid, signal.SIGKILL)
-
-        # Zero failures while the key space rebalances.
-        for index in range(8):
-            reply = client.compile(
-                f"fn main(a: i64) -> i64 {{ a * {index + 2} }} // mgr")
-            assert reply["ok"], reply
-
-        # Supervisor restarts the shard; stats reflect it.
-        deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline:
-            stats = client.stats()
-            if stats["fleet"].get("restarts", 0) >= 1 and \
-                    stats["router"]["shards_live"] == 2:
-                break
-            time.sleep(0.5)
-        assert stats["fleet"]["restarts"] >= 1
-        assert stats["router"]["shards_live"] == 2
-        new_pid = stats["fleet"]["shard_procs"]["shard-0"]["pid"]
-        assert new_pid != victim_pid
-        client.close()
-    finally:
-        fleet_proc.send_signal(signal.SIGTERM)
-        try:
-            assert fleet_proc.wait(timeout=60.0) == 0
-        except subprocess.TimeoutExpired:
-            fleet_proc.kill()
-            raise
+def test_fleet_manager_restart_and_drain():
+    """The service driver against ``python -m repro.serve --shards 2``:
+    a shard SIGKILLed mid-run costs zero failed replies, is restarted
+    by the supervisor, and SIGTERM drains the fleet to exit 0."""
+    assert smoke.main(["--shards", "2", "--requests", "24"]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,14 @@ planted divergences, trap normalization, and path bookkeeping."""
 
 from __future__ import annotations
 
-import shutil
-
 import pytest
 
 from repro.fuzz import GenConfig, OracleConfig, generate_program, run_oracle
 from repro.fuzz.gen import Bin, FuzzFn, FuzzProgram, Lit, Var
 from repro.fuzz.oracle import TRAP, Observation, _compare
+from repro.native import native_available
 
-HAVE_CC = shutil.which("gcc") is not None
+HAVE_CC = native_available()
 
 
 def _tiny(result, *, arg_sets=((3, 4),)) -> FuzzProgram:
@@ -64,7 +63,7 @@ class TestCleanPrograms:
         assert {"interp(none)", "interp(static)", "vm(static)",
                 "interp(pgo)", "vm(pgo)"} <= record["paths"]
         if HAVE_CC:
-            assert "c(static)" in record["paths"]
+            assert "native(static)" in record["paths"]
 
     def test_expr_only_exercises_cps_baseline(self):
         record = {}
@@ -98,7 +97,7 @@ class TestDetection:
         # run_vm=False: the bounded interpreter alone catches the
         # sabotage; a dropped loop-carried argument can make the
         # program spin until the (much larger) VM step budget.
-        failure = run_oracle(prog, OracleConfig(run_pgo=False, run_c=False,
+        failure = run_oracle(prog, OracleConfig(run_pgo=False,
                                                 run_ssa=False, run_vm=False,
                                                 verify_each_pass=False,
                                                 interp_max_steps=200_000))
@@ -126,7 +125,7 @@ class TestDetection:
         monkeypatch.setattr(inliner, "inline_small_functions", corrupting)
         # the pipeline imports the pass inside the function, so patch at
         # the source module and re-resolve
-        failure = run_oracle(prog, OracleConfig(run_pgo=False, run_c=False,
+        failure = run_oracle(prog, OracleConfig(run_pgo=False,
                                                 run_ssa=False))
         assert failure is not None
         assert failure.stage in ("verify(static)", "compile(static)")

@@ -1,5 +1,8 @@
 """Sanity tests for the benchmark program suite definitions."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.eval import source_loc
@@ -45,3 +48,22 @@ class TestRegistry:
     def test_pe_programs_carry_markers(self):
         for program in by_tag("pe"):
             assert "@" in program.source or "$" in program.source
+
+
+def _catalogue_programs():
+    path = Path(__file__).parents[1] / "perfbench" / "catalogue.json"
+    return json.loads(path.read_text())["programs"]
+
+
+def test_every_program_optimizes_without_incidents():
+    """No pass of the default pipeline rolls back or is quarantined on
+    the suite or the service benchmark's catalogue: an incident there
+    means a compile silently fell back to less optimized code."""
+    from repro.frontend import compile_source
+    from repro.transform.pipeline import optimize
+
+    sources = {p.name: p.source for p in ALL_PROGRAMS}
+    sources.update((p["name"], p["source"]) for p in _catalogue_programs())
+    for name, source in sources.items():
+        stats = optimize(compile_source(source, optimize=False))
+        assert stats.incidents == [], (name, stats.incidents)

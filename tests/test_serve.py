@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.snapshot import canonical_json
 from repro.serve import cache as cache_module
+from repro.serve import smoke
 from repro.serve.cache import ArtifactCache, cache_key, run_cache_key
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.protocol import (MAX_LINE_BYTES, RawJSON, encode_message,
@@ -209,9 +210,28 @@ def test_compile_error_is_not_a_crash(served):
         assert client.ping()["ok"]
 
 
+def test_smoke_driver_against_one_daemon():
+    """The service driver against ``python -m repro.serve``: a batched
+    mix with zero failures, byte identity with in-process compiles, a
+    worker kill survived, and a clean SIGTERM exit."""
+    assert smoke.main(["--shards", "0", "--requests", "12"]) == 0
+
+
 # ---------------------------------------------------------------------------
 # single-flight coalescing
 # ---------------------------------------------------------------------------
+
+
+async def _answer(server: CompileServer, line: bytes) -> bytes:
+    """The one reply line *server* sends for the non-batch *line*."""
+    replies = []
+
+    async def send(reply: bytes) -> None:
+        replies.append(reply)
+
+    await server.serve_line(line, send)
+    (reply,) = replies
+    return reply
 
 
 def _slow_stub_handler(request):
@@ -242,11 +262,11 @@ def test_duplicate_inflight_requests_coalesce(tmp_path):
         try:
             line = encode_message(
                 {"op": "compile", "source": SRC, "opt": "static"})
-            lead_task = asyncio.create_task(server._dispatch(line))
+            lead_task = asyncio.create_task(_answer(server, line))
             await asyncio.sleep(0.3)  # lead is now inside the worker
             assert len(server._inflight) == 1
-            join = await server._dispatch(line)
-            lead = await lead_task
+            join = json.loads(await _answer(server, line))
+            lead = json.loads(await lead_task)
             assert lead["ok"] and join["ok"]
             assert lead["key"] == join["key"]
             assert join["artifacts"] == lead["artifacts"]
@@ -255,7 +275,7 @@ def test_duplicate_inflight_requests_coalesce(tmp_path):
             assert join["coalesced"] is True
             assert server.metrics.counters["coalesced"] == 1
             # And the single result landed in the cache.
-            warm = await server._dispatch(line)
+            warm = json.loads(await _answer(server, line))
             assert warm["cached"] == "memory"
         finally:
             await server.stop()
@@ -414,7 +434,7 @@ def test_corrupt_disk_object_is_a_miss(tmp_path, damage):
         try:
             line = encode_message({"op": "compile", "source": SRC,
                                    "opt": "static", "id": 3})
-            clean = encode_message(await server._dispatch(line))
+            clean = await _answer(server, line)
             key = json.loads(clean)["key"]
             path = server.cache._object_path(key)
             text = path.read_bytes()
@@ -425,7 +445,7 @@ def test_corrupt_disk_object_is_a_miss(tmp_path, damage):
             before = server.cache.stats()
             compiled = server.metrics.snapshot()["latency"][
                 "compile_cold"]["count"]
-            again = encode_message(await server._dispatch(line))
+            again = await _answer(server, line)
             after = server.cache.stats()
             assert after["misses"] == before["misses"] + 1
             assert after["hits_disk"] == before["hits_disk"]

@@ -95,7 +95,9 @@ fn pow(x: i64, n: i64) -> i64 { if n == 0 { 1 } else { x * pow(x, n-1) } }
 fn main(x: i64) -> i64 { @pow(x, 4) }
 """, optimize=False)
         stats = partial_eval(world)
-        assert stats["specialized"] >= 4
+        # pow(x, 4) .. pow(x, 0): the dead recursive arm of the base
+        # case must not be specialized any further.
+        assert stats["specialized"] == 5
         cleanup(world)
         assert Interpreter(world).call("main", 3) == 81
 
