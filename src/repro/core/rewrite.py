@@ -1,10 +1,12 @@
 """Graph rewriting: replace defs by other defs, rebuilding users.
 
 Primops are immutable and hash-consed, so "replacing" a def means
-rebuilding every (transitive) user through the world's smart factories
-and finally retargeting the mutable continuation bodies.  Folding
-re-fires during the rebuild, exactly as in mangling.  Old nodes become
-garbage and are collected by ``transform.cleanup``.
+rebuilding every (transitive) primop user through the world's smart
+factories and finally retargeting the mutable continuation bodies
+through the world's jump folding.  Folding re-fires during the rebuild,
+exactly as in mangling — a branch whose condition became a literal is a
+direct jump when the rewrite returns.  Old nodes become garbage and are
+collected by ``transform.cleanup``.
 """
 
 from __future__ import annotations
@@ -17,9 +19,12 @@ from .world import World
 def rewrite_uses(world: World, mapping: dict[Def, Def]) -> dict[Def, Def]:
     """Apply ``mapping`` to the graph.
 
-    Every def reachable (via use edges) from a key is rebuilt with the
-    mapping applied; continuations are updated in place.  Returns the
-    full old→new memo (useful to chase what a def became).
+    Every primop reachable (via use edges through primops) from a key is
+    rebuilt with the mapping applied; the continuations using any of
+    them are updated in place, their new bodies folded by
+    ``World.fold_jump``.  A continuation keeps its identity when its
+    body changes, so the flood stops there: its own users never change.
+    Returns the full old→new memo (useful to chase what a def became).
     """
     if not mapping:
         return {}
@@ -30,8 +35,8 @@ def rewrite_uses(world: World, mapping: dict[Def, Def]) -> dict[Def, Def]:
         )
     memo: dict[Def, Def] = dict(mapping)
 
-    # Collect transitive users; continuations found along the way will
-    # have their bodies rebuilt.
+    # Collect transitive primop users; the continuations found along
+    # the way will have their bodies rebuilt.
     seen: set[Def] = set(mapping)
     queue: list[Def] = list(mapping)
     affected_conts: list[Continuation] = []
@@ -41,9 +46,10 @@ def rewrite_uses(world: World, mapping: dict[Def, Def]) -> dict[Def, Def]:
             if user in seen:
                 continue
             seen.add(user)
-            queue.append(user)
             if isinstance(user, Continuation):
                 affected_conts.append(user)
+            else:
+                queue.append(user)
 
     def rw(d: Def) -> Def:
         hit = memo.get(d)
@@ -73,7 +79,11 @@ def rewrite_uses(world: World, mapping: dict[Def, Def]) -> dict[Def, Def]:
         if cont.has_body():
             new_ops = tuple(rw(op) for op in cont.ops)
             if new_ops != cont.ops:
-                cont._set_ops(new_ops)
+                # Raw ``_set_ops``, not ``Continuation.jump``: the
+                # frontend rewrites while a predecessor's argument list
+                # is still being appended, so arity may not match yet.
+                callee, args = world.fold_jump(new_ops[0], new_ops[1:])
+                cont._set_ops((callee, *args))
     return memo
 
 

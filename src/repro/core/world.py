@@ -105,6 +105,14 @@ class World:
         self._structural_generation = 0
         self._analyses = None
         self._undo = None  # armed UndoLog, if any (core.undo)
+        # Registered continuations whose bodies, signatures or external
+        # flags changed since cleanup's eta-reduction last took the set;
+        # None stands for every continuation (a fresh world, or after a
+        # wholesale restore).
+        self._touched_conts: set[Continuation] | None = None
+        # Generation at which the last completed cleanup left the world;
+        # while it stands, another cleanup is provably a no-op.
+        self._clean_generation: int | None = None
 
     # ------------------------------------------------------------------
     # identity & registry
@@ -161,12 +169,16 @@ class World:
     # continuations it touched; wholesale rebuilds (snapshot restore)
     # report nothing and force a drop-all.  The generation counter bumps
     # unconditionally; the analysis manager only hears about it once it
-    # exists.
+    # exists.  Touched continuations also feed ``_touched_conts``, the
+    # worklist of cleanup's eta-reduction.
 
     def _note_touched(self, user: Def, ops: tuple) -> None:
         self._generation += 1
         if user.__class__ is Continuation:
             self._structural_generation += 1
+            touched = self._touched_conts
+            if touched is not None:
+                touched.add(user)
         undo = self._undo
         if undo is not None:
             # Fired before ``user._ops`` is swapped, so the log can
@@ -179,6 +191,9 @@ class World:
     def _note_structural(self, *touched: Def) -> None:
         self._generation += 1
         self._structural_generation += 1
+        if self._touched_conts is not None:
+            # An external flag or a signature can make a forwarder.
+            self._touched_conts.update(touched)
         manager = self._analyses
         if manager is not None and touched:
             manager._record_structural(touched)
@@ -189,6 +204,7 @@ class World:
         # A wholesale rebuild invalidates any armed undo log: the
         # objects it tracks may no longer belong to this world.
         self._undo = None
+        self._touched_conts = None
         manager = self._analyses
         if manager is not None:
             manager._record_all()
@@ -229,6 +245,9 @@ class World:
             self._undo._on_prune_continuations()
         self._continuations = [c for c in self._continuations if c in live]
         self._note_structural(*pruned)
+        if self._touched_conts is not None:
+            # Unregistered for good: no eta-reduction scan needs them.
+            self._touched_conts.difference_update(pruned)
 
     def _prune_primops(self, live: set[Def]) -> None:
         before = len(self._primops)
@@ -936,13 +955,17 @@ class World:
     # ------------------------------------------------------------------
 
     def jump(self, cont: Continuation, callee: Def, args: Iterable[Def]) -> None:
-        """Set ``cont``'s body to ``callee(args)``, folding trivial jumps.
+        """Set ``cont``'s body to ``callee(args)``, folding trivial jumps."""
+        cont.jump(*self.fold_jump(callee, tuple(args)))
+
+    def fold_jump(self, callee: Def,
+                  args: tuple[Def, ...]) -> tuple[Def, tuple[Def, ...]]:
+        """The jump ``callee(args)`` with trivial jumps folded away.
 
         * a branch on a literal condition becomes a direct jump,
         * a branch whose arms coincide becomes a direct jump,
         * a jump to ``select(c, t, f)`` becomes a branch.
         """
-        args = tuple(args)
         if self.folding:
             target = callee
             if isinstance(target, (Run, Hlt)):
@@ -953,12 +976,10 @@ class World:
                     dropped = tgt_f if cond.value else tgt_t
                     if self._can_discard(dropped):
                         self.stats.folds += 1
-                        self.jump(cont, tgt_t if cond.value else tgt_f, (mem,))
-                        return
+                        return self.fold_jump(tgt_t if cond.value else tgt_f, (mem,))
                 elif tgt_t is tgt_f and self._can_discard(cond):
                     self.stats.folds += 1
-                    self.jump(cont, tgt_t, (mem,))
-                    return
+                    return self.fold_jump(tgt_t, (mem,))
             if isinstance(callee, Select):
                 # jump select(c, t, f)(args) == branch-like dispatch
                 if isinstance(callee.cond, Literal):
@@ -966,9 +987,8 @@ class World:
                     if self._can_discard(dropped):
                         self.stats.folds += 1
                         picked = callee.tval if callee.cond.value else callee.fval
-                        self.jump(cont, picked, args)
-                        return
-        cont.jump(callee, args)
+                        return self.fold_jump(picked, args)
+        return callee, args
 
     def rebuild(self, op: PrimOp, new_ops: tuple[Def, ...]) -> Def:
         """Reconstruct *op* with new operands through the smart factories.

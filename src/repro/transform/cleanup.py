@@ -4,18 +4,26 @@ In a graph IR, "dead code elimination" is mostly *non-work*: anything
 not reachable from the external continuations is garbage by definition.
 This pass:
 
+* simplifies jumps: eta-reduces forwarder continuations (``f(x...) =
+  g(x...)`` makes every use of ``f`` a use of ``g``), and so threads
+  jumps through empty forwarders — the graph-IR counterpart of
+  SimplifyCFG, with **no phi repair** anywhere;
 * collects garbage (continuations and primops unreachable from the
-  externals through operand edges),
-* simplifies jumps: re-folds branches whose condition became a literal,
-  eta-reduces forwarder continuations (``f(x...) = g(x...)`` makes every
-  use of ``f`` a use of ``g``), and threads jumps through empty
-  forwarders — the graph-IR counterpart of SimplifyCFG, with **no phi
-  repair** anywhere.
+  externals through operand edges).
+
+Apart from the garbage mark, its cost follows the edit, not the world.
+Branch folding needs no sweep: the paper's local simplifications hold
+at all times, because ``World.jump`` and ``rewrite_uses`` fold every
+body they set.  Eta-reduction visits only the continuations touched
+since its last scan; :func:`verify_cleanup` checks both shortcuts
+against full sweeps under ``verify_each_pass``.
 """
 
 from __future__ import annotations
 
-from ..core.defs import Continuation, Def, Intrinsic
+from operator import attrgetter
+
+from ..core.defs import Continuation, Def
 from ..core.primops import EvalOp
 from ..core.rewrite import rewrite_uses
 from ..core.scope import scope_of
@@ -63,26 +71,19 @@ def _peel(d: Def) -> Def:
     return d
 
 
-def eta_reduce(world: World) -> int:
-    """Replace forwarder continuations by their targets.
+def _forwarders(candidates) -> tuple[dict[Def, Def], list[Continuation]]:
+    """Which *candidates* are forwarders to substitute now.
 
-    ``f(p1, ..., pn) = g(p1, ..., pn)`` (exactly, in order) makes ``f``
-    an alias of ``g`` — provided ``g`` is not ``f`` itself, is not a
-    parameter bound inside ``f``, and ``f`` is not external.  Jump
-    threading through empty blocks falls out.
-
-    All forwarders found in one scan are substituted in a *single*
-    ``rewrite_uses`` call: per-forwarder rewriting floods the transitive
-    user closure once per forwarder (quadratic on forwarder chains and
-    the dominant cleanup cost on larger programs).  Simultaneous
-    substitution of alias equations is sound as long as no replacement
-    value is itself being replaced, so a forwarder whose target is
-    another forwarder from the same scan is deferred — the enclosing
-    ``cleanup`` fixed point picks it up on the next iteration, by which
-    time its body has been retargeted past the removed alias.
+    Returns the alias mapping (forwarder → callee, in candidate order)
+    and the forwarders held back: those whose target lies inside their
+    own scope, and forwarders of forwarders.  A held-back forwarder can
+    become reducible without its own body changing (the target stops
+    using its params; the inner alias is substituted), so the next scan
+    must look at it again.
     """
     mapping: dict[Def, Def] = {}
-    for cont in world.continuations():
+    held: list[Continuation] = []
+    for cont in candidates:
         if cont.is_external or cont.is_intrinsic() or not cont.has_body():
             continue
         callee = cont.callee
@@ -93,54 +94,99 @@ def eta_reduce(world: World) -> int:
             continue
         if not all(a is p for a, p in zip(cont.args, cont.params)):
             continue
-        if isinstance(target, Continuation):
-            if target.intrinsic is not None:
-                continue
-            # The forwarder's own scope must not contain the target
-            # (otherwise the "alias" would leak scope-internal state).
-            if target in scope_of(cont):
-                continue
-        elif target in scope_of(cont):
-            continue
         if callee.type is not cont.type:
+            continue
+        if isinstance(target, Continuation) and target.intrinsic is not None:
+            continue
+        # The forwarder's own scope must not contain the target
+        # (otherwise the "alias" would leak scope-internal state).
+        if target in scope_of(cont):
+            held.append(cont)
             continue
         mapping[cont] = callee
     # Defer forwarder-of-forwarder: its replacement value would go stale
     # the moment the inner alias is substituted.
-    mapping = {cont: callee for cont, callee in mapping.items()
-               if _peel(callee) not in mapping}
-    if not mapping:
-        return 0
-    rewrite_uses(world, mapping)
-    for cont in mapping:
-        # Detach the forwarders so they cannot match again (they are
-        # garbage now; collect_garbage prunes them).
-        cont.unset_body()
+    for cont in [c for c, callee in mapping.items()
+                 if _peel(callee) in mapping]:
+        del mapping[cont]
+        held.append(cont)
+    return mapping, held
+
+
+def eta_reduce(world: World) -> int:
+    """Replace forwarder continuations by their targets.
+
+    ``f(p1, ..., pn) = g(p1, ..., pn)`` (exactly, in order) makes ``f``
+    an alias of ``g`` — provided ``g`` is not ``f`` itself, is not a
+    parameter bound inside ``f``, and ``f`` is not external.  Jump
+    threading through empty blocks falls out.
+
+    Only continuations touched since the previous scan are looked at
+    (the world's ``_touched_conts``, every continuation on a fresh or
+    restored world), plus the forwarders that scan held back.  Any
+    other continuation has the body, signature and flags the previous
+    scan rejected, so visiting the candidates in gid order finds exactly
+    the forwarders a scan of the whole world would.
+
+    All forwarders found in one scan are substituted in a *single*
+    ``rewrite_uses`` call: per-forwarder rewriting floods the transitive
+    user closure once per forwarder (quadratic on forwarder chains).
+    Simultaneous substitution of alias equations is sound as long as no
+    replacement value is itself being replaced, so a forwarder whose
+    target is another forwarder from the same scan is deferred — the
+    enclosing ``cleanup`` fixed point picks it up on the next iteration,
+    by which time its body has been retargeted past the removed alias.
+    """
+    touched = world._touched_conts
+    world._touched_conts = set()
+    if touched is None:
+        candidates = world.continuations()
+    else:
+        candidates = sorted(touched, key=attrgetter("gid"))
+    mapping, held = _forwarders(candidates)
+    if mapping:
+        rewrite_uses(world, mapping)
+        for cont in mapping:
+            # Detach the forwarders so they cannot match again (they are
+            # garbage now; collect_garbage prunes them).
+            cont.unset_body()
+    world._touched_conts.update(held)
     return len(mapping)
 
 
-def refold_jumps(world: World) -> int:
-    """Re-run jump-level folding on every body (branch → direct, etc.)."""
-    changed = 0
-    for cont in world.continuations():
-        if not cont.has_body():
-            continue
-        callee, args = cont.callee, cont.args
-        world.jump(cont, callee, args)
-        if cont.callee is not callee or cont.args != args:
-            changed += 1
-    return changed
-
-
 def cleanup(world: World) -> dict[str, int]:
-    """Run jump simplification to a fixed point, then collect garbage."""
-    stats = {"eta_reduced": 0, "jumps_refolded": 0, "continuations_removed": 0}
-    while True:
-        changed = refold_jumps(world)
-        stats["jumps_refolded"] += changed
-        reduced = eta_reduce(world)
+    """Eta-reduce to a fixed point, then collect garbage."""
+    stats = {"eta_reduced": 0, "continuations_removed": 0}
+    while reduced := eta_reduce(world):
         stats["eta_reduced"] += reduced
-        if not changed and not reduced:
-            break
     stats["continuations_removed"] = collect_garbage(world)
+    world._clean_generation = world.generation
     return stats
+
+
+def verify_cleanup(world: World) -> None:
+    """Check that a full sweep finds nothing cleanup left behind.
+
+    From scratch over the whole world: no forwarder left to
+    eta-reduce, no jump left to fold, and no registered continuation
+    the externals cannot reach.  Raises
+    :class:`~repro.core.verify.VerifyError` on the first miss.
+    """
+    from ..core.verify import VerifyError
+
+    mapping, _ = _forwarders(world.continuations())
+    if mapping:
+        cont = next(iter(mapping))
+        raise VerifyError(
+            f"cleanup left forwarder {cont.unique_name()} to "
+            f"{_peel(mapping[cont]).unique_name()} unreduced")
+    live = reachable_defs(world)
+    for cont in world.continuations():
+        if cont.has_body() and (world.fold_jump(cont.callee, cont.args)
+                                != (cont.callee, cont.args)):
+            raise VerifyError(
+                f"cleanup left the jump of {cont.unique_name()} unfolded")
+        if cont not in live and not cont.is_intrinsic():
+            raise VerifyError(
+                f"cleanup left unreachable continuation "
+                f"{cont.unique_name()} registered")

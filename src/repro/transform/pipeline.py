@@ -9,8 +9,10 @@ Mirrors the order the paper's compiler uses:
    program is in control-flow form;
 4. **inlining** of small/once-called functions (also mangling);
 5. **lambda dropping** of scope-invariant parameters;
-6. cleanup (jump threading, eta reduction, garbage collection) after
-   every step.
+6. cleanup after every step: eta reduction (jump threading) of the
+   continuations the step touched, then garbage collection.  Branches
+   whose condition became a literal were already folded when the step
+   rewrote them (``rewrite_uses``/``World.jump`` fold every body).
 
 All knobs live on :class:`OptimizeOptions`; ``optimize(world,
 options=...)`` threads them through to the individual passes.
@@ -40,8 +42,11 @@ passes mutate the graph; there is no uncached mode.
 
 Pass-level checking (``OptimizeOptions(verify_each_pass=True)``): the
 full IR verifier (analysis audit + structural + use-list + scope
-invariants) runs after every phase, and the first broken invariant —
-a stale cached analysis included — is attributed via
+invariants) runs after every phase, and after every cleanup a
+from-scratch sweep (:func:`~repro.transform.cleanup.verify_cleanup`)
+must find nothing left to eta-reduce, fold or collect.  The first
+broken invariant — a stale cached analysis or a forwarder the
+incremental cleanup missed included — is attributed via
 :class:`PassVerifyError` to the pass that introduced it.  Phases the
 runner would skip as provable no-ops are run instead, and must leave
 ``World.generation`` unmoved.  In strict mode the error is raised; in
@@ -71,7 +76,7 @@ from typing import Callable
 from ..core.limits import DeadlineExceeded, ResourceLimitError, deadline
 from ..core.undo import UndoLog
 from ..core.world import World
-from .cleanup import cleanup
+from .cleanup import cleanup, verify_cleanup
 
 
 @dataclass
@@ -268,9 +273,6 @@ class _PhaseRunner:
         self.quarantine: set[str] = set()
         self.checkpoint: UndoLog | None = None
         self._checkpoint_generation: int | None = None
-        # Generation observed right after the last completed cleanup;
-        # while it stands, further cleanups are provably no-ops.
-        self._clean_generation: int | None = None
         # Per-pass generation at which the pass last completed without
         # mutating anything (generation unmoved across its run); while
         # it stands, rerunning that pass is provably a no-op.
@@ -331,15 +333,18 @@ class _PhaseRunner:
 
         Cleanup is deterministic and idempotent: on a world that has not
         mutated since the previous cleanup completed, it rewrites
-        nothing.  The mutation generation witnesses exactly that, so the
-        phase is skipped outright — bit-identical to running it, minus
-        the full-graph sweeps.  A rollback cannot fake this: restoring a
-        checkpoint always advances the generation.
+        nothing.  The world's ``_clean_generation`` witnesses exactly
+        that — every completed ``cleanup`` stamps it, the frontend's
+        included, and the runner re-stamps after the whole phase — so
+        the phase is skipped outright, bit-identical to running it.  A
+        rollback cannot fake this: restoring a checkpoint always
+        advances the generation.
         """
-        noop = self._clean_generation == self.world.generation
-        result = self.run(label, lambda: cleanup(self.world), noop=noop)
+        world = self.world
+        noop = world._clean_generation == world.generation
+        result = self.run(label, lambda: cleanup(world), noop=noop)
         if "rolled_back" not in result and "quarantined" not in result:
-            self._clean_generation = self.world.generation
+            world._clean_generation = world.generation
         return result
 
     # -- the guarded region -------------------------------------------------
@@ -431,6 +436,8 @@ class _PhaseRunner:
                     "a phase the runner would skip as a no-op mutated "
                     "the world")
             verify(self.world, full=True)
+            if _quarantine_key(phase) == "cleanup":
+                verify_cleanup(self.world)
         except VerifyError as exc:
             raise PassVerifyError(phase, self.stats.rounds, exc) from exc
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import compile_source
+from repro.core.printer import print_world
 from repro.core.world import World
 from repro.frontend.emit import emit_module
 from repro.frontend.parser import parse
@@ -44,6 +45,18 @@ def test_stats_details_record_every_phase(program):
         assert isinstance(detail, dict)
         if phase == "inline":
             assert "inlined" in detail
+
+
+@pytest.mark.parametrize("program", ALL_PROGRAMS[:4], ids=lambda p: p.name)
+def test_frontend_cleanup_makes_the_leading_cleanup_a_noop(program):
+    """``compile_source(optimize=False)`` leaves the world clean, so the
+    pipeline skips its leading cleanup, and the output does not notice."""
+    cleaned = compile_source(program.source, optimize=False)
+    stats = optimize(cleaned)
+    assert stats.details[0] == ("cleanup", {"noop": 1})
+    fresh = _fresh_world(program.source)
+    assert optimize(fresh).details[0][1].get("noop") is None
+    assert print_world(cleaned) == print_world(fresh)
 
 
 def test_max_rounds_keyword_overrides_options():

@@ -8,9 +8,12 @@ from repro.backend.interp import Interpreter
 from repro.core import types as ct
 from repro.core.rewrite import replace_def, rewrite_uses
 from repro.core.scope import Scope
-from repro.core.verify import cff_violations
+from repro.core.snapshot import restore_world, snapshot_world
+from repro.core.undo import UndoLog
+from repro.core.verify import VerifyError, cff_violations
 from repro.core.world import World
-from repro.transform.cleanup import cleanup, collect_garbage, eta_reduce
+from repro.transform.cleanup import (cleanup, collect_garbage, eta_reduce,
+                                     reachable_defs, verify_cleanup)
 from repro.transform.closure_elim import eliminate_closures
 from repro.transform.inliner import inline_small_functions
 from repro.transform.lambda_dropping import drop_invariant_params
@@ -49,6 +52,32 @@ class TestRewrite:
         rewrite_uses(world, {x: world.literal(ct.I64, 3)})
         assert f.arg(1).value == 16
 
+    def test_literal_condition_folds_branch(self, world):
+        """A rewrite that makes a branch condition a literal leaves a
+        direct jump behind, with no cleanup in between."""
+        f = world.continuation(FN_I64, "f")
+        mem, x, ret = f.params
+        small = world.basic_block((ct.MEM,), "small")
+        large = world.basic_block((ct.MEM,), "large")
+        world.jump(small, ret, (small.params[0], world.one(ct.I64)))
+        world.jump(large, ret, (large.params[0], x))
+        world.jump(f, world.branch(),
+                   (mem, world.lt(x, world.literal(ct.I64, 2)), small, large))
+        rewrite_uses(world, {x: world.literal(ct.I64, 5)})
+        assert f.callee is large
+        assert f.args == (mem,)
+
+
+def _forwarding_world(world):
+    """``caller -> fwd -> target`` with ``caller`` external."""
+    target = make_add_const(world, 3, "target")
+    fwd = world.continuation(FN_I64, "fwd")
+    world.jump(fwd, target, tuple(fwd.params))
+    caller = world.continuation(FN_I64, "caller")
+    world.make_external(caller)
+    world.jump(caller, fwd, tuple(caller.params))
+    return caller, fwd, target
+
 
 class TestCleanup:
     def test_garbage_collected(self, world):
@@ -86,6 +115,104 @@ fn main(a: i64) -> i64 { helper(a) + helper(a + 1) }
         before = Interpreter(world).call("main", 5)
         cleanup(world)
         assert Interpreter(world).call("main", 5) == before == 33
+
+    def test_held_back_forwarder_is_reconsidered(self, world):
+        """A forwarder whose target lies in its own scope is held back;
+        once the target stops using its params, the next cleanup reduces
+        it although its own body was never touched."""
+        fwd = world.continuation(FN_I64, "fwd")
+        mem, x, ret = fwd.params
+        target = world.continuation(FN_I64, "target")
+        tmem, y, tret = target.params
+        world.jump(target, tret, (tmem, world.add(x, y)))
+        world.jump(fwd, target, (mem, x, ret))
+        caller = world.continuation(FN_I64, "caller")
+        world.make_external(caller)
+        world.jump(caller, fwd, tuple(caller.params))
+        cleanup(world)
+        assert caller.callee is fwd
+        body = fwd.ops
+        world.jump(target, tret, (tmem, y))
+        assert fwd.ops is body
+        cleanup(world)
+        assert caller.callee is target
+        verify_cleanup(world)
+
+    @pytest.mark.parametrize("restore", ["snapshot", "undo"])
+    def test_restore_reconsiders_every_continuation(self, world, restore):
+        """After a wholesale restore the next cleanup scans everything,
+        not just what was touched since the previous one."""
+        caller, fwd, target = _forwarding_world(world)
+        world.make_external(fwd)
+        cleanup(world)
+        # Drop the external flag behind the world's back: no note, so
+        # the forwarder is in no touched set and stays unreduced.
+        fwd.is_external = False
+        del world._externals[fwd.name]
+        cleanup(world)
+        assert caller.callee is fwd
+        if restore == "snapshot":
+            restore_world(snapshot_world(world), into=world)
+            caller = world.find_external("caller")
+        else:
+            log = UndoLog(world)
+            world.literal(ct.I64, 99)
+            log.restore()
+        cleanup(world)
+        assert caller.callee.name == "target"
+
+
+class TestCleanupAudit:
+    """``verify_cleanup`` accepts what cleanup leaves and rejects a
+    miss of the incremental eta-reduction."""
+
+    def test_clean_world_passes(self):
+        from repro.programs.suite import by_name
+
+        source = by_name("quicksort").source
+        verify_cleanup(compile_source(source, optimize=False))
+        verify_cleanup(compile_source(source))
+
+    def test_dropped_touched_forwarder_is_rejected(self, world):
+        caller, fwd, target = _forwarding_world(world)
+        cleanup(world)
+        assert caller.callee is target
+        late = world.continuation(FN_I64, "late")
+        world.jump(late, target, tuple(late.params))
+        world.jump(caller, late, tuple(caller.params))
+        world._touched_conts.discard(late)   # the planted miss
+        cleanup(world)
+        assert caller.callee is late
+        with pytest.raises(VerifyError, match="forwarder late_"):
+            verify_cleanup(world)
+
+    def test_miss_fails_the_cleanup_that_left_it(self, monkeypatch):
+        from repro.programs.suite import by_name
+        from repro.transform import pipeline
+        from repro.transform.cleanup import _forwarders
+        from repro.transform.pipeline import OptimizeOptions, PassVerifyError
+
+        real_cleanup = pipeline.cleanup
+        planted = []
+
+        def lossy_cleanup(world):
+            touched = world._touched_conts
+            if touched is not None and not planted:
+                live = reachable_defs(world)
+                mapping, _ = _forwarders(sorted(touched, key=lambda c: c.gid))
+                victim = next((c for c in mapping if c in live), None)
+                if victim is not None:
+                    touched.discard(victim)
+                    planted.append(victim.unique_name())
+            return real_cleanup(world)
+
+        monkeypatch.setattr(pipeline, "cleanup", lossy_cleanup)
+        with pytest.raises(PassVerifyError) as info:
+            compile_source(by_name("sort_hof").source, options=OptimizeOptions(
+                strict=True, verify_each_pass=True))
+        assert planted
+        assert info.value.phase.startswith("cleanup(")
+        assert f"forwarder {planted[0]} " in str(info.value)
 
 
 class TestPartialEval:
