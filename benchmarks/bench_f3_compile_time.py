@@ -4,8 +4,9 @@ Three workloads, one table:
 
 * the generated *chain* family (N arithmetic-heavy functions in a call
   chain, each with loops) pushed through the full pipeline at
-  increasing N — shape check: close-to-linear growth (the per-function
-  cost spread across sizes stays below 8x);
+  increasing N, in ``SWEEPS`` interleaved sweeps over the sizes —
+  shape check: close-to-linear growth (every sweep's per-function cost
+  spread across sizes stays below 8x);
 * the full evaluation suite, one optimization-pipeline time per
   program;
 * F3b, the long-lived-worker scenario: one warm analysis manager
@@ -19,6 +20,7 @@ optimized program must still behave like its unoptimized self.
 from __future__ import annotations
 
 import gc
+import statistics
 import time
 
 import pytest
@@ -32,8 +34,12 @@ from repro.transform.pipeline import optimize
 
 SIZES = [4, 8, 16, 32]
 ROUNDS = 5
+# Each sweep times every size once (best of ROUNDS), sizes interleaved,
+# so a host slowdown lands on one sweep's spread rather than on one
+# size of a single sweep; the notes give every sweep's spread.
+SWEEPS = 5
 
-_chain_times: dict[int, float] = {}
+_chain_sweeps: list[dict[int, float]] = []
 _initialized = False
 
 
@@ -94,7 +100,8 @@ def _table(report):
         table.note("chain-N rows: generated N-function call chain "
                    "(scaling family); suite rows: evaluation programs. "
                    f"optimize_s = best-of-{ROUNDS} optimization-pipeline "
-                   "runs on freshly emitted worlds; frontend_s = "
+                   "runs on freshly emitted worlds (chain rows: median "
+                   f"over {SWEEPS} interleaved sweeps); frontend_s = "
                    "parse+emit.")
         _initialized = True
     return table
@@ -109,26 +116,45 @@ def _check_behaviour(world, source, entry, args) -> None:
         "optimization changed program output"
 
 
-@pytest.mark.parametrize("size", SIZES)
-def test_f3_chain_compile_time(size, report):
+def test_f3_chain_compile_time(report):
+    """``SWEEPS`` interleaved sweeps; a row per size with the median
+    over sweeps of its best-of-``ROUNDS`` times."""
     table = _table(report)
-    source = generate_program(size)
-    world, elapsed, frontend = _timed(source)
-    _check_behaviour(world, source, "main", (7,))
-    stats = collect_world_stats(world)
-    _chain_times[size] = elapsed
-    table.row(f"chain-{size}", len(source.splitlines()),
-              stats.continuations, stats.primops, frontend, elapsed,
-              "", "", "")
+    sources = {size: generate_program(size) for size in SIZES}
+    frontends: dict[int, list[float]] = {size: [] for size in SIZES}
+    worlds = {}
+    for _ in range(SWEEPS):
+        sweep = {}
+        for size in SIZES:
+            worlds[size], sweep[size], frontend = _timed(sources[size])
+            frontends[size].append(frontend)
+        _chain_sweeps.append(sweep)
+    for size in SIZES:
+        source = sources[size]
+        _check_behaviour(worlds[size], source, "main", (7,))
+        stats = collect_world_stats(worlds[size])
+        table.row(f"chain-{size}", len(source.splitlines()),
+                  stats.continuations, stats.primops,
+                  statistics.median(frontends[size]),
+                  statistics.median(s[size] for s in _chain_sweeps),
+                  "", "", "")
 
 
 def test_f3_shape(report):
     table = _table(report)
-    if len(_chain_times) >= 2:
-        sizes = sorted(_chain_times)
-        per_fn = [_chain_times[s] / s for s in sizes]
-        ratio = max(per_fn) / max(min(per_fn), 1e-9)
-        table.note(f"per-function cost spread across sizes: {ratio:.2f}x")
+    if not _chain_sweeps:
+        pytest.skip("chain sweeps did not run")
+    spreads = []
+    for sweep in _chain_sweeps:
+        per_fn = [sweep[size] / size for size in SIZES]
+        spreads.append(max(per_fn) / max(min(per_fn), 1e-9))
+    table.note(
+        f"per-function cost spread across sizes, {len(spreads)} "
+        f"interleaved sweeps: "
+        f"{', '.join(f'{ratio:.2f}x' for ratio in spreads)}; median "
+        f"{statistics.median(spreads):.2f}x, range "
+        f"{min(spreads):.2f}-{max(spreads):.2f}x")
+    for ratio in spreads:
         assert ratio < 8, "compile time grows far superlinearly"
 
 

@@ -58,6 +58,7 @@ from ..core.primops import (
     Store,
     StructVal,
     TupleVal,
+    peel_markers,
 )
 from ..core.schedule import Schedule
 from ..core.scope import Scope, scope_of, top_level_of
@@ -111,12 +112,6 @@ def c_type(t: Type) -> str:
     if isinstance(t, (TupleType, DefiniteArrayType)):
         return "word_block"  # flat word struct; see prelude
     raise CEmitError(f"no C type for {t}")
-
-
-def _peel(d: Def) -> Def:
-    while isinstance(d, EvalOp):
-        d = d.value
-    return d
 
 
 def _is_mem(t: Type) -> bool:
@@ -205,7 +200,7 @@ class CEmitter:
         return name
 
     def _ref(self, d: Def) -> str:
-        d = _peel(d)
+        d = peel_markers(d)
         if isinstance(d, Literal):
             value = d.public_value()
             if d.prim_type.is_bool:
@@ -390,7 +385,7 @@ class CEmitter:
                     f"sizeof({elem}));\n")
             return
         if isinstance(op, Extract):
-            agg = _peel(op.agg)
+            agg = peel_markers(op.agg)
             if isinstance(agg, (Load, Alloc, Enter)):
                 if _is_mem(op.type):
                     return
@@ -419,7 +414,7 @@ class CEmitter:
 
     def _emit_terminator(self, fn: Continuation, ret: Param,
                          block: Continuation, schedule: Schedule) -> None:
-        callee = _peel(block.callee)
+        callee = peel_markers(block.callee)
         args = block.args
         w = self.out
         if isinstance(callee, Continuation):
@@ -447,13 +442,13 @@ class CEmitter:
         raise CEmitError(f"cannot emit terminator of {block.unique_name()}")
 
     def _goto_target(self, target: Def) -> str:
-        target = _peel(target)
+        target = peel_markers(target)
         assert isinstance(target, Continuation)
         return self._label(target)
 
     def _control_stmt(self, target: Def, ret: Param) -> str:
         """goto, or a return when eta reduction targeted the ret param."""
-        target = _peel(target)
+        target = peel_markers(target)
         if isinstance(target, Param) and target is ret:
             return "return;"
         return f"goto {self._goto_target(target)};"
@@ -489,7 +484,7 @@ class CEmitter:
             if _is_mem(param.type):
                 continue
             if param is callee_ret:
-                ret_target = _peel(arg)
+                ret_target = peel_markers(arg)
                 continue
             value_args.append(self._ref(arg))
         call = f"{self._fn_name(callee)}({', '.join(value_args)})"

@@ -48,6 +48,7 @@ from ..core.primops import (
     Store,
     StructVal,
     TupleVal,
+    peel_markers,
 )
 from ..core.scope import Scope
 from ..core.schedule import Placement, Schedule
@@ -68,12 +69,6 @@ from . import bytecode as bc
 
 class CodegenError(Exception):
     """The program is not in control-flow form (or uses an unsupported shape)."""
-
-
-def _peel(d: Def) -> Def:
-    while isinstance(d, EvalOp):
-        d = d.value
-    return d
 
 
 def _is_mem(t: Type) -> bool:
@@ -159,7 +154,7 @@ def _const_value(d: Def):
     time.  Operands are evaluated before undef short-circuiting, same
     order as the reference interpreter.
     """
-    d = _peel(d)
+    d = peel_markers(d)
     if isinstance(d, Literal):
         return d.value
     if isinstance(d, Bottom):
@@ -336,7 +331,7 @@ class FunctionCodegen:
 
     def _reg_of(self, d: Def) -> int:
         """Register holding the value of *d* (materializing constants)."""
-        d = _peel(d)
+        d = peel_markers(d)
         reg = self._regs.get(d)
         if reg is not None:
             return reg
@@ -502,7 +497,7 @@ class FunctionCodegen:
         raise CodegenError(f"cannot lower primop {op!r}")
 
     def _emit_extract(self, op: Extract) -> None:
-        agg = _peel(op.agg)
+        agg = peel_markers(op.agg)
         # Components of memory-op result tuples are aliases.
         if isinstance(agg, (Load, Alloc, Enter)):
             index = agg_index_literal(op.index)
@@ -577,7 +572,7 @@ class FunctionCodegen:
         if not block.has_body():
             self.fn.emit(bc.OP_TRAP, f"fell into bodiless {block.unique_name()}")
             return
-        callee = _peel(block.callee)
+        callee = peel_markers(block.callee)
         args = block.args
         if isinstance(callee, Continuation):
             if callee.intrinsic == Intrinsic.BRANCH:
@@ -628,7 +623,7 @@ class FunctionCodegen:
         index = self.fn.emit(bc.OP_MATCH, value_reg, {}, 0)
         arms = []
         for arm in args[3:]:
-            lit = _peel(arm.op(0))
+            lit = peel_markers(arm.op(0))
             if not isinstance(lit, Literal):
                 raise CodegenError("match arm with non-literal pattern")
             arms.append((lit.value, arm.op(1)))
@@ -641,7 +636,7 @@ class FunctionCodegen:
             if _is_mem(param.type):
                 continue
             dst = self._regs[param]
-            arg = _peel(arg)
+            arg = peel_markers(arg)
             if isinstance(arg, Literal):
                 const_writes.append((dst, arg.value))
             elif isinstance(arg, Bottom):
@@ -697,7 +692,7 @@ class FunctionCodegen:
                 )
             value_args.append(self._reg_of(arg))
         assert ret_target is not None
-        ret_target = _peel(ret_target)
+        ret_target = peel_markers(ret_target)
         if isinstance(ret_target, Param) and ret_target is self.ret_param:
             self.fn.emit(bc.OP_TAILCALL, findex, tuple(value_args))
             return
@@ -715,7 +710,7 @@ class FunctionCodegen:
 
     def _emit_continue_to(self, target: Def, ret_regs: tuple) -> None:
         """Resume after an intrinsic call: jump to block or return."""
-        target = _peel(target)
+        target = peel_markers(target)
         if isinstance(target, Continuation) and target in self.scope:
             index = self.fn.emit(bc.OP_JMP, 0)
             self._fixups.append((index, ("jmp", target)))
@@ -728,7 +723,7 @@ class FunctionCodegen:
     # ------------------------------------------------------------------
 
     def _target_pc(self, target: Def) -> int:
-        target = _peel(target)
+        target = peel_markers(target)
         if isinstance(target, Param) and target is self.ret_param:
             # Eta reduction can turn a unit-returning branch target into
             # the return parameter itself ("conditional return"): give

@@ -55,7 +55,6 @@ from .defs import Def
 from .primops import (
     Alloc,
     Enter,
-    EvalOp,
     Extract,
     Global,
     Lea,
@@ -63,6 +62,7 @@ from .primops import (
     Load,
     Slot,
     Store,
+    peel_markers,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,12 +72,6 @@ if TYPE_CHECKING:  # pragma: no cover
 NOT = "not"
 MAY = "may"
 MUST = "must"
-
-
-def _peel(d: Def) -> Def:
-    while isinstance(d, EvalOp):
-        d = d.value
-    return d
 
 
 class AliasAnalysis:
@@ -112,12 +106,12 @@ class AliasAnalysis:
         if cached is not None:
             return cached
         path: list = []
-        base = _peel(ptr)
+        base = peel_markers(ptr)
         while isinstance(base, Lea):
             index = base.index
             path.append(("lit", index.value) if isinstance(index, Literal)
                         else index)
-            base = _peel(base.ptr)
+            base = peel_markers(base.ptr)
         path.reverse()
         key: tuple | None
         if isinstance(base, Slot):
@@ -148,9 +142,9 @@ class AliasAnalysis:
         if key is None:
             self._ptr_escapes[ptr] = True
             return True
-        base = _peel(ptr)
+        base = peel_markers(ptr)
         while isinstance(base, Lea):
-            base = _peel(base.ptr)
+            base = peel_markers(base.ptr)
         escaped = self._escapes.get(base)
         if escaped is None:
             escaped = self._base_escapes(base)

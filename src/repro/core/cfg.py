@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .defs import Continuation, Def, Intrinsic, Param
-from .primops import EvalOp, Select
+from .primops import Select, peel_markers
 from .scope import Scope
 
 
@@ -76,7 +76,7 @@ class CFG:
                 ops = d.ops
                 start = 1 if isinstance(d, Continuation) and ops else 0
                 for op in ops[start:]:
-                    op = _peel(op)
+                    op = peel_markers(op)
                     if isinstance(op, Continuation) and op in self.scope:
                         taken.setdefault(op, None)
             self._address_taken = list(taken)
@@ -85,12 +85,12 @@ class CFG:
     def _successors_of(self, cont: Continuation) -> list[object]:
         if not cont.has_body():
             return [self.exit]
-        callee = _peel(cont.callee)
+        callee = peel_markers(cont.callee)
         args = cont.args
         succs: dict[object, None] = {}
 
         def add_scoped_cont(d: Def) -> None:
-            d = _peel(d)
+            d = peel_markers(d)
             if isinstance(d, Continuation) and d in self.scope:
                 succs.setdefault(d, None)
 
@@ -124,7 +124,7 @@ class CFG:
             succs[self.exit] = None
         elif isinstance(callee, Select):
             for arm in (callee.tval, callee.fval):
-                arm = _peel(arm)
+                arm = peel_markers(arm)
                 if isinstance(arm, Continuation) and arm in self.scope:
                     succs[arm] = None
                 else:
@@ -326,10 +326,3 @@ class CFG:
 
     def __contains__(self, node: object) -> bool:
         return node in self._rpo_index
-
-
-def _peel(d: Def) -> Def:
-    """Strip partial-evaluation markers off a control operand."""
-    while isinstance(d, EvalOp):
-        d = d.value
-    return d

@@ -20,6 +20,9 @@ module gives them a common, structured base:
   fuzz timeout.  Off the main thread (or off Unix) it degrades to a
   no-op; callers that need a guarantee combine it with a post-hoc
   elapsed-time check.
+* :func:`trap_kind` — the one classifier from a trap exception to the
+  kind name (``div-by-zero``, ``step-limit``, ...) every engine
+  reports, so service replies and the fuzz oracle name traps alike.
 """
 
 from __future__ import annotations
@@ -48,6 +51,16 @@ class ResourceLimitError(Exception):
             message
             or f"{engine}: {resource} limit exceeded (limit={limit})"
         )
+
+
+def trap_kind(exc: BaseException) -> str:
+    """Classify a trap exception into the cross-engine kind names."""
+    if isinstance(exc, ResourceLimitError):
+        resource = getattr(exc, "resource", "")
+        return "step-limit" if resource == "steps" else "resource-limit"
+    if "division" in str(exc):
+        return "div-by-zero"
+    return "other"
 
 
 class DeadlineExceeded(ResourceLimitError):

@@ -555,6 +555,13 @@ class Hlt(EvalOp):
         super().__init__(world, value.type, (value,), "hlt")
 
 
+def peel_markers(d: Def) -> Def:
+    """Strip the ``run``/``hlt`` markers off *d*."""
+    while isinstance(d, EvalOp):
+        d = d.value
+    return d
+
+
 def element_type_of(agg_type: Type, index: Def) -> Type:
     """Result type of ``extract(agg, index)`` / pointee of ``lea``.
 

@@ -18,9 +18,9 @@ Four layers:
   rewrite pruned from the world; every parameter referenced from live
   code must have a *value-reachable* owner (binder liveness); and the
   recovered scope of every external function is closed.  These catch
-  the classic mangling bugs: a dangling ``_peel`` target kept alive
-  through an ``EvalOp`` wrapper, or a specialized continuation whose
-  body still points into the scope of its mangled-away original.
+  the classic mangling bugs: a dangling ``peel_markers`` target kept
+  alive through an ``EvalOp`` wrapper, or a specialized continuation
+  whose body still points into the scope of its mangled-away original.
 * :func:`cff_violations` / :func:`is_cff` — the paper's *control-flow
   form* criterion.  A program is in CFF when every continuation is
   either a **basic block** (order-1 type: first-order parameters only)
@@ -41,12 +41,12 @@ from .primops import (
     Alloc,
     Bottom,
     Enter,
-    EvalOp,
     Extract,
     Literal,
     Load,
     Store,
     TupleVal,
+    peel_markers,
 )
 from .schedule import Placement, Schedule
 from .scope import Scope, scope_of, top_level_continuations, top_level_of
@@ -56,12 +56,6 @@ from .world import World
 
 class VerifyError(Exception):
     """A structural invariant of the IR does not hold."""
-
-
-def _peel(d: Def) -> Def:
-    while isinstance(d, EvalOp):
-        d = d.value
-    return d
 
 
 def verify(world: World, *, full: bool = False) -> None:
@@ -108,7 +102,7 @@ def _verify_params(cont: Continuation) -> None:
 
 
 def _verify_jump(cont: Continuation) -> None:
-    callee = _peel(cont.callee)
+    callee = peel_markers(cont.callee)
     callee_type = callee.type
     if not isinstance(callee_type, FnType):
         raise VerifyError(
@@ -324,7 +318,7 @@ def verify_scopes(world: World) -> None:
     exempt — only code that can actually execute has to resolve.
 
     * No live def may reference a continuation that was pruned from the
-      world — a dangling ``_peel`` target left behind by a rewrite.
+      world — a dangling ``peel_markers`` target left behind by a rewrite.
     * No live def may reference a parameter whose owning continuation is
       dead or unregistered, or that the owner no longer lists (a
       ``remove_param``/mangle leftover).
@@ -415,7 +409,7 @@ def verify_effect_threads(world: World) -> None:
                 verdict = cached
                 break
             chain.append(cur)
-            d = _peel(cur)
+            d = peel_markers(cur)
             if isinstance(d, (Param, Bottom)):
                 verdict = True
                 break
@@ -423,7 +417,7 @@ def verify_effect_threads(world: World) -> None:
                 cur = d.mem
                 continue
             if isinstance(d, Extract) and isinstance(d.index, Literal):
-                agg = _peel(d.agg)
+                agg = peel_markers(d.agg)
                 if (isinstance(agg, (Load, Enter, Alloc))
                         and d.index.value == 0):
                     cur = agg.mem
@@ -490,11 +484,11 @@ def cff_violations(world: World) -> list[str]:
 def _jump_violations(cont: Continuation, scope: Scope) -> list[str]:
     """Ways a single jump escapes what a CFG backend can lower."""
     violations: list[str] = []
-    callee = _peel(cont.callee)
+    callee = peel_markers(cont.callee)
     entry = scope.entry
 
     def ok_return_target(d: Def) -> bool:
-        d = _peel(d)
+        d = peel_markers(d)
         if isinstance(d, Continuation):
             if d in scope:
                 return d.fn_type.order() <= 1

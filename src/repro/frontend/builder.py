@@ -35,7 +35,7 @@ only carry a mem parameter when memory state actually merges.
 from __future__ import annotations
 
 from ..core.defs import Continuation, Def, Param
-from ..core.primops import EvalOp
+from ..core.primops import peel_markers
 from ..core.rewrite import rewrite_uses
 from ..core.types import MEM, Type, fn_type
 from ..core.world import World
@@ -236,7 +236,7 @@ class SSABuilder:
         candidates: list[tuple[Continuation, Param]] = []
         for user, index in param.uses:
             if isinstance(user, Continuation) and user.has_body():
-                target = _peel(user.callee)
+                target = peel_markers(user.callee)
                 if (isinstance(target, Continuation)
                         and target in self._defs
                         and self._fixed[target] == 0
@@ -320,9 +320,3 @@ class SSABuilder:
     @property
     def reachable(self) -> bool:
         return self.cur is not None
-
-
-def _peel(d: Def) -> Def:
-    while isinstance(d, EvalOp):
-        d = d.value
-    return d

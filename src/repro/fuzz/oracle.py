@@ -44,13 +44,23 @@ from ..backend.codegen import CompiledWorld, compile_world
 from ..backend.interp import Interpreter, InterpError
 from ..backend import bytecode as bc
 from ..core import fold
-from ..core.limits import ResourceLimitError
+from ..core.limits import ResourceLimitError, trap_kind
 from ..core.verify import VerifyError, cff_violations, verify
 from ..frontend import compile_source
 from ..transform.pipeline import OptimizeOptions, PassVerifyError
 from .gen import FuzzProgram
 
 TRAP = "<trap>"
+
+# Fuel (block/function entries) for native runs: the in-process
+# analogue of VM_MAX_STEPS — a miscompile-manufactured infinite loop
+# traps as "step-limit" instead of hanging the fuzz worker.
+NATIVE_FUEL = 100_000_000
+# Step bound for the shared bytecode VM (static/PGO/SSA paths):
+# generous enough that any honest program finishes, tight enough that a
+# miscompile-manufactured infinite loop surfaces as a trap (and thus a
+# divergence) instead of a hang.
+VM_MAX_STEPS = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -120,22 +130,11 @@ class OracleConfig:
     # (repro.native discovery: REPRO_CC, cc, gcc, clang), run it
     # in-process via ctypes and compare result + trap kind + prints.
     run_native: bool = True
-    # Fuel (block/function entries) for native runs: the in-process
-    # analogue of vm_max_steps — a miscompile-manufactured infinite
-    # loop traps as "step-limit" instead of hanging the fuzz worker.
-    native_fuel: int = 100_000_000
-    # Budget for the cc run that builds the native .so.
-    cc_timeout: float = 60.0
     # Step bound for the graph interpreter: generated programs are
     # cost-bounded far below this, so hitting it means a transformation
     # manufactured divergence-by-nontermination — observed as a trap
     # rather than a hang.
     interp_max_steps: int = 2_000_000
-    # Step bound for the shared bytecode VM (static/PGO/SSA paths):
-    # generous enough that any honest program finishes, tight enough
-    # that a miscompile-manufactured infinite loop surfaces as a trap
-    # (and thus a divergence) instead of a hang.
-    vm_max_steps: int = 20_000_000
     # ``record`` collects which paths actually ran (and which were
     # skipped and why) — campaign-level coverage reporting.
     record: dict = field(default_factory=dict)
@@ -149,16 +148,6 @@ def _options(config: OracleConfig, mem_opt: bool = True) -> OptimizeOptions:
                            strict=True, mem_opt=mem_opt)
 
 
-def _trap_kind(exc: BaseException) -> str:
-    """Classify a trap exception into the cross-engine kind names."""
-    if isinstance(exc, ResourceLimitError):
-        resource = getattr(exc, "resource", "")
-        return "step-limit" if resource == "steps" else "resource-limit"
-    if "division" in str(exc):
-        return "div-by-zero"
-    return "other"
-
-
 def _run_interp(world, entry: str, arg_sets,
                 max_steps: int = 2_000_000) -> list[Observation]:
     obs = []
@@ -169,7 +158,7 @@ def _run_interp(world, entry: str, arg_sets,
             obs.append(Observation(result, "".join(interp.output)))
         except (InterpError, fold.EvalError, ResourceLimitError) as exc:
             obs.append(Observation(TRAP, "".join(interp.output),
-                                   trap=_trap_kind(exc)))
+                                   trap=trap_kind(exc)))
     return obs
 
 
@@ -183,7 +172,7 @@ def _run_vm(compiled: CompiledWorld, entry: str, arg_sets) -> list[Observation]:
                                    "".join(compiled.vm.output[mark:])))
         except (bc.VMError, ResourceLimitError) as exc:
             obs.append(Observation(TRAP, "".join(compiled.vm.output[mark:]),
-                                   trap=_trap_kind(exc)))
+                                   trap=trap_kind(exc)))
     return obs
 
 
@@ -207,8 +196,7 @@ def _compare(stage: str, prog: FuzzProgram, reference: list[Observation],
     return None
 
 
-def _run_native(world, prog: FuzzProgram,
-                config: OracleConfig) -> list[Observation] | str | None:
+def _run_native(world, prog: FuzzProgram) -> list[Observation] | str | None:
     """Build+run the native tier; ``None`` = skipped, ``str`` = error."""
     from ..native import (NativeBuildError, NativeRunError,
                           compile_native_world, native_available)
@@ -216,13 +204,13 @@ def _run_native(world, prog: FuzzProgram,
     if not native_available():
         return None
     try:
-        module = compile_native_world(world, timeout=config.cc_timeout)
+        module = compile_native_world(world)
     except NativeBuildError as exc:
         return f"native build failed [{exc.stage}]: {exc}"
     obs = []
     for args in prog.arg_sets:
         try:
-            run = module.run(prog.entry, args, fuel=config.native_fuel)
+            run = module.run(prog.entry, args, fuel=NATIVE_FUEL)
         except NativeRunError as exc:
             return f"native run failed: {exc}"
         if run.trap is not None:
@@ -308,7 +296,7 @@ def run_oracle(prog: FuzzProgram,
                                source=source)
         try:
             compiled_static = compile_world(world_opt,
-                                            max_steps=config.vm_max_steps)
+                                            max_steps=VM_MAX_STEPS)
         except Exception as exc:
             return FuzzFailure(prog.seed, "codegen(static)", str(exc),
                                source=source)
@@ -330,7 +318,7 @@ def run_oracle(prog: FuzzProgram,
             skipped("native", f"reference trap kind {odd!r} is not "
                               f"reproducible natively")
         else:
-            native_obs = _run_native(world_opt, prog, config)
+            native_obs = _run_native(world_opt, prog)
             if native_obs is None:
                 skipped("native", "no C compiler on PATH")
             elif isinstance(native_obs, str):
@@ -384,7 +372,7 @@ def run_oracle(prog: FuzzProgram,
 
         try:
             module = compile_source_ssa(source)
-            compiled_ssa = CompiledSSA(module, max_steps=config.vm_max_steps)
+            compiled_ssa = CompiledSSA(module, max_steps=VM_MAX_STEPS)
         except BaselineError as exc:
             skipped("ssa", f"baseline limitation: {exc}")
         except Exception as exc:

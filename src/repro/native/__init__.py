@@ -42,8 +42,7 @@ __all__ = [
 def compile_native_world(world: World, *, cc: str | None = None,
                          flags: tuple = DEFAULT_CC_FLAGS,
                          timeout: float = DEFAULT_CC_TIMEOUT,
-                         store: NativeStore | None = None,
-                         fuel_checks: bool = True) -> NativeModule:
+                         store: NativeStore | None = None) -> NativeModule:
     """Emit, compile and load *world*; returns a ready NativeModule.
 
     With a *store*, the ``.so`` is content-addressed and reused across
@@ -51,7 +50,7 @@ def compile_native_world(world: World, *, cc: str | None = None,
     one, the object lands in a temp directory — since the module holds
     the ``dlopen`` mapping, the file itself may vanish afterwards.
     """
-    c_source, entry_meta = emit_native_c(world, fuel_checks=fuel_checks)
+    c_source, entry_meta = emit_native_c(world)
     if store is not None:
         so_path, _key, cached = store.get_or_build(
             c_source, cc=cc, flags=flags, timeout=timeout)

@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import math
 
-from ..backend.c_emitter import CEmitter, c_type, _is_mem, _peel
+from ..backend.c_emitter import CEmitter, c_type, _is_mem
 from ..core.defs import Continuation, Def, Intrinsic
-from ..core.primops import ArithKind, ArithOp, Bitcast, Cast
+from ..core.primops import ArithKind, ArithOp, Bitcast, Cast, peel_markers
 from ..core.types import FnType, PrimType
 from ..core.world import World
 
@@ -269,10 +269,9 @@ class NativeEmitter(CEmitter):
       ``{name: {"params": [kind...], "result": kind}}``.
     """
 
-    def __init__(self, world: World, fuel_checks: bool = True):
+    def __init__(self, world: World):
         super().__init__(world)
         self.entry_meta: dict[str, dict] = {}
-        self._fuel_checks = fuel_checks
         self._fn_named: dict[Continuation, str] = {}
         self._fn_names_taken: set[str] = set()
 
@@ -311,12 +310,10 @@ class NativeEmitter(CEmitter):
         return RUNTIME_H + "\n" + "\n".join(decls) + "\n"
 
     def _function_entry(self, fn: Continuation) -> None:
-        if self._fuel_checks:
-            self.out.write("    REPRO_FUEL();\n")
+        self.out.write("    REPRO_FUEL();\n")
 
     def _block_entry(self, block: Continuation) -> None:
-        if self._fuel_checks:
-            self.out.write("    REPRO_FUEL();\n")
+        self.out.write("    REPRO_FUEL();\n")
 
     def _float_lit(self, prim: PrimType, value: float) -> str:
         if math.isnan(value):
@@ -357,7 +354,7 @@ class NativeEmitter(CEmitter):
 
     def _cast_expr(self, op: Cast | Bitcast) -> str:
         if isinstance(op, Cast):
-            src = _peel(op.op(0)).type
+            src = peel_markers(op.op(0)).type
             to = op.type
             if (isinstance(src, PrimType) and src.is_float
                     and isinstance(to, PrimType) and to.is_int):
@@ -440,9 +437,8 @@ class NativeEmitter(CEmitter):
         w.write("    return 0;\n}\n")
 
 
-def emit_native_c(world: World, *,
-                  fuel_checks: bool = True) -> tuple[str, dict]:
+def emit_native_c(world: World) -> tuple[str, dict]:
     """Render *world* as a compilable TU; returns ``(source, entry_meta)``."""
-    emitter = NativeEmitter(world, fuel_checks=fuel_checks)
+    emitter = NativeEmitter(world)
     source = emitter.emit()
     return source, emitter.entry_meta

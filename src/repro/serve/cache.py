@@ -5,9 +5,11 @@ compile: the source text, the optimization level, the canonicalized
 :class:`~repro.transform.pipeline.OptimizeOptions`, and — for PGO — a
 digest of the profile (or of the training workload that determines it).
 Everything the pipeline's output depends on is in the key; nothing
-else is.  Operational knobs that cannot change the artifacts
-(``crash_dir``, ``crash_context``, ``pass_hook``) are excluded, so two
-servers with different crash directories share cache entries.
+else is.  A request's ``options`` may name only the fields the key
+covers (:data:`WIRE_OPTIONS`).  The operational fields ``crash_dir``
+and ``pass_hook`` are the server's to set, so a request naming them is
+rejected like any unknown name: a client can neither redirect crash
+bundles nor change artifacts behind an unchanged key.
 
 Layout: an in-memory LRU (dict-ordered, capped by entry count) in
 front of an on-disk object store ``<cache_dir>/objects/<k[:2]>/<k>.json``
@@ -49,16 +51,25 @@ from ..transform.pipeline import OptimizeOptions
 
 CACHE_FORMAT = 1
 
-# Options fields with no bearing on the produced artifacts.
-_NON_SEMANTIC_OPTIONS = ("crash_dir", "crash_context", "pass_hook")
+# OptimizeOptions fields the server sets and clients may not.
+_OPERATIONAL_OPTIONS = ("crash_dir", "pass_hook")
 
-# Retired OptimizeOptions fields, at the only value they ever took.
-# They stay in the key material so every stored artifact keeps its
-# address; requests naming them are rejected like any unknown field.
-_RETIRED_OPTIONS = {"cache_analyses": True, "incremental": True,
-                    "checkpoint_granularity": "phase"}
+# The option names a request may carry: every one reaches the key.
+WIRE_OPTIONS = frozenset(f.name for f in fields(OptimizeOptions)
+                         if f.name not in _OPERATIONAL_OPTIONS)
 
-_OPTION_NAMES = frozenset(f.name for f in fields(OptimizeOptions))
+# Retired OptimizeOptions fields, at the value the pipeline now always
+# uses.  They stay in the key material so every stored artifact keeps
+# its address; requests naming them are rejected like any unknown field.
+_RETIRED_OPTIONS = {
+    "cache_analyses": True, "incremental": True,
+    "checkpoint_granularity": "phase",
+    "max_rounds": 8, "inline_size_threshold": 40, "inline_budget": 256,
+    "pe_budget": 512, "closure_budget": 512, "drop_budget": 256,
+    "mem_opt_budget": 2048, "pgo_call_min_count": 4,
+    "pgo_hot_call_fraction": 0.05, "pgo_inline_budget": 32,
+    "pgo_loop_min_count": 32, "pgo_loop_budget": 16,
+}
 
 # Distinct override sets whose canonical options stay memoized.  Real
 # traffic sends a handful (mostly none at all); the bound keeps a client
@@ -69,25 +80,25 @@ OPTIONS_MEMO_ENTRIES = 64
 def canonical_options(overrides: dict | None = None) -> dict:
     """Defaults + *overrides* as a stable, artifact-relevant dict.
 
-    Unknown override names raise ``ValueError`` (surfaces as a
-    bad-request to clients) rather than being silently dropped into
-    the key, which would fragment the cache.  Results are memoized by
-    the canonical JSON of the overrides, so ``1``, ``1.0`` and
-    ``true`` stay distinct.
+    Override names outside :data:`WIRE_OPTIONS` raise ``ValueError``
+    (surfaces as a bad-request to clients), operational and retired
+    names included.  Results are memoized by the canonical JSON of the
+    overrides, so ``1``, ``1.0`` and ``true`` stay distinct.
     """
     overrides = overrides or {}
-    unknown = set(overrides) - _OPTION_NAMES
+    unknown = set(overrides) - WIRE_OPTIONS
     if unknown:
-        raise ValueError(f"unknown OptimizeOptions field(s): "
-                         f"{', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown option(s): {', '.join(sorted(unknown))} "
+                         f"(a request may set "
+                         f"{', '.join(sorted(WIRE_OPTIONS))})")
     return dict(_canonical_options(canonical_json(overrides)))
 
 
 @functools.lru_cache(maxsize=OPTIONS_MEMO_ENTRIES)
 def _canonical_options(overrides_json: str) -> dict:
     out = asdict(OptimizeOptions(**json.loads(overrides_json)))
-    for name in _NON_SEMANTIC_OPTIONS:
-        out.pop(name, None)
+    for name in _OPERATIONAL_OPTIONS:
+        del out[name]
     out.update(_RETIRED_OPTIONS)
     return out
 

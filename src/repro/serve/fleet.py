@@ -36,7 +36,7 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .client import ServeClient
@@ -65,8 +65,6 @@ class FleetConfig:
     conns_per_shard: int = 2
     health_interval: float = 2.0
     port_file: str | None = None          # router port discovery
-    # Extra argv appended to every shard command line (tests).
-    shard_extra_args: list = field(default_factory=list)
 
 
 class ShardProc:
@@ -113,7 +111,6 @@ class Fleet:
             cmd.append("--no-native")
         if self.config.cache_max_bytes is not None:
             cmd += ["--cache-max-bytes", str(self.config.cache_max_bytes)]
-        cmd += list(self.config.shard_extra_args)
         return cmd
 
     async def _spawn(self, shard: ShardProc) -> None:

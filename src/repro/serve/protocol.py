@@ -11,7 +11,8 @@ Requests
     Compile ``source`` and return artifacts.  Optional fields:
     ``entry`` + ``train_args`` (PGO training workload), ``profile`` (a
     precollected profile JSON, skips training), ``options`` (overrides
-    for :class:`~repro.transform.pipeline.OptimizeOptions` fields),
+    for the :class:`~repro.transform.pipeline.OptimizeOptions` fields
+    the cache key covers, :data:`~repro.serve.cache.WIRE_OPTIONS`),
     ``fault`` (test-only fault injection: ``{"mode", "target", "nth"}``),
     ``id`` (opaque, echoed in the reply).
 

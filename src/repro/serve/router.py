@@ -446,7 +446,7 @@ class Router(LineServer):
             derive = run_cache_key
         try:
             return derive(request)
-        except ValueError as exc:  # unknown OptimizeOptions field
+        except ValueError as exc:  # an option outside WIRE_OPTIONS
             raise ProtocolError("bad-request", str(exc)) from exc
 
     async def _forward(self, key: str, message: dict) -> bytes:

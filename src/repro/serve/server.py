@@ -71,6 +71,11 @@ from .protocol import (LineServer, ProtocolError, RawJSON, error_reply,
                        validate_compile_request, validate_run_request)
 from .worker import CompileHandler
 
+# Budget for one background native compile (pool deadline); the cc
+# subprocess inside gets a tighter timeout so a wedged compiler
+# surfaces as a structured error, not a worker kill.
+NATIVE_COMPILE_TIMEOUT = 120.0
+
 
 @dataclass
 class ServerConfig:
@@ -94,7 +99,6 @@ class ServerConfig:
     # Per-request wall-clock budget inside the worker; overruns kill
     # and respawn the seat (the request gets a worker-crash reply).
     request_timeout: float = 120.0
-    memory_cache_entries: int = 128
     # -- the native tier (run requests) --------------------------------
     # Master switch; native also turns itself off when no C compiler is
     # on PATH (requests then tier interp -> vm and stop there).
@@ -108,20 +112,12 @@ class ServerConfig:
     tier_interp_runs: int = 2
     tier_hot_requests: int = 4
     tier_hot_steps: int = 100_000
-    # Budget for one background native compile (pool deadline); the cc
-    # subprocess inside gets a slightly tighter timeout so a wedged
-    # compiler surfaces as a structured error, not a worker kill.
-    native_compile_timeout: float = 120.0
-    # Per-call block-entry budget for native runs; honest programs sit
-    # far below it, and real hangs are killed by request_timeout anyway.
-    native_fuel: int = 1 << 40
 
 
 class CompileServer(LineServer):
     def __init__(self, config: ServerConfig | None = None):
         super().__init__(config or ServerConfig())
         self.cache = ArtifactCache(self.config.cache_dir,
-                                   self.config.memory_cache_entries,
                                    max_bytes=self.config.cache_max_bytes)
         self.pool: WorkerPool | None = None
         self._executor: concurrent.futures.ThreadPoolExecutor | None = None
@@ -319,7 +315,6 @@ class CompileServer(LineServer):
         if decision.tier == "native":
             job["native"] = {"so": decision.so_path,
                              "entry_meta": decision.entry_meta}
-            job["fuel"] = self.config.native_fuel
         try:
             result = await loop.run_in_executor(
                 self._executor,
@@ -360,8 +355,7 @@ class CompileServer(LineServer):
         job = {"op": "native-compile", "source": request["source"],
                "options": request["options"],
                "native_dir": self.native_dir,
-               "cc_timeout": max(1.0,
-                                 self.config.native_compile_timeout * 0.8)}
+               "cc_timeout": NATIVE_COMPILE_TIMEOUT * 0.8}
         # PGO: ship whatever training data the VM tier accumulated for
         # this key; the worker then runs a profile-guided round before
         # emitting C (absent profile => plain static native compile).
@@ -377,8 +371,7 @@ class CompileServer(LineServer):
         try:
             result = await loop.run_in_executor(
                 self._executor,
-                lambda: self.pool.run(
-                    job, timeout=self.config.native_compile_timeout))
+                lambda: self.pool.run(job, timeout=NATIVE_COMPILE_TIMEOUT))
         except JobError as exc:
             self.metrics.bump("native_compile_errors")
             self.tiering.quarantine(key, f"{exc.kind}: {exc.detail}")

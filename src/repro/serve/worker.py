@@ -47,11 +47,15 @@ from .cache import canonical_options
 
 
 def _pipeline_options(request: dict):
-    """Request overrides -> OptimizeOptions (semantic fields only)."""
+    """Request overrides -> OptimizeOptions.
+
+    ``canonical_options`` admits only the fields the cache key covers;
+    the operational ones (``crash_dir``, ``pass_hook``) are applied
+    afterwards by the caller, from the server's own settings.
+    """
     from ..transform.pipeline import OptimizeOptions
 
-    overrides = dict(request.get("options") or {})
-    # canonical_options validates field names; reuse it for the error.
+    overrides = request.get("options") or {}
     canonical_options(overrides)
     return OptimizeOptions(**overrides)
 
@@ -86,12 +90,13 @@ def _artifacts(world, stats_payload) -> dict:
     return artifacts
 
 
-def compile_request(request: dict) -> dict:
+def compile_request(request: dict, *, crash_dir: str | None = None) -> dict:
     """Execute one validated compile request; returns the artifact dict.
 
-    Raises on compiler errors — the worker pool translates exceptions
-    into structured ``compile-error`` replies (and a dead process into
-    ``worker-crash``).
+    *crash_dir* (the server's) replaces the pipeline's default crash
+    bundle directory.  Raises on compiler errors — the worker pool
+    translates exceptions into structured ``compile-error`` replies (and
+    a dead process into ``worker-crash``).
     """
     opt = request.get("opt", "static")
     world = compile_source(request["source"], optimize=False)
@@ -99,7 +104,10 @@ def compile_request(request: dict) -> dict:
     if opt == "none":
         return _artifacts(world, None)
 
-    options = _maybe_fault_hook(request, _pipeline_options(request))
+    options = _pipeline_options(request)
+    if crash_dir is not None:
+        options = replace(options, crash_dir=crash_dir)
+    options = _maybe_fault_hook(request, options)
     if opt == "static":
         stats = _optimize(world, options)
         return _artifacts(world, stats.as_dict())
@@ -157,21 +165,10 @@ def _bounded_put(cache: dict, key, value) -> None:
         cache.pop(next(iter(cache)))
 
 
-def _trap_kind(exc: BaseException) -> str:
-    from ..core.limits import ResourceLimitError
-
-    if isinstance(exc, ResourceLimitError):
-        resource = getattr(exc, "resource", "")
-        return "step-limit" if resource == "steps" else "resource-limit"
-    if "division" in str(exc):
-        return "div-by-zero"
-    return "other"
-
-
 def _run_interp_tier(request: dict) -> dict:
     from ..backend.interp import Interpreter, InterpError
     from ..core import fold
-    from ..core.limits import ResourceLimitError
+    from ..core.limits import ResourceLimitError, trap_kind
 
     key = request["key"]
     world = _INTERP_WORLDS.get(key)
@@ -186,7 +183,7 @@ def _run_interp_tier(request: dict) -> dict:
             results.append({"value": value, "trap": None,
                             "output": "".join(interp.output)})
         except (InterpError, fold.EvalError, ResourceLimitError) as exc:
-            results.append({"value": None, "trap": _trap_kind(exc),
+            results.append({"value": None, "trap": trap_kind(exc),
                             "output": "".join(interp.output)})
     return {"results": results, "steps": 0}
 
@@ -194,7 +191,7 @@ def _run_interp_tier(request: dict) -> dict:
 def _run_vm_tier(request: dict) -> dict:
     from ..backend import bytecode as bc
     from ..backend.codegen import compile_world
-    from ..core.limits import ResourceLimitError
+    from ..core.limits import ResourceLimitError, trap_kind
     from ..profile.collector import ProfileCollector
     from ..profile.model import Profile
 
@@ -224,7 +221,7 @@ def _run_vm_tier(request: dict) -> dict:
                                 "output":
                                     "".join(compiled.vm.output[mark:])})
             except (bc.VMError, ResourceLimitError) as exc:
-                results.append({"value": None, "trap": _trap_kind(exc),
+                results.append({"value": None, "trap": trap_kind(exc),
                                 "output":
                                     "".join(compiled.vm.output[mark:])})
     finally:
@@ -237,19 +234,16 @@ def _run_vm_tier(request: dict) -> dict:
 
 
 def _run_native_tier(request: dict) -> dict:
-    from ..native import DEFAULT_FUEL, NativeModule
+    from ..native import NativeModule
 
     so_path = request["native"]["so"]
     module = _NATIVE_MODULES.get(so_path)
     if module is None:
         module = NativeModule(so_path, request["native"]["entry_meta"])
         _bounded_put(_NATIVE_MODULES, so_path, module)
-    fuel = request.get("fuel")
-    if fuel is None:
-        fuel = DEFAULT_FUEL
     results = []
     for args in request["args"]:
-        run = module.run(request["entry"], args, fuel=fuel)
+        run = module.run(request["entry"], args)
         results.append({"value": run.result, "trap": run.trap,
                         "output": run.output})
     return {"results": results, "steps": 0}
@@ -314,8 +308,4 @@ class CompileHandler:
             return run_request(request)
         if op == "native-compile":
             return native_compile_request(request)
-        if self.crash_dir is not None:
-            options = dict(request.get("options") or {})
-            options.setdefault("crash_dir", self.crash_dir)
-            request = {**request, "options": options}
-        return compile_request(request)
+        return compile_request(request, crash_dir=self.crash_dir)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from operator import attrgetter
 
 from ..core.defs import Continuation, Def
-from ..core.primops import EvalOp
+from ..core.primops import peel_markers
 from ..core.rewrite import rewrite_uses
 from ..core.scope import scope_of
 from ..core.world import World
@@ -65,12 +65,6 @@ def collect_garbage(world: World) -> int:
     return removed
 
 
-def _peel(d: Def) -> Def:
-    while isinstance(d, EvalOp):
-        d = d.value
-    return d
-
-
 def _forwarders(candidates) -> tuple[dict[Def, Def], list[Continuation]]:
     """Which *candidates* are forwarders to substitute now.
 
@@ -87,7 +81,7 @@ def _forwarders(candidates) -> tuple[dict[Def, Def], list[Continuation]]:
         if cont.is_external or cont.is_intrinsic() or not cont.has_body():
             continue
         callee = cont.callee
-        target = _peel(callee)
+        target = peel_markers(callee)
         if target is cont:
             continue
         if len(cont.args) != cont.num_params:
@@ -107,7 +101,7 @@ def _forwarders(candidates) -> tuple[dict[Def, Def], list[Continuation]]:
     # Defer forwarder-of-forwarder: its replacement value would go stale
     # the moment the inner alias is substituted.
     for cont in [c for c, callee in mapping.items()
-                 if _peel(callee) in mapping]:
+                 if peel_markers(callee) in mapping]:
         del mapping[cont]
         held.append(cont)
     return mapping, held
@@ -179,7 +173,7 @@ def verify_cleanup(world: World) -> None:
         cont = next(iter(mapping))
         raise VerifyError(
             f"cleanup left forwarder {cont.unique_name()} to "
-            f"{_peel(mapping[cont]).unique_name()} unreduced")
+            f"{peel_markers(mapping[cont]).unique_name()} unreduced")
     live = reachable_defs(world)
     for cont in world.continuations():
         if cont.has_body() and (world.fold_jump(cont.callee, cont.args)

@@ -25,17 +25,12 @@ checker and counted in experiment T2.
 from __future__ import annotations
 
 from ..core.defs import Continuation, Def, Intrinsic, Param
-from ..core.primops import EvalOp, Hlt, Run
+from ..core.primops import Hlt, Run, peel_markers
 from ..core.scope import Scope, scope_of
 from ..core.types import FnType
 from ..core.world import World
+from .inliner import is_recursive
 from .mangle import Mangler
-
-
-def _peel(d: Def) -> Def:
-    while isinstance(d, EvalOp):
-        d = d.value
-    return d
 
 
 def _ret_param(cont: Continuation) -> Param | None:
@@ -80,7 +75,7 @@ class ClosureEliminator:
 
     def _lower_site(self, site: Continuation) -> bool:
         callee = site.callee
-        target = _peel(callee)
+        target = peel_markers(callee)
         if not isinstance(target, Continuation) or not target.has_body() \
                 or target.is_intrinsic():
             return False
@@ -92,7 +87,7 @@ class ClosureEliminator:
         if site in scope:
             return False  # direct intra-scope jump (a block edge)
         has_free = scope.has_free_params()
-        if has_free and self._is_recursive(target, scope):
+        if has_free and is_recursive(target, scope):
             # A *recursive* closure cannot be dissolved by per-return
             # specialization (every recursion level has a fresh return
             # continuation).  Lambda-lift its free defs into parameters
@@ -106,7 +101,7 @@ class ClosureEliminator:
                 continue
             if param is ret and not aggressive:
                 continue
-            value = _peel(arg)
+            value = peel_markers(arg)
             if isinstance(value, Continuation) and value not in scope:
                 spec[param] = value
             elif aggressive and isinstance(value, Param) and value not in scope:
@@ -135,11 +130,6 @@ class ClosureEliminator:
             new_callee = self.world.hlt(new_target)
         self.world.jump(site, new_callee, remaining)
         return True
-
-
-    @staticmethod
-    def _is_recursive(target: Continuation, scope: Scope) -> bool:
-        return any(user in scope for user, _ in target.uses)
 
     def _lift_closure(self, target: Continuation, scope: Scope) -> bool:
         from ..core.types import FrameType, MemType
@@ -173,7 +163,7 @@ class ClosureEliminator:
         self.mangled += 1
         self.budget -= 1
         for site in sites:
-            if not site.has_body() or _peel(site.callee) is not target:
+            if not site.has_body() or peel_markers(site.callee) is not target:
                 continue
             callee: Def = new_target
             if isinstance(site.callee, Run):

@@ -11,13 +11,13 @@ the failure offline:
   :mod:`repro.core.snapshot` capture (restore with
   ``Snapshot.from_json(...).restore()``);
 * ``report.json`` — the error (with traceback), the pass trace
-  (recorded phases, incidents, quarantine, rollback counts), the
-  ``OptimizeOptions`` used, and any caller-supplied context such as the
-  fuzz seed;
-* ``repro.impala`` — present when the context carries a fuzz-generated
-  ``"program"``: the program minimized by the AST shrinker
-  (:mod:`repro.fuzz.shrink`) against the predicate "optimizing the
-  candidate still fails", rendered as compilable source.
+  (recorded phases, incidents, quarantine, rollback counts) and the
+  ``OptimizeOptions`` used.
+
+A compile *worker* that dies mid-job leaves a different bundle
+(:func:`write_worker_crash_report`): the request verbatim, with its
+source as ``repro.impala``.  Only these bundles carry a
+``repro.impala``; a pipeline bundle's replay input is ``world.json``.
 
 Bundle directories are named ``crash-NNNN-<ErrorClass>`` with the
 smallest free index, so repeated failures never overwrite each other.
@@ -29,8 +29,6 @@ import json
 import traceback
 from dataclasses import asdict
 from pathlib import Path
-
-SHRINK_MAX_ATTEMPTS = 400
 
 
 def _jsonable(value):
@@ -56,34 +54,8 @@ def _bundle_dir(directory: str | Path, error: Exception) -> Path:
         index += 1
 
 
-def _still_fails(program, options) -> bool:
-    """Does optimizing *program* from scratch still raise?
-
-    Used as the shrinker predicate; crash reporting is disabled for the
-    probe so a reproducing candidate does not recursively spawn bundles.
-    """
-    from dataclasses import replace
-
-    from .. import compile_source
-    from .pipeline import optimize
-
-    try:
-        world = compile_source(program.render(), optimize=False)
-        optimize(world, options=replace(options, crash_dir=None))
-    except Exception:
-        return True
-    return False
-
-
-def _minimize(program, options):
-    from ..fuzz.shrink import shrink
-
-    return shrink(program, lambda cand: _still_fails(cand, options),
-                  max_attempts=SHRINK_MAX_ATTEMPTS)
-
-
 def write_crash_report(*, directory, entry_snapshot, error, stats,
-                       options, context=None) -> Path:
+                       options) -> Path:
     """Write one crash bundle; returns the bundle directory."""
     bundle = _bundle_dir(directory, error)
     (bundle / "world.json").write_text(entry_snapshot.to_json())
@@ -91,9 +63,6 @@ def write_crash_report(*, directory, entry_snapshot, error, stats,
     option_fields = asdict(options)
     option_fields["pass_hook"] = (
         None if options.pass_hook is None else repr(options.pass_hook))
-
-    context = dict(context or {})
-    program = context.pop("program", None)
 
     report = {
         "error": {
@@ -112,22 +81,7 @@ def write_crash_report(*, directory, entry_snapshot, error, stats,
             "rollbacks": stats.rollbacks,
         },
         "options": _jsonable(option_fields),
-        "context": _jsonable(context),
     }
-
-    if program is not None:
-        try:
-            minimized = _minimize(program, options)
-            source = minimized.render()
-            header = [f"// crash repro (seed {context.get('seed', '?')}), "
-                      f"shrinker-minimized", f"// error: {error!r}", ""]
-            (bundle / "repro.impala").write_text(
-                "\n".join(header) + source + "\n")
-            report["repro"] = {"file": "repro.impala",
-                               "entry": minimized.entry}
-        except Exception as exc:  # shrinking is best-effort
-            report["repro"] = {"error": repr(exc)}
-
     (bundle / "report.json").write_text(json.dumps(report, indent=2))
     return bundle
 

@@ -14,17 +14,11 @@ pass only decides *where*:
 
 from __future__ import annotations
 
-from ..core.defs import Continuation, Def
-from ..core.primops import EvalOp
+from ..core.defs import Continuation
+from ..core.primops import EvalOp, peel_markers
 from ..core.scope import Scope, scope_of
 from ..core.world import World
 from .mangle import MangleStats, inline_call
-
-
-def _peel(d: Def) -> Def:
-    while isinstance(d, EvalOp):
-        d = d.value
-    return d
 
 
 def _call_sites(cont: Continuation) -> tuple[list[Continuation], int]:
@@ -45,11 +39,9 @@ def _call_sites(cont: Continuation) -> tuple[list[Continuation], int]:
     return sites, first_class
 
 
-def _is_recursive(cont: Continuation, scope: Scope) -> bool:
-    for user, _ in cont.uses:
-        if user in scope:
-            return True
-    return False
+def is_recursive(cont: Continuation, scope: Scope) -> bool:
+    """Is *cont* used inside its own *scope* (a recursive target)?"""
+    return any(user in scope for user, _ in cont.uses)
 
 
 def inline_small_functions(world: World, *, size_threshold: int = 40,
@@ -72,7 +64,7 @@ def inline_small_functions(world: World, *, size_threshold: int = 40,
         if not sites or first_class:
             continue
         scope = scope_of(cont)
-        if _is_recursive(cont, scope):
+        if is_recursive(cont, scope):
             continue
         is_once = len(sites) == 1
         is_small = len(scope) <= size_threshold
@@ -83,7 +75,7 @@ def inline_small_functions(world: World, *, size_threshold: int = 40,
                 break
             if site in scope or not site.has_body():
                 continue
-            if _peel(site.callee) is not cont:
+            if peel_markers(site.callee) is not cont:
                 continue  # rewritten by an earlier inline this round
             if inline_call(site, stats_sink):
                 inlined += 1

@@ -23,16 +23,10 @@ tail-recursion story.  The inverse direction is lambda *lifting*
 from __future__ import annotations
 
 from ..core.defs import Continuation, Def, Param
-from ..core.primops import EvalOp
+from ..core.primops import peel_markers
 from ..core.scope import Scope, scope_of
 from ..core.world import World
 from .mangle import Mangler
-
-
-def _peel(d: Def) -> Def:
-    while isinstance(d, EvalOp):
-        d = d.value
-    return d
 
 
 def _direct_call_sites(cont: Continuation) -> list[Continuation] | None:
@@ -114,7 +108,7 @@ def drop_invariant_params(world: World, *, budget: int = 256) -> dict[str, int]:
         for site in sites:
             if site in scope:
                 continue  # handled by the mangler's self-redirect
-            if not site.has_body() or _peel(site.callee) is not cont:
+            if not site.has_body() or peel_markers(site.callee) is not cont:
                 continue
             remaining = [a for p, a in zip(cont.params, site.args)
                          if p not in spec]

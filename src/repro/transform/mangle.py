@@ -33,7 +33,7 @@ lambda lifting/dropping = lift/drop of free defs.
 from __future__ import annotations
 
 from ..core.defs import Continuation, Def, Param
-from ..core.primops import EvalOp, PrimOp
+from ..core.primops import EvalOp, PrimOp, peel_markers
 from ..core.scope import Scope, scope_of
 from ..core.types import fn_type
 from ..core.world import World
@@ -104,7 +104,7 @@ class Mangler:
         if not old.has_body():
             return
         callee, args = old.callee, old.args
-        target = _peel(callee)
+        target = peel_markers(callee)
         if target is self.old_entry and self._is_self_specializing(args):
             new_args = [self._mangle(a) for i, a in enumerate(args)
                         if self.old_entry.params[i] not in self.spec]
@@ -250,7 +250,7 @@ def inline_call(caller: Continuation, stats_out: list | None = None) -> bool:
     """
     if not caller.has_body():
         return False
-    callee = _peel(caller.callee)
+    callee = peel_markers(caller.callee)
     if not isinstance(callee, Continuation) or not callee.has_body():
         return False
     if callee is caller:
@@ -261,9 +261,3 @@ def inline_call(caller: Continuation, stats_out: list | None = None) -> bool:
     specialized = drop(scope, list(caller.args), stats_out)
     caller.world.jump(caller, specialized, ())
     return True
-
-
-def _peel(d: Def) -> Def:
-    while isinstance(d, EvalOp):
-        d = d.value
-    return d

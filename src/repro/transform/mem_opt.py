@@ -48,7 +48,6 @@ from ..core.primops import (
     ArithKind,
     ArithOp,
     Enter,
-    EvalOp,
     Extract,
     Global,
     Lea,
@@ -56,6 +55,7 @@ from ..core.primops import (
     Load,
     Slot,
     Store,
+    peel_markers,
 )
 from ..core.rewrite import rewrite_uses
 from ..core.types import (
@@ -72,16 +72,10 @@ from ..core.world import World
 CHAIN_HOPS = 64
 
 
-def _peel(d: Def) -> Def:
-    while isinstance(d, EvalOp):
-        d = d.value
-    return d
-
-
 def _mem_extract(d: Def) -> tuple[Def, int] | None:
     """``(agg, index)`` when *d* is a literal-index extract of a memory
     op's result pair, else ``None``."""
-    d = _peel(d)
+    d = peel_markers(d)
     if (isinstance(d, Extract) and isinstance(d.index, Literal)
             and isinstance(d.agg, (Load, Enter, Alloc))):
         return d.agg, d.index.value
@@ -196,7 +190,7 @@ def _forward_loads(world: World, aa: AliasAnalysis, budget: int,
 
 def _in_bounds(ptr: Def) -> bool:
     """Can this access be proven never to trap at run time?"""
-    ptr = _peel(ptr)
+    ptr = peel_markers(ptr)
     if isinstance(ptr, (Slot, Global)):
         return True
     if _mem_extract(ptr) is not None:
@@ -207,7 +201,7 @@ def _in_bounds(ptr: Def) -> bool:
         return False
     base_type = ptr.ptr.type
     assert isinstance(base_type, PtrType)
-    length = _length_of(base_type.pointee, _peel(ptr.ptr))
+    length = _length_of(base_type.pointee, peel_markers(ptr.ptr))
     if length is None:
         return False
     index = ptr.index

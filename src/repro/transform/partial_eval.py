@@ -32,6 +32,7 @@ from ..core.primops import (
     Hlt,
     Literal,
     Run,
+    peel_markers,
 )
 from ..core.scope import Scope, scope_of
 from ..core.world import World
@@ -66,12 +67,6 @@ def is_static(arg: Def, scope_cache: dict | None = None) -> bool:
     if isinstance(arg, Aggregate):
         return all(is_static(op, scope_cache) for op in arg.ops)
     return False
-
-
-def _peel(d: Def) -> Def:
-    while isinstance(d, EvalOp):
-        d = d.value
-    return d
 
 
 class PartialEvaluator:
@@ -123,7 +118,7 @@ class PartialEvaluator:
         callee = cont.callee
         if not isinstance(callee, Run):
             return False
-        target = _peel(callee)
+        target = peel_markers(callee)
         if not isinstance(target, Continuation) or not target.has_body() \
                 or target.is_intrinsic():
             return False
@@ -136,7 +131,7 @@ class PartialEvaluator:
         spec: dict[Param, Def] = {}
         for param, arg in zip(target.params, args):
             if is_static(arg, self._static_cache):
-                value = _peel(arg) if isinstance(arg, EvalOp) else arg
+                value = peel_markers(arg) if isinstance(arg, EvalOp) else arg
                 if value not in scope:
                     spec[param] = value
         if not spec:
@@ -184,7 +179,7 @@ class PartialEvaluator:
                 continue
             if isinstance(callee, Hlt):
                 continue
-            target = _peel(callee)
+            target = peel_markers(callee)
             if (isinstance(target, Continuation) and target.has_body()
                     and not target.is_intrinsic() and target not in scope
                     and target is not new_entry):
@@ -197,7 +192,7 @@ class PartialEvaluator:
             if not cont.has_body():
                 continue
             if isinstance(cont.callee, EvalOp):
-                cont.update_callee(_peel(cont.callee))
+                cont.update_callee(peel_markers(cont.callee))
                 stripped += 1
         return stripped
 

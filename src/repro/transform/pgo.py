@@ -23,25 +23,16 @@ advice, never an obligation.
 from __future__ import annotations
 
 from ..core.defs import Continuation, Def, Param
-from ..core.primops import EvalOp
-from ..core.scope import Scope, scope_of
+from ..core.primops import EvalOp, peel_markers
+from ..core.scope import scope_of
 from ..core.world import World
+from .inliner import is_recursive
 from .mangle import MangleStats, inline_call, peel
 from .partial_eval import is_static
 
 
-def _peel_markers(d: Def) -> Def:
-    while isinstance(d, EvalOp):
-        d = d.value
-    return d
-
-
 def _label_map(world: World) -> dict[str, Continuation]:
     return {c.unique_name(): c for c in world.continuations()}
-
-
-def _is_recursive(cont: Continuation, scope: Scope) -> bool:
-    return any(user in scope for user, _ in cont.uses)
 
 
 # ---------------------------------------------------------------------------
@@ -79,12 +70,12 @@ def specialize_hot_loops(world: World, profile, *, min_count: int = 32,
         for site in sites:
             if budget <= 0:
                 break
-            if _peel_markers(site.callee) is not header:
+            if peel_markers(site.callee) is not header:
                 continue
             spec: dict[Param, Def] = {}
             for param, arg in zip(header.params, site.args):
                 if is_static(arg, static_cache):
-                    value = (_peel_markers(arg) if isinstance(arg, EvalOp)
+                    value = (peel_markers(arg) if isinstance(arg, EvalOp)
                              else arg)
                     if value not in scope:
                         spec[param] = value
@@ -137,10 +128,10 @@ def pgo_inline(world: World, profile, *, min_count: int = 4,
                 or not callee.has_body() or callee.is_intrinsic()):
             skipped_stale += 1
             continue
-        if _peel_markers(site.callee) is not callee:
+        if peel_markers(site.callee) is not callee:
             skipped_stale += 1  # rewritten since the profile was taken
             continue
-        if _is_recursive(callee, scope_of(callee)):
+        if is_recursive(callee, scope_of(callee)):
             continue  # specializing recursion is the evaluator's job
         if inline_call(site, stats_sink):
             inlined += 1

@@ -14,8 +14,10 @@ Mirrors the order the paper's compiler uses:
    whose condition became a literal were already folded when the step
    rewrote them (``rewrite_uses``/``World.jump`` fold every body).
 
-All knobs live on :class:`OptimizeOptions`; ``optimize(world,
-options=...)`` threads them through to the individual passes.
+Each pass runs with its own keyword defaults (budgets, thresholds) and
+the static rounds stop at a fixed point or after :data:`MAX_ROUNDS`.
+:class:`OptimizeOptions` holds only what callers vary: ``mem_opt``,
+checking, fault isolation and crash reporting.
 
 Fault isolation (the default, ``strict=False``): every phase runs
 inside a checkpoint/rollback guard built on :mod:`repro.core.undo`.
@@ -27,9 +29,9 @@ records a :class:`PassIncident` in :class:`PipelineStats`, and keeps
 going — a buggy pass degrades one compilation to "less optimized", it
 does not take the compiler down.  If recovery itself fails, a crash
 bundle (pre-pipeline IR, deep-snapshotted at entry via
-:mod:`repro.core.snapshot`, plus pass trace, options and context) is
-written via :mod:`repro.transform.crashreport` and
-:class:`PipelineCrash` is raised.
+:mod:`repro.core.snapshot`, plus pass trace and options) is written via
+:mod:`repro.transform.crashreport` and :class:`PipelineCrash` is
+raised.
 
 ``OptimizeOptions(strict=True)`` restores fail-fast behaviour: no
 checkpoints, no quarantine, the first error propagates to the caller.
@@ -79,29 +81,20 @@ from ..core.world import World
 from .cleanup import cleanup, verify_cleanup
 
 
+# Upper bound on static rounds; the suite reaches its fixed point in at
+# most four.
+MAX_ROUNDS = 8
+
+
 @dataclass
 class OptimizeOptions:
-    """Every pipeline knob in one place (shared with the PGO driver)."""
+    """The pipeline settings callers vary (shared with the PGO driver)."""
 
-    # static rounds
-    max_rounds: int = 8
-    inline_size_threshold: int = 40
-    inline_budget: int = 256
-    pe_budget: int = 512
-    closure_budget: int = 512
-    drop_budget: int = 256
-    # PGO thresholds (used only when a profile is supplied)
-    pgo_call_min_count: int = 4
-    pgo_hot_call_fraction: float = 0.05
-    pgo_inline_budget: int = 32
-    pgo_loop_min_count: int = 32
-    pgo_loop_budget: int = 16
     # Effect-aware memory optimization (store-to-load forwarding,
     # redundant-load CSE, dead-store elimination over the alias
     # lattice).  The fuzz oracle's ``memopt(static)`` stage checks the
     # on/off behaviour differentially.
     mem_opt: bool = True
-    mem_opt_budget: int = 2048
     # Pass-level checking: run the full IR verifier (structural checks,
     # use-list consistency, scope containment) after every phase, and
     # assert control-flow form at pipeline exit.  A failure raises
@@ -122,10 +115,6 @@ class OptimizeOptions:
     growth_cap_floor: int = 4096
     # Where crash bundles go on unrecoverable failure (None disables).
     crash_dir: str | None = "crash_reports"
-    # Caller-provided provenance recorded in crash bundles.  JSON-safe
-    # values only, plus optionally "program": a fuzz AST the bundle
-    # writer minimizes with the shrinker.
-    crash_context: dict | None = None
     # Test/fault-injection hook, called as ``pass_hook(phase, world)``
     # inside the isolated region right after each phase body.
     pass_hook: Callable[[str, World], None] | None = None
@@ -462,7 +451,7 @@ class _PhaseRunner:
 
 def _run_static_rounds(world: World, options: OptimizeOptions,
                        stats: PipelineStats, runner: _PhaseRunner) -> None:
-    """The classic fixed-point loop (bounded by ``options.max_rounds``)."""
+    """The classic fixed-point loop (bounded by :data:`MAX_ROUNDS`)."""
     from .closure_elim import eliminate_closures
     from .inliner import inline_small_functions
     from .lambda_dropping import drop_invariant_params
@@ -470,16 +459,10 @@ def _run_static_rounds(world: World, options: OptimizeOptions,
     from .partial_eval import partial_eval
 
     passes = (
-        ("partial_eval", "specialized",
-         lambda: partial_eval(world, budget=options.pe_budget)),
-        ("closure_elim", "mangled",
-         lambda: eliminate_closures(world, budget=options.closure_budget)),
-        ("inline", "inlined",
-         lambda: inline_small_functions(
-             world, size_threshold=options.inline_size_threshold,
-             budget=options.inline_budget)),
-        ("lambda_drop", "dropped",
-         lambda: drop_invariant_params(world, budget=options.drop_budget)),
+        ("partial_eval", "specialized", lambda: partial_eval(world)),
+        ("closure_elim", "mangled", lambda: eliminate_closures(world)),
+        ("inline", "inlined", lambda: inline_small_functions(world)),
+        ("lambda_drop", "dropped", lambda: drop_invariant_params(world)),
     )
     if options.mem_opt:
         # After the mangling passes: inlining/closure elimination merge
@@ -487,11 +470,10 @@ def _run_static_rounds(world: World, options: OptimizeOptions,
         # segment in round N+1), so memory optimization keeps finding
         # new forwardable loads as the rounds specialize.
         passes = passes + (
-            ("mem_opt", "rewrites",
-             lambda: optimize_memory(world, budget=options.mem_opt_budget)),
+            ("mem_opt", "rewrites", lambda: optimize_memory(world)),
         )
 
-    for _ in range(options.max_rounds):
+    for _ in range(MAX_ROUNDS):
         stats.rounds += 1
         changed = 0
         for phase, changed_key, body in passes:
@@ -513,21 +495,12 @@ def _optimize_guarded(world: World, options: OptimizeOptions,
         from .pgo import pgo_inline, specialize_hot_loops
 
         loop_stats = runner.run(
-            "pgo_loops",
-            lambda: specialize_hot_loops(
-                world, profile,
-                min_count=options.pgo_loop_min_count,
-                budget=options.pgo_loop_budget))
+            "pgo_loops", lambda: specialize_hot_loops(world, profile))
         stats.record("pgo_loops", loop_stats)
         stats.record("cleanup", runner.run_cleanup("cleanup(pgo_loops)"))
 
         inline_stats = runner.run(
-            "pgo_inline",
-            lambda: pgo_inline(
-                world, profile,
-                min_count=options.pgo_call_min_count,
-                min_fraction=options.pgo_hot_call_fraction,
-                budget=options.pgo_inline_budget))
+            "pgo_inline", lambda: pgo_inline(world, profile))
         stats.record("pgo_inline", inline_stats)
         stats.record("cleanup", runner.run_cleanup("cleanup(pgo_inline)"))
 
@@ -563,11 +536,9 @@ def _optimize_guarded(world: World, options: OptimizeOptions,
 
 
 def optimize(world: World, *, options: OptimizeOptions | None = None,
-             profile=None, max_rounds: int | None = None) -> PipelineStats:
+             profile=None) -> PipelineStats:
     """Run the full pipeline to a fixed point.
 
-    ``options`` bundles every knob; ``max_rounds`` is kept as a direct
-    keyword for convenience and overrides the option of the same name.
     Passing a :class:`repro.profile.model.Profile` as ``profile``
     appends the profile-guided phase (see module docstring).
 
@@ -577,9 +548,6 @@ def optimize(world: World, *, options: OptimizeOptions | None = None,
     ``OptimizeOptions(strict=True)`` the first failure propagates.
     """
     options = options if options is not None else OptimizeOptions()
-    if max_rounds is not None:
-        from dataclasses import replace
-        options = replace(options, max_rounds=max_rounds)
 
     # The IR graph is cyclic by construction (use-lists point back at
     # users), and during optimization everything is reachable from the
@@ -627,7 +595,6 @@ def _optimize_paused(world: World, options: OptimizeOptions,
                     error=exc,
                     stats=stats,
                     options=options,
-                    context=options.crash_context,
                 )
             except Exception:  # pragma: no cover - reporting best-effort
                 report_path = None

@@ -317,22 +317,28 @@ def test_routed_run_request(fleet):
 
 
 def test_bad_request_direct_and_routed(fleet):
-    """Unknown OptimizeOptions field: structured bad-request on both
-    paths, never a connection drop (satellite 4)."""
-    checks = [
-        lambda c: c.compile(SRC, options={"warp_factor": 9}),
-        lambda c: c.run(SRC, [[1]], options={"warp_factor": 9}),
-    ]
-    for make in checks:
-        for client_factory in (fleet.client,
-                               lambda: fleet.shard_client("shard-a")):
-            with client_factory() as client:
-                reply = make(client)
-                assert reply["ok"] is False
-                assert reply["error"]["code"] == "bad-request"
-                assert "warp_factor" in reply["error"]["message"]
-                # Connection survived the error.
-                assert client.ping()["ok"]
+    """An option name outside the six the cache key covers — unknown,
+    operational (the server's to set) or retired — gets a structured
+    bad-request on both paths, never a connection drop."""
+    for options in ({"warp_factor": 9}, {"pass_hook": 1},
+                    {"crash_dir": "/elsewhere"},
+                    {"crash_context": {"origin": "client"}},
+                    {"max_rounds": 2}):
+        (name,) = options
+        checks = [
+            lambda c: c.compile(SRC, options=options),
+            lambda c: c.run(SRC, [[1]], options=options),
+        ]
+        for make in checks:
+            for client_factory in (fleet.client,
+                                   lambda: fleet.shard_client("shard-a")):
+                with client_factory() as client:
+                    reply = make(client)
+                    assert reply["ok"] is False
+                    assert reply["error"]["code"] == "bad-request"
+                    assert name in reply["error"]["message"]
+                    # Connection survived the error.
+                    assert client.ping()["ok"]
 
 
 def test_router_rejects_malformed_and_unknown(fleet):

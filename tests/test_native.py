@@ -21,7 +21,7 @@ import pytest
 from repro import compile_source
 from repro.backend import bytecode as bc
 from repro.backend.codegen import compile_world
-from repro.core.limits import ResourceLimitError
+from repro.core.limits import ResourceLimitError, trap_kind
 from repro.native import (NativeBuildError, NativeStore, compile_native_world,
                           emit_native_c, find_cc)
 from repro.native.tiering import TieringManager, TieringPolicy
@@ -35,13 +35,6 @@ pytestmark = pytest.mark.skipif(find_cc() is None,
 CORPUS = Path(__file__).parent / "corpus"
 
 
-def _trap_kind(exc: BaseException) -> str:
-    if isinstance(exc, ResourceLimitError):
-        return ("step-limit" if getattr(exc, "resource", "") == "steps"
-                else "resource-limit")
-    return "div-by-zero" if "division" in str(exc) else "other"
-
-
 def _vm_observe(compiled, entry, args):
     """One VM execution as the ``(value, trap, output)`` triple."""
     mark = len(compiled.vm.output)
@@ -49,7 +42,7 @@ def _vm_observe(compiled, entry, args):
         value = compiled.call(entry, *args)
         return value, None, "".join(compiled.vm.output[mark:])
     except (bc.VMError, ResourceLimitError) as exc:
-        return None, _trap_kind(exc), "".join(compiled.vm.output[mark:])
+        return None, trap_kind(exc), "".join(compiled.vm.output[mark:])
 
 
 def _values_equal(a, b) -> bool:

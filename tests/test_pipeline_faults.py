@@ -124,8 +124,7 @@ def test_unrecoverable_failure_writes_crash_bundle(tmp_path, monkeypatch):
     world = _world()
     injector = FaultInjector(FaultPlan("raise", target="inline"))
     crash_dir = tmp_path / "crash_reports"
-    options = OptimizeOptions(pass_hook=injector, crash_dir=str(crash_dir),
-                              crash_context={"origin": "unit-test"})
+    options = OptimizeOptions(pass_hook=injector, crash_dir=str(crash_dir))
     with pytest.raises(PipelineCrash) as info:
         optimize(world, options=options)
 
@@ -135,7 +134,6 @@ def test_unrecoverable_failure_writes_crash_bundle(tmp_path, monkeypatch):
 
     report = json.loads((report_path / "report.json").read_text())
     assert report["error"]["type"] == "RuntimeError"
-    assert report["context"]["origin"] == "unit-test"
     assert "pass_trace" in report
 
     snap = Snapshot.from_json((report_path / "world.json").read_text())

@@ -177,6 +177,12 @@ def test_mid_request_disconnect_leaves_server_healthy(served):
         assert client.ping()["ok"]
 
 
+# Option names the wire refuses: the operational fields the server sets,
+# a retired pipeline field and a retired budget.
+WIRE_REJECTED = ({"pass_hook": 1}, {"crash_dir": "/elsewhere"},
+                 {"crash_context": {"origin": "client"}}, {"max_rounds": 2})
+
+
 def test_bad_requests(served):
     with served.client() as client:
         # unknown op
@@ -200,6 +206,32 @@ def test_bad_requests(served):
         reply = client.compile(SRC, options={"cache_analyses": False})
         assert reply["error"]["code"] == "bad-request"
         assert "cache_analyses" in reply["error"]["message"]
+        # operational fields are the server's, and retired ones are gone:
+        # neither a compile nor a run may name them
+        for options in WIRE_REJECTED:
+            (name,) = options
+            for reply in (client.compile(SRC, options=options),
+                          client.run(SRC, [[1]], options=options)):
+                assert reply["error"]["code"] == "bad-request", name
+                assert name in reply["error"]["message"]
+
+
+def test_operational_options_cannot_poison_the_cache(served):
+    """A ``pass_hook`` request is refused, so the plain request after it
+    compiles clean artifacts.  Were the hook admitted, it would share
+    the plain request's key (the key leaves operational fields out),
+    fail every pass, and cache the unoptimized IR under that key."""
+    source = ("fn sq(x: i64) -> i64 { x * x }\n"
+              "fn main(a: i64) -> i64 { sq(a) + sq(a + 1) }")
+    with served.client() as client:
+        hooked = client.compile(source, options={"pass_hook": 1})
+        plain = client.compile(source)
+    assert plain["ok"], plain
+    direct = compile_request({"op": "compile", "source": source,
+                              "opt": "static", "options": {}})
+    assert plain["artifacts"]["ir"] == direct["ir"]
+    assert plain["artifacts"]["stats"]["incidents"] == []
+    assert hooked["error"]["code"] == "bad-request"
 
 
 def test_compile_error_is_not_a_crash(served):
@@ -335,12 +367,13 @@ def test_cache_key_is_semantic():
     assert key == cache_key({**base})
     assert key != cache_key({**base, "source": SRC + " "})
     assert key != cache_key({**base, "opt": "none"})
-    assert key != cache_key({**base, "options": {"max_rounds": 2}})
+    assert key != cache_key({**base, "options": {"growth_cap_floor": 2048}})
     # Defaults spelled out == defaults omitted.
-    assert key == cache_key({**base, "options": {"max_rounds": 8}})
-    # Operational knobs don't fragment the cache.
-    assert key == cache_key(
-        {**base, "options": {"crash_dir": "/elsewhere"}})
+    assert key == cache_key({**base, "options": {"growth_cap_floor": 4096}})
+    # Operational fields are the server's: a request naming one is
+    # rejected, neither keyed nor silently dropped.
+    with pytest.raises(ValueError, match="crash_dir"):
+        cache_key({**base, "options": {"crash_dir": "/elsewhere"}})
 
 
 def test_cache_key_pgo_profile_material():
@@ -352,13 +385,14 @@ def test_cache_key_pgo_profile_material():
 
 
 # Digests of fixed requests, taken before canonical_options was
-# memoized.  Existing on-disk stores are addressed by these; a change
-# here re-addresses every stored artifact.
+# memoized (the compile override's before the pipeline budgets left
+# OptimizeOptions).  Existing on-disk stores are addressed by these; a
+# change here re-addresses every stored artifact.
 PINNED_KEYS = {
     "compile-default":
         "d6c55932d63f415ee74b8dc362fafd54a94d41fa0b13c3ac705e807f856f901b",
     "compile-override":
-        "7b91401224b05ac2fcc4f120daf021739c4b4272fd91a1f73cdd6f58b1cea7fb",
+        "f8809ac9bf8ce196357418676c3e66227769f8f5d603bbc5292d3f53d6c1480f",
     "run-default":
         "ce39c52669a294f70a9874f1e38916439acfdc4e9df334f26ab781275c00f626",
     "run-override":
@@ -373,7 +407,8 @@ def test_cache_keys_are_pinned():
                 "args": [[4]], "options": {}}
     for _ in range(2):  # the second round is served from the memo
         assert cache_key(compile_base) == PINNED_KEYS["compile-default"]
-        assert cache_key({**compile_base, "options": {"max_rounds": 2}}) \
+        assert cache_key({**compile_base,
+                          "options": {"growth_cap_floor": 2048}}) \
             == PINNED_KEYS["compile-override"]
         assert run_cache_key(run_base) == PINNED_KEYS["run-default"]
         assert run_cache_key({**run_base, "options": {"mem_opt": False}}) \
@@ -383,12 +418,13 @@ def test_cache_keys_are_pinned():
 def test_canonical_options_memo_is_bounded():
     memo = cache_module._canonical_options
     bound = cache_module.OPTIONS_MEMO_ENTRIES
-    for rounds in range(bound + 16):
-        cache_module.canonical_options({"max_rounds": 100 + rounds})
+    for floor in range(bound + 16):
+        cache_module.canonical_options({"growth_cap_floor": 100 + floor})
     assert memo.cache_info().currsize == bound
     # Values that compare equal in Python but encode differently stay
     # distinct memo entries, as they are distinct cache keys.
-    for one, other in (({"max_rounds": 2}, {"max_rounds": 2.0}),
+    for one, other in (({"growth_cap_floor": 2},
+                        {"growth_cap_floor": 2.0}),
                        ({"mem_opt": True}, {"mem_opt": 1})):
         assert canonical_json(cache_module.canonical_options(one)) \
             != canonical_json(cache_module.canonical_options(other))
