@@ -33,22 +33,23 @@ dispatch-count optimization and is transparent by construction: pc
 numbering is unchanged (the second instruction of a fused pair stays in
 place, so it remains a valid jump target), every intermediate register
 the pair wrote is still written, and ``VM.executed`` still counts
-retired *source* instructions.  The uninstrumented loop runs the fused
-stream; the profiled loop and the disassembly (``VMFunction.sites``,
-serve artifacts, PGO site labels) stay on the source stream, whose pcs
-are the stable names everything else refers to.
+retired *source* instructions.  The one dispatch loop runs the fused
+stream; the disassembly (``VMFunction.sites``, serve artifacts, PGO
+site labels) stays on the source stream, whose pcs are the stable
+names everything else refers to.
 
-Profiling (experiment F4): ``VM(program, profile=collector)`` switches
-execution to an *instrumented* dispatch loop that additionally counts
-function entries, call-site executions and taken control-flow edges
-(from which loop back-edge frequencies are derived).  The collector is
-duck-typed — any object with ``entries``/``calls``/``edges`` mappings
-that support ``+= 1`` works; :class:`repro.profile.collector.
-ProfileCollector` is the canonical one.  The instrumentation lives in a
-*separate* loop (:meth:`VM._run_profiled`) so that the uninstrumented
-path — and the emitted instruction stream, which carries only inert
-site metadata (:attr:`VMFunction.sites`) — is exactly what it was
-without profiling: zero overhead when disabled.
+Profiling (experiment F4): ``VM(program, profile=collector)`` makes the
+same loop also count function entries, call-site executions and taken
+control-flow edges (from which loop back-edge frequencies are derived).
+The collector is duck-typed — any object with ``entries``/``calls``/
+``edges`` mappings that support ``+= 1`` works;
+:class:`repro.profile.collector.ProfileCollector` is the canonical one.
+Counting happens only at control transfers, behind the same test that
+guards the step budget, so straight-line dispatch is untouched.  Every
+key is a *source* pc: a fused ``arith.br`` or ``mov.jmp`` at pc ``p``
+records its edge from ``p + 1``, the branch it absorbed, so a profile
+is the same whichever stream ran.  The instruction stream itself
+carries only inert site metadata (:attr:`VMFunction.sites`).
 """
 
 from __future__ import annotations
@@ -306,7 +307,9 @@ def fuse_code(code: list[tuple]) -> list[tuple]:
     Fall-through from a fused pc skips it with ``pc += 2``.  Handlers
     execute both halves in order and write every register the pair
     wrote, so no liveness analysis is needed — fusion can never change
-    observable state, only the number of dispatches.
+    observable state, only the number of dispatches.  They count the
+    first half retired before the second runs, so a trap in either half
+    leaves ``VM.executed`` where the source stream leaves it.
     """
     fused = list(code)
     pc, last = 0, len(code) - 1
@@ -447,8 +450,8 @@ class VM:
         self.max_steps = max_steps
         self.output: list[str] = []
         self.executed = 0
-        # Optional profile collector (see module docstring).  ``None``
-        # selects the plain dispatch loop — the disabled path is untouched.
+        # Optional profile collector (see module docstring), filled at
+        # control transfers by the one dispatch loop.
         self.profile = profile
 
     def output_text(self) -> str:
@@ -471,8 +474,7 @@ class VM:
             raise VMError(
                 f"{name} expects {fn.num_params} arguments, got {len(args)}"
             )
-        runner = self._run if self.profile is None else self._run_profiled
-        results = runner(program, findex, list(args))
+        results = self._run(program, findex, list(args))
         if fn.num_results == 0:
             return None
         if fn.num_results == 1:
@@ -486,10 +488,20 @@ class VM:
         code = fn.fused()
         pc = 0
         heap = self.heap
-        # call stack: (code, regs, pc_to_resume, ret_dsts)
+        # call stack: (findex, code, regs, pc_to_resume, ret_dsts)
         stack: list[tuple] = []
         executed = 0
         limit = self.max_steps
+        profile = self.profile
+        # The one test a control transfer pays besides transferring:
+        # a step budget to check or a profile to count into.  Those
+        # handlers end in ``continue``, straight back to dispatch rather
+        # than through the end of the chain; the jump saved pays for it.
+        watched = limit is not None or profile is not None
+        if profile is not None:
+            entries, calls, edges = (profile.entries, profile.calls,
+                                     profile.edges)
+            entries[findex] += 1
         try:
             while True:
                 instr = code[pc]
@@ -505,33 +517,50 @@ class VM:
                     executed += 1  # retires arith + br
                     if value is None:
                         raise VMError("branch on undef")
+                    if watched:
+                        if profile is not None:  # the br sits at pc + 1
+                            edges[(findex, pc + 1,
+                                   pc_t if value else pc_f)] += 1
+                        if limit is not None and executed > limit:
+                            raise VMLimitError("steps", limit)
                     pc = pc_t if value else pc_f
-                    if limit is not None and executed > limit:
-                        raise VMLimitError("steps", limit)
+                    continue
                 elif op == OP_ARITH_ARITH:
                     _, d1, f1, a1, b1, d2, f2, a2, b2 = instr
                     regs[d1] = f1(regs[a1], regs[b1])
-                    regs[d2] = f2(regs[a2], regs[b2])
                     executed += 1
+                    regs[d2] = f2(regs[a2], regs[b2])
                     pc += 2
                 elif op == OP_BR:
                     _, cond, pc_t, pc_f = instr
                     value = regs[cond]
                     if value is None:
                         raise VMError("branch on undef")
+                    if watched:
+                        if profile is not None:
+                            edges[(findex, pc, pc_t if value else pc_f)] += 1
+                        if limit is not None and executed > limit:
+                            raise VMLimitError("steps", limit)
                     pc = pc_t if value else pc_f
-                    if limit is not None and executed > limit:
-                        raise VMLimitError("steps", limit)
+                    continue
                 elif op == OP_JMP:
+                    if watched:
+                        if profile is not None:
+                            edges[(findex, pc, instr[1])] += 1
+                        if limit is not None and executed > limit:
+                            raise VMLimitError("steps", limit)
                     pc = instr[1]
-                    if limit is not None and executed > limit:
-                        raise VMLimitError("steps", limit)
+                    continue
                 elif op == OP_MOV_JMP:
                     regs[instr[1]] = regs[instr[2]]
                     executed += 1  # retires mov + jmp
+                    if watched:
+                        if profile is not None:  # the jmp sits at pc + 1
+                            edges[(findex, pc + 1, instr[3])] += 1
+                        if limit is not None and executed > limit:
+                            raise VMLimitError("steps", limit)
                     pc = instr[3]
-                    if limit is not None and executed > limit:
-                        raise VMLimitError("steps", limit)
+                    continue
                 elif op == OP_MOV:
                     regs[instr[1]] = regs[instr[2]]
                     pc += 1
@@ -549,26 +578,26 @@ class VM:
                 elif op == OP_LEA_LOAD:
                     _, lea_dst, base, index, scale, dst = instr
                     regs[lea_dst] = addr = regs[base] + regs[index] * scale
-                    regs[dst] = heap[addr]
                     executed += 1
+                    regs[dst] = heap[addr]
                     pc += 2
                 elif op == OP_LEA_STORE:
                     _, lea_dst, base, index, scale, src = instr
                     regs[lea_dst] = addr = regs[base] + regs[index] * scale
-                    heap[addr] = regs[src]
                     executed += 1
+                    heap[addr] = regs[src]
                     pc += 2
                 elif op == OP_LEA_CONST_LOAD:
                     _, lea_dst, base, offset, dst = instr
                     regs[lea_dst] = addr = regs[base] + offset
-                    regs[dst] = heap[addr]
                     executed += 1
+                    regs[dst] = heap[addr]
                     pc += 2
                 elif op == OP_LEA_CONST_STORE:
                     _, lea_dst, base, offset, src = instr
                     regs[lea_dst] = addr = regs[base] + offset
-                    heap[addr] = regs[src]
                     executed += 1
+                    heap[addr] = regs[src]
                     pc += 2
                 elif op == OP_LEA:
                     _, dst, base, index, scale = instr
@@ -591,255 +620,39 @@ class VM:
                     pc += 1
                 elif op == OP_CALL:
                     _, target, arg_regs, ret_dsts = instr
-                    callee = functions[target]
-                    new_regs = [None] * callee.num_regs
-                    for i, r in enumerate(arg_regs):
-                        new_regs[i] = regs[r]
-                    stack.append((code, regs, pc + 1, ret_dsts))
-                    code = callee.fused()
-                    regs = new_regs
-                    pc = 0
-                    if limit is not None and executed > limit:
-                        raise VMLimitError("steps", limit)
-                elif op == OP_TAILCALL:
-                    _, target, arg_regs = instr
-                    callee = functions[target]
-                    new_regs = [None] * callee.num_regs
-                    for i, r in enumerate(arg_regs):
-                        new_regs[i] = regs[r]
-                    code = callee.fused()
-                    regs = new_regs
-                    pc = 0
-                    if limit is not None and executed > limit:
-                        raise VMLimitError("steps", limit)
-                elif op == OP_RET:
-                    values = [regs[r] for r in instr[1]]
-                    if not stack:
-                        return values
-                    code, regs, pc, ret_dsts = stack.pop()
-                    for dst, value in zip(ret_dsts, values):
-                        regs[dst] = value
-                elif op == OP_TUPLE:
-                    _, dst, parts = instr
-                    out: list = []
-                    for r, size in parts:
-                        value = regs[r]
-                        if size == 1 and type(value) is not list:
-                            out.append(value)
-                        else:
-                            out.extend(value)
-                    regs[dst] = out
-                    pc += 1
-                elif op == OP_EXTRACT:
-                    _, dst, src, offset, size = instr
-                    agg = regs[src]
-                    if size == 1:
-                        regs[dst] = agg[offset]
-                    else:
-                        regs[dst] = agg[offset:offset + size]
-                    pc += 1
-                elif op == OP_EXTRACT_DYN:
-                    _, dst, src, index, scale, size = instr
-                    agg = regs[src]
-                    offset = regs[index] * scale
-                    if offset < 0 or offset + size > len(agg):
-                        raise VMError("aggregate index out of bounds")
-                    if size == 1:
-                        regs[dst] = agg[offset]
-                    else:
-                        regs[dst] = agg[offset:offset + size]
-                    pc += 1
-                elif op == OP_INSERT:
-                    _, dst, src, offset, size, value_reg = instr
-                    agg = list(regs[src])
-                    value = regs[value_reg]
-                    if size == 1 and type(value) is not list:
-                        agg[offset] = value
-                    else:
-                        agg[offset:offset + size] = value
-                    regs[dst] = agg
-                    pc += 1
-                elif op == OP_INSERT_DYN:
-                    _, dst, src, index, scale, size, value_reg = instr
-                    agg = list(regs[src])
-                    offset = regs[index] * scale
-                    if offset < 0 or offset + size > len(agg):
-                        raise VMError("aggregate index out of bounds")
-                    value = regs[value_reg]
-                    if size == 1 and type(value) is not list:
-                        agg[offset] = value
-                    else:
-                        agg[offset:offset + size] = value
-                    regs[dst] = agg
-                    pc += 1
-                elif op == OP_LOAD_AGG:
-                    _, dst, addr, size = instr
-                    base = regs[addr]
-                    regs[dst] = heap[base:base + size]
-                    pc += 1
-                elif op == OP_STORE_AGG:
-                    _, addr, src, size = instr
-                    base = regs[addr]
-                    value = regs[src]
-                    if type(value) is not list:
-                        heap[base] = value
-                    else:
-                        heap[base:base + size] = value
-                    pc += 1
-                elif op == OP_ALLOC:
-                    _, dst, count_reg, elem_size, fixed = instr
-                    if count_reg is None:
-                        words = fixed
-                    else:
-                        words = regs[count_reg] * elem_size + fixed
-                    regs[dst] = self.alloc_words(words)
-                    heap = self.heap
-                    pc += 1
-                elif op == OP_MATCH:
-                    _, value_reg, table, default_pc = instr
-                    pc = table.get(regs[value_reg], default_pc)
-                    if limit is not None and executed > limit:
-                        raise VMLimitError("steps", limit)
-                elif op == OP_PRINT_I64:
-                    self.output.append(str(fold.to_signed(regs[instr[1]], 64)))
-                    pc += 1
-                elif op == OP_PRINT_F64:
-                    self.output.append(repr(regs[instr[1]]))
-                    pc += 1
-                elif op == OP_PRINT_CHAR:
-                    self.output.append(chr(regs[instr[1]]))
-                    pc += 1
-                elif op == OP_TRAP:
-                    raise VMError(instr[1])
-                else:  # pragma: no cover
-                    raise VMError(f"bad opcode {op}")
-        except IndexError:
-            raise VMError("memory access out of bounds") from None
-        except TypeError:
-            raise VMError("operation on undef value") from None
-        finally:
-            self.executed += executed
-
-    def _run_profiled(self, program: VMProgram, findex: int,
-                      args: list) -> list:
-        """Instrumented twin of :meth:`_run`.
-
-        Kept as a *separate* loop so the uninstrumented path pays nothing.
-        Runs the **source** stream (``fn.code``, never the fused one):
-        the ``(findex, pc)`` site labels it records must match
-        ``VMFunction.sites`` and the disassembly, and those are numbered
-        in source pcs.  It must retire exactly the same number of
-        instructions as :meth:`_run` — superinstructions retire two —
-        and additionally records, into ``self.profile``:
-
-        * ``entries[findex] += 1`` per function activation,
-        * ``calls[(findex, pc)] += 1`` per executed call/tail-call site,
-        * ``edges[(findex, src_pc, dst_pc)] += 1`` per taken control-flow
-          transfer (br/jmp/match) — back-edges (``dst_pc <= src_pc``)
-          give loop iteration counts.
-        """
-        prof = self.profile
-        prof_entries = prof.entries
-        prof_calls = prof.calls
-        prof_edges = prof.edges
-        functions = program.functions
-        fn = functions[findex]
-        regs: list = list(args) + [None] * (fn.num_regs - fn.num_params)
-        code = fn.code
-        pc = 0
-        heap = self.heap
-        # call stack: (findex, code, regs, pc_to_resume, ret_dsts)
-        stack: list[tuple] = []
-        executed = 0
-        limit = self.max_steps
-        prof_entries[findex] += 1
-        try:
-            while True:
-                instr = code[pc]
-                executed += 1
-                op = instr[0]
-                if op == OP_ARITH:
-                    _, dst, f, a, b = instr
-                    regs[dst] = f(regs[a], regs[b])
-                    pc += 1
-                elif op == OP_BR:
-                    _, cond, pc_t, pc_f = instr
-                    value = regs[cond]
-                    if value is None:
-                        raise VMError("branch on undef")
-                    taken = pc_t if value else pc_f
-                    prof_edges[(findex, pc, taken)] += 1
-                    pc = taken
-                    if limit is not None and executed > limit:
-                        raise VMLimitError("steps", limit)
-                elif op == OP_JMP:
-                    taken = instr[1]
-                    prof_edges[(findex, pc, taken)] += 1
-                    pc = taken
-                    if limit is not None and executed > limit:
-                        raise VMLimitError("steps", limit)
-                elif op == OP_MOV:
-                    regs[instr[1]] = regs[instr[2]]
-                    pc += 1
-                elif op == OP_CONST:
-                    regs[instr[1]] = instr[2]
-                    pc += 1
-                elif op == OP_LOAD:
-                    _, dst, addr = instr
-                    regs[dst] = heap[regs[addr]]
-                    pc += 1
-                elif op == OP_STORE:
-                    _, addr, src = instr
-                    heap[regs[addr]] = regs[src]
-                    pc += 1
-                elif op == OP_LEA:
-                    _, dst, base, index, scale = instr
-                    regs[dst] = regs[base] + regs[index] * scale
-                    pc += 1
-                elif op == OP_LEA_CONST:
-                    _, dst, base, offset = instr
-                    regs[dst] = regs[base] + offset
-                    pc += 1
-                elif op == OP_UNOP:
-                    _, dst, f, a = instr
-                    regs[dst] = f(regs[a])
-                    pc += 1
-                elif op == OP_SELECT:
-                    _, dst, cond, a, b = instr
-                    value = regs[cond]
-                    if value is None:
-                        raise VMError("select on undef")
-                    regs[dst] = regs[a] if value else regs[b]
-                    pc += 1
-                elif op == OP_CALL:
-                    _, target, arg_regs, ret_dsts = instr
-                    prof_calls[(findex, pc)] += 1
-                    prof_entries[target] += 1
                     callee = functions[target]
                     new_regs = [None] * callee.num_regs
                     for i, r in enumerate(arg_regs):
                         new_regs[i] = regs[r]
                     stack.append((findex, code, regs, pc + 1, ret_dsts))
+                    if watched:
+                        if profile is not None:
+                            calls[(findex, pc)] += 1
+                            entries[target] += 1
+                        if limit is not None and executed > limit:
+                            raise VMLimitError("steps", limit)
                     findex = target
-                    code = callee.code
+                    code = callee.fused()
                     regs = new_regs
                     pc = 0
-                    if limit is not None and executed > limit:
-                        raise VMLimitError("steps", limit)
+                    continue
                 elif op == OP_TAILCALL:
                     _, target, arg_regs = instr
-                    prof_calls[(findex, pc)] += 1
-                    prof_entries[target] += 1
                     callee = functions[target]
                     new_regs = [None] * callee.num_regs
                     for i, r in enumerate(arg_regs):
                         new_regs[i] = regs[r]
+                    if watched:
+                        if profile is not None:
+                            calls[(findex, pc)] += 1
+                            entries[target] += 1
+                        if limit is not None and executed > limit:
+                            raise VMLimitError("steps", limit)
                     findex = target
-                    code = callee.code
+                    code = callee.fused()
                     regs = new_regs
                     pc = 0
-                    if limit is not None and executed > limit:
-                        raise VMLimitError("steps", limit)
+                    continue
                 elif op == OP_RET:
                     values = [regs[r] for r in instr[1]]
                     if not stack:
@@ -926,10 +739,13 @@ class VM:
                 elif op == OP_MATCH:
                     _, value_reg, table, default_pc = instr
                     taken = table.get(regs[value_reg], default_pc)
-                    prof_edges[(findex, pc, taken)] += 1
+                    if watched:
+                        if profile is not None:
+                            edges[(findex, pc, taken)] += 1
+                        if limit is not None and executed > limit:
+                            raise VMLimitError("steps", limit)
                     pc = taken
-                    if limit is not None and executed > limit:
-                        raise VMLimitError("steps", limit)
+                    continue
                 elif op == OP_PRINT_I64:
                     self.output.append(str(fold.to_signed(regs[instr[1]], 64)))
                     pc += 1

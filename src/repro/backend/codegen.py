@@ -821,7 +821,7 @@ def compile_world(world: World, *,
     """Compile all externals of a CFF world; returns a callable image.
 
     Pass ``profile=`` a :class:`repro.profile.collector.ProfileCollector`
-    to run the image under the instrumented VM dispatch loop.
+    to have the VM count entries, calls and taken edges into it.
     ``max_steps`` bounds executed VM instructions per call (see
     :class:`repro.backend.bytecode.VM`).
     """

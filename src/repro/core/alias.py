@@ -232,27 +232,6 @@ class AliasAnalysis:
         return MAY  # one path prefixes the other: aggregate vs. component
 
 
-def effect_threads(world: "World",
-                   analysis: AliasAnalysis | None = None) -> dict:
-    """Group the world's reachable loads/stores by root region.
-
-    The "split" of the single mem token: each key is an alias-class root
-    (or ``None`` for accesses whose base is unknown/escaped), each value
-    the list of memory ops touching that region.  Two ops in different
-    non-``None`` threads can never observe each other — this is what the
-    mem_opt chain walk exploits, and what DESIGN §4g illustrates.
-    """
-    analysis = analysis if analysis is not None else AliasAnalysis(world)
-    threads: dict = {}
-    for op in world_memory_ops(world):
-        ptr = op.ptr
-        key, _path = analysis.root(ptr)
-        if key is not None and analysis.escaped(ptr):
-            key = None
-        threads.setdefault(key, []).append(op)
-    return threads
-
-
 def world_memory_ops(world: "World") -> list:
     """Every reachable ``Load``/``Store``, in deterministic gid order."""
     from ..transform.cleanup import reachable_defs

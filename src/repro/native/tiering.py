@@ -6,7 +6,7 @@ a tiny state machine::
     interp --(warm)--> vm --(hot + compile ok)--> native
                         \\--(compile/run failure)--> quarantined (vm)
 
-The first ``interp_runs`` requests execute on the graph interpreter —
+The first ``INTERP_RUNS`` requests execute on the graph interpreter —
 zero compilation latency, the daemon answers immediately.  After that
 the VM serves (one static compile, amortized by the worker-side cache).
 Hotness is judged from two profile signals: the request count and the
@@ -32,16 +32,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+#: Requests per key served by the graph interpreter before the VM
+#: takes over.
+INTERP_RUNS = 2
+#: Cumulative VM steps after which a key is hot, if its request count
+#: has not made it hot first.
+HOT_STEPS = 100_000
+
+
 @dataclass
 class TieringPolicy:
     enabled: bool = True
-    #: Requests per key served by the graph interpreter before the VM
-    #: takes over.
-    interp_runs: int = 2
     #: Requests per key after which the key is hot (native compile).
     hot_requests: int = 4
-    #: ... or cumulative VM steps, whichever trips first.
-    hot_steps: int = 100_000
 
 
 @dataclass
@@ -107,7 +110,7 @@ class TieringManager:
             return TierDecision("native", False, so_path=state.so_path,
                                 entry_meta=state.entry_meta,
                                 native_state="ready")
-        if state.requests <= self.policy.interp_runs:
+        if state.requests <= INTERP_RUNS:
             tier = "interp"
             self.counters["served_interp"] += 1
         else:
@@ -116,7 +119,7 @@ class TieringManager:
         promote = (self.policy.enabled
                    and state.native is None
                    and (state.requests >= self.policy.hot_requests
-                        or state.steps >= self.policy.hot_steps))
+                        or state.steps >= HOT_STEPS))
         if promote:
             state.native = "pending"
         return TierDecision(tier, promote,

@@ -3,8 +3,8 @@
 See DESIGN.md §"Profile-guided optimization" and experiment F4.  The
 subsystem splits into:
 
-* :mod:`.collector` — raw VM-level counters (write side, filled by the
-  instrumented dispatch loop in :mod:`repro.backend.bytecode`);
+* :mod:`.collector` — raw VM-level counters (write side, filled at
+  control transfers by the dispatch loop in :mod:`repro.backend.bytecode`);
 * :mod:`.model` — the stable, JSON-serializable :class:`Profile`;
 * :mod:`.driver` — the two-phase ``compile_profiled`` feedback loop.
 

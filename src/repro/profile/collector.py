@@ -1,8 +1,10 @@
-"""Raw execution counters filled in by the instrumented VM loop.
+"""Raw execution counters filled in by a profiled VM.
 
 The collector is the write side of the profiling story: three
 ``defaultdict(int)`` maps keyed by VM-level locations (function indices
-and pcs), incremented by :meth:`repro.backend.bytecode.VM._run_profiled`.
+and source pcs), incremented at control transfers by the VM's one
+dispatch loop (:meth:`repro.backend.bytecode.VM._run`) when it is
+handed the collector as ``VM(profile=...)``.
 It deliberately knows nothing about the IR — resolving VM locations back
 to stable Thorin continuation names is :class:`repro.profile.model.
 Profile`'s job, via the ``sites`` metadata codegen attaches to every

@@ -60,28 +60,27 @@ def _parse_args(argv=None) -> argparse.Namespace:
                              "requests stop tiering at the VM")
     parser.add_argument("--native-dir", default=None,
                         help="content-addressed .so store (default "
-                             "<cache-dir>/native)")
-    parser.add_argument("--hot-requests", type=int, default=4, metavar="N",
-                        help="run requests per program before a background "
-                             "native compile starts (default 4)")
-    parser.add_argument("--hot-steps", type=int, default=100_000,
+                             "<cache-dir>/native; single daemon only)")
+    parser.add_argument("--hot-requests", type=int, default=None,
                         metavar="N",
-                        help="cumulative VM steps that mark a program hot "
-                             "(default 100000)")
+                        help="run requests per program before a background "
+                             "native compile starts (default 4; single "
+                             "daemon only)")
     return parser.parse_args(argv)
 
 
 def _server_config(args: argparse.Namespace) -> ServerConfig:
-    return ServerConfig(
+    config = ServerConfig(
         host=args.host, port=args.port, workers=args.workers,
         cache_dir=None if args.cache_dir == "none" else args.cache_dir,
         crash_dir=args.crash_dir, max_pending=args.max_pending,
         request_timeout=args.request_timeout,
         shard_name=args.shard_name, port_file=args.port_file,
         cache_max_bytes=args.cache_max_bytes,
-        native=not args.no_native, native_dir=args.native_dir,
-        tier_hot_requests=args.hot_requests,
-        tier_hot_steps=args.hot_steps)
+        native=not args.no_native, native_dir=args.native_dir)
+    if args.hot_requests is not None:
+        config.tier_hot_requests = args.hot_requests
+    return config
 
 
 def main(argv=None) -> int:
@@ -92,6 +91,13 @@ def main(argv=None) -> int:
         if args.cache_dir == "none":
             print("fleet mode needs a shared --cache-dir", file=sys.stderr)
             return 2
+        # Shards are started with fleet-wide flags only; these two would
+        # be dropped silently.
+        for flag, value in (("--native-dir", args.native_dir),
+                            ("--hot-requests", args.hot_requests)):
+            if value is not None:
+                print(f"fleet mode does not take {flag}", file=sys.stderr)
+                return 2
         run_fleet(FleetConfig(
             host=args.host, port=args.port, shards=args.shards,
             workers_per_shard=args.workers, cache_dir=args.cache_dir,

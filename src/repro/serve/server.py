@@ -106,12 +106,9 @@ class ServerConfig:
     # Where .so objects live; default <cache_dir>/native (or a temp
     # directory when the cache is disabled).
     native_dir: str | None = None
-    # Tiering policy: requests served by the interpreter before the VM
-    # takes over, and the request/step thresholds that mark a program
-    # hot enough for a background native compile.
-    tier_interp_runs: int = 2
+    # Run requests per program that mark it hot enough for a background
+    # native compile (see native.tiering for the fixed thresholds).
     tier_hot_requests: int = 4
-    tier_hot_steps: int = 100_000
 
 
 class CompileServer(LineServer):
@@ -125,9 +122,7 @@ class CompileServer(LineServer):
         self._pending = 0
         self.tiering = TieringManager(TieringPolicy(
             enabled=self.config.native and native_available(),
-            interp_runs=self.config.tier_interp_runs,
-            hot_requests=self.config.tier_hot_requests,
-            hot_steps=self.config.tier_hot_steps))
+            hot_requests=self.config.tier_hot_requests))
         if self.config.native_dir is not None:
             self.native_dir = self.config.native_dir
         elif self.config.cache_dir is not None:

@@ -204,12 +204,11 @@ def _run_vm_tier(request: dict) -> dict:
         _bounded_put(_VM_IMAGES, key, compiled)
     results = []
     before = compiled.vm.executed
-    # The VM tier doubles as the PGO trainer: requests run under the
-    # instrumented dispatch loop and ship their profile back so the
-    # server can accumulate per-key training data — when the key turns
-    # hot, the background native compile is profile-guided.  The
-    # instrumented loop forgoes the fused dispatch stream; that is the
-    # price of the warmup tier, repaid by the native code it trains.
+    # The VM tier doubles as the PGO trainer: requests run with a
+    # profile collector and ship their profile back so the server can
+    # accumulate per-key training data — when the key turns hot, the
+    # background native compile is profile-guided.  Profiling counts
+    # only at control transfers of the fused dispatch stream.
     collector = ProfileCollector()
     compiled.vm.profile = collector
     try:

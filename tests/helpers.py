@@ -1,10 +1,23 @@
-"""Shared helpers for the test suite: tiny IR builders used everywhere."""
+"""Shared helpers for the test suite: tiny IR builders used everywhere,
+the committed fuzz repros, and one observation of a profiled VM run."""
 
 from __future__ import annotations
 
+import ast
+from contextlib import contextmanager
+from pathlib import Path
+
+import pytest
+
+from repro.backend import bytecode as bc
+from repro.backend.codegen import compile_world
 from repro.core import types as ct
 from repro.core.defs import Continuation
+from repro.core.limits import ResourceLimitError, trap_kind
 from repro.core.world import World
+from repro.profile import ProfileCollector
+
+CORPUS = Path(__file__).parent / "corpus"
 
 RET_I64 = ct.fn_type((ct.MEM, ct.I64))
 FN_I64 = ct.fn_type((ct.MEM, ct.I64, RET_I64))
@@ -105,3 +118,55 @@ def assert_dominance_matches_paths(cfg) -> None:
             assert cfg.dominates(a, b) == (a in dominators), (a, b)
             assert cfg.dom_lca(a, b) is deepest(doms[a] & dominators), \
                 (a, b)
+
+
+# ---------------------------------------------------------------------------
+# the fuzz repro corpus and VM observations
+# ---------------------------------------------------------------------------
+
+
+def corpus_repros() -> list:
+    """Every committed fuzz repro as ``pytest.param(source, entry,
+    arg_sets)``, with the file's stem as the test id."""
+    cases = []
+    for path in sorted(CORPUS.glob("*.impala")):
+        lines = path.read_text().splitlines()
+        meta = dict(field.split(" ", 1)
+                    for field in lines[1].removeprefix("// ").split("; "))
+        source = "\n".join(l for l in lines if not l.startswith("//"))
+        arg_sets = [list(args) for args in ast.literal_eval(meta["args"])]
+        cases.append(pytest.param(source, meta["entry"], arg_sets,
+                                  id=path.stem))
+    return cases
+
+
+def vm_observation(world: World, entry: str, arg_sets, *,
+                   profile: bool = True, max_steps: int | None = None):
+    """Everything one VM image shows over *arg_sets*.
+
+    Per call the value, trap kind and print stream; then the retired
+    instruction count and, when profiling, the raw collector maps.
+    """
+    collector = ProfileCollector() if profile else None
+    compiled = compile_world(world, profile=collector, max_steps=max_steps)
+    runs = []
+    for args in arg_sets:
+        mark = len(compiled.vm.output)
+        try:
+            value, trap = compiled.call(entry, *args), None
+        except (bc.VMError, ResourceLimitError) as exc:
+            value, trap = None, trap_kind(exc)
+        runs.append((value, trap, "".join(compiled.vm.output[mark:])))
+    if collector is None:
+        return runs, compiled.vm.executed
+    return (runs, compiled.vm.executed, dict(collector.entries),
+            dict(collector.calls), dict(collector.edges))
+
+
+@contextmanager
+def unfused_stream():
+    """Run the VM's dispatch loop over the source stream, the reference
+    the fused superinstruction stream must match exactly."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bc.VMFunction, "fused", lambda self: self.code)
+        yield

@@ -8,6 +8,8 @@ from repro.backend.c_emitter import emit_c
 from repro.backend.codegen import CodegenError, compile_world
 from repro.core import types as ct
 
+from .helpers import unfused_stream, vm_observation
+
 
 class TestVMPrimitives:
     def test_word_sizes(self):
@@ -59,17 +61,6 @@ class TestVMPrimitives:
         assert "ret" in text
 
 
-class _CountingProfile:
-    """Minimal duck-typed collector for the instrumented loop."""
-
-    def __init__(self):
-        from collections import defaultdict
-
-        self.entries = defaultdict(int)
-        self.calls = defaultdict(int)
-        self.edges = defaultdict(int)
-
-
 FUSED_NAMES = ("arith.br", "arith.arith", "lea.load", "lea.store",
                "lea.const.load", "lea.const.store", "mov.jmp")
 
@@ -95,22 +86,22 @@ fn main(n: i64) -> i64 {
         fused = "\n\n".join(f.disassemble(fused=True)
                             for f in program.functions)
         assert any(name in fused for name in FUSED_NAMES)
-        # The source stream — what serve artifacts, PGO site labels and
-        # the profiled loop consume — never contains superinstructions.
+        # The source stream — what serve artifacts and PGO site labels
+        # name — never contains superinstructions.
         assert not any(name in program.disassemble()
                        for name in FUSED_NAMES)
 
     def test_fused_run_matches_unfused_run_exactly(self):
-        # The profiled loop executes the unfused source stream; both
-        # must agree on the result, the output, and the retired
-        # instruction count (superinstructions retire two).
+        # The one dispatch loop over the source stream is the reference
+        # for fusion: same result, output, retired instruction count
+        # (superinstructions retire two) and profile counts, whose keys
+        # are source pcs on either stream.
         world = compile_source(self.LOOP)
-        plain = compile_world(world)
-        value = plain.call("main", 1000)
-        profiled = compile_world(world, profile=_CountingProfile())
-        assert profiled.call("main", 1000) == value
-        assert profiled.vm.executed == plain.vm.executed
-        assert plain.vm.executed > 0
+        fused = vm_observation(world, "main", [(1000,)])
+        with unfused_stream():
+            unfused = vm_observation(world, "main", [(1000,)])
+        assert fused == unfused
+        assert fused[1] > 0
 
     def test_jump_into_the_middle_of_a_fused_pair(self):
         # Fusion leaves the second instruction of a pair in place, so a
@@ -139,25 +130,52 @@ fn main(n: i64) -> i64 {
         assert vm_skipped.call(program, "f", 0) == 200
         assert vm_skipped.executed == 5
 
+    def test_trap_inside_a_fused_pair_retires_what_the_source_does(self):
+        # A trap in either half of a pair leaves VM.executed where the
+        # source stream leaves it: the trapping instruction retired,
+        # nothing after it.
+        from repro.core.primops import ArithKind
+
+        add = bc.arith_fn(ArithKind.ADD, ct.I64)
+        div = bc.arith_fn(ArithKind.DIV, ct.I64)
+        program = bc.VMProgram()
+        fn = bc.VMFunction("f", 1, 1)
+        r1, r2, r3, r4, r5 = (fn.new_reg() for _ in range(5))
+        fn.emit(bc.OP_CONST, r1, 10)
+        fn.emit(bc.OP_ARITH, r2, add, r1, r1)  # arith.arith whose second
+        fn.emit(bc.OP_ARITH, r3, div, r1, 0)   # half divides by the arg
+        fn.emit(bc.OP_LEA_CONST, r4, r3, 1)    # lea.const.load whose
+        fn.emit(bc.OP_LOAD, r5, r4)            # load is out of bounds
+        fn.emit(bc.OP_RET, (r5,))
+        program.add(fn)
+        listing = fn.disassemble(fused=True)
+        assert "arith.arith" in listing and "lea.const.load" in listing
+
+        def trap_at(arg):
+            vm = bc.VM(program)
+            with pytest.raises(bc.VMError):
+                vm.call(program, "f", arg)
+            return vm.executed
+
+        fused = [trap_at(0), trap_at(1)]
+        with unfused_stream():
+            assert [trap_at(0), trap_at(1)] == fused == [3, 5]
+
     def test_step_limit_trips_identically(self):
-        # For any budget, the fused and unfused loops must agree on
+        # For any budget, the fused and unfused streams must agree on
         # whether the step limit trips (the limit is only checked at
-        # control-flow opcodes; fused handlers keep those checks).
+        # control-flow opcodes; fused handlers keep those checks), on
+        # the retired count and on the profile counted up to the trip.
         world = compile_source(self.LOOP)
-        budget = compile_world(world)
-        budget.call("main", 200)
-        steps = budget.vm.executed
+        steps = vm_observation(world, "main", [(200,)], profile=False)[1]
         for limit in (steps, steps // 2, steps // 7):
-            outcomes = []
-            for profile in (None, _CountingProfile()):
-                vm_image = compile_world(world, profile=profile,
+            fused = vm_observation(world, "main", [(200,)], max_steps=limit)
+            with unfused_stream():
+                unfused = vm_observation(world, "main", [(200,)],
                                          max_steps=limit)
-                try:
-                    vm_image.call("main", 200)
-                    outcomes.append(("ok", vm_image.vm.executed))
-                except bc.VMLimitError:
-                    outcomes.append(("trap", vm_image.vm.executed))
-            assert outcomes[0] == outcomes[1]
+            assert fused == unfused
+            assert fused[:2] == vm_observation(
+                world, "main", [(200,)], profile=False, max_steps=limit)
 
 
 class TestCodegen:

@@ -483,6 +483,17 @@ def test_fleet_manager_restart_and_drain():
     assert smoke.main(["--shards", "2", "--requests", "24"]) == 0
 
 
+@pytest.mark.parametrize("flags", [["--native-dir", "objects"],
+                                   ["--hot-requests", "2"],
+                                   ["--cache-dir", "none"]],
+                         ids=lambda flags: flags[0])
+def test_fleet_mode_rejects_flags_its_shards_would_drop(flags, capsys):
+    from repro.serve.__main__ import main
+
+    assert main(["--shards", "2", *flags]) == 2
+    assert flags[0] in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # disk-cache eviction (satellite: --cache-max-bytes)
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ same trap kind and the same print stream as the bytecode VM.
 
 from __future__ import annotations
 
-import ast as pyast
 import asyncio
 import math
 import threading
@@ -24,15 +23,16 @@ from repro.backend.codegen import compile_world
 from repro.core.limits import ResourceLimitError, trap_kind
 from repro.native import (NativeBuildError, NativeStore, compile_native_world,
                           emit_native_c, find_cc)
-from repro.native.tiering import TieringManager, TieringPolicy
+from repro.native.tiering import (HOT_STEPS, INTERP_RUNS, TieringManager,
+                                  TieringPolicy)
 from repro.programs.suite import ALL_PROGRAMS
 from repro.serve.client import ServeClient
 from repro.serve.server import CompileServer, ServerConfig
 
+from .helpers import corpus_repros
+
 pytestmark = pytest.mark.skipif(find_cc() is None,
                                 reason="no C compiler on PATH")
-
-CORPUS = Path(__file__).parent / "corpus"
 
 
 def _vm_observe(compiled, entry, args):
@@ -70,17 +70,7 @@ def test_suite_native_matches_vm(program):
         assert _values_equal(run.result, program.test_expect)
 
 
-def _corpus_cases():
-    for path in sorted(CORPUS.glob("*.impala")):
-        lines = path.read_text().splitlines()
-        meta = dict(field.split(" ", 1)
-                    for field in lines[1].removeprefix("// ").split("; "))
-        source = "\n".join(l for l in lines if not l.startswith("//"))
-        arg_sets = [list(args) for args in pyast.literal_eval(meta["args"])]
-        yield pytest.param(source, meta["entry"], arg_sets, id=path.stem)
-
-
-@pytest.mark.parametrize("source,entry,arg_sets", _corpus_cases())
+@pytest.mark.parametrize("source,entry,arg_sets", corpus_repros())
 def test_corpus_native_matches_vm(source, entry, arg_sets):
     # Every committed trap repro was a divergence about *where* a
     # division trap fires; the native tier must agree with the VM on
@@ -274,11 +264,11 @@ def test_entry_meta_survives_name_collisions():
 
 
 def test_tiering_state_machine():
-    manager = TieringManager(TieringPolicy(interp_runs=1, hot_requests=3))
-    assert manager.decide("k").tier == "interp"
-    assert manager.decide("k").tier == "vm"
-    third = manager.decide("k")
-    assert third.tier == "vm" and third.promote  # hot: compile launched
+    manager = TieringManager(TieringPolicy(hot_requests=INTERP_RUNS + 1))
+    for _ in range(INTERP_RUNS):
+        assert manager.decide("k").tier == "interp"
+    first_vm = manager.decide("k")
+    assert first_vm.tier == "vm" and first_vm.promote  # hot: compile launched
     assert not manager.decide("k").promote       # only one in flight
     manager.native_ready("k", "/tmp/x.so", {"main": {}}, cached=False)
     ready = manager.decide("k")
@@ -292,10 +282,9 @@ def test_tiering_state_machine():
 
 
 def test_tiering_step_hotness():
-    manager = TieringManager(TieringPolicy(interp_runs=0, hot_requests=999,
-                                           hot_steps=1000))
+    manager = TieringManager(TieringPolicy(hot_requests=999))
     assert not manager.decide("k").promote
-    manager.note_steps("k", 5000)                # one expensive VM run
+    manager.note_steps("k", HOT_STEPS)           # one expensive VM run
     assert manager.decide("k").promote
 
 
@@ -375,10 +364,11 @@ class _ServerThread:
 
 
 def _serve_config(tmp_path, **kw) -> ServerConfig:
+    # The first VM request is the one that marks the program hot.
     return ServerConfig(port=0, workers=2,
                         cache_dir=str(tmp_path / "cache"),
                         crash_dir=str(tmp_path / "crashes"),
-                        tier_interp_runs=1, tier_hot_requests=2, **kw)
+                        tier_hot_requests=INTERP_RUNS + 1, **kw)
 
 
 def test_serve_promotes_hot_program_to_native(tmp_path):
@@ -416,13 +406,12 @@ def test_serve_promotes_hot_program_to_native(tmp_path):
 
 
 def test_serve_native_promotion_is_profile_guided(tmp_path):
-    # interp_runs=0: every request runs on the (instrumented) VM, so by
-    # the time the hot threshold trips the key has accumulated training
-    # data and the background native compile is PGO.
+    # The default threshold trips on the second VM request, after the
+    # first has shipped its profile, so the background native compile
+    # is PGO.
     st = _ServerThread(ServerConfig(
         port=0, workers=2, cache_dir=str(tmp_path / "cache"),
-        crash_dir=str(tmp_path / "crashes"),
-        tier_interp_runs=0, tier_hot_requests=3))
+        crash_dir=str(tmp_path / "crashes")))
     try:
         with ServeClient(port=st.port, timeout=60.0) as client:
             import time as _time

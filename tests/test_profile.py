@@ -4,7 +4,8 @@ two-phase PGO driver (experiment F4's machinery).
 The load-bearing invariants:
 
 * instrumentation is *observation only* — instrumented and plain runs
-  produce identical results and retire identical instruction counts;
+  produce identical results and retire identical instruction counts,
+  and the fused stream counts exactly what the source stream counts;
 * profiling the same program on the same inputs twice yields identical
   profiles (stable site IDs, deterministic ordering);
 * profiles survive a JSON round trip and merge by summing counts;
@@ -18,7 +19,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import compile_source
-from repro.backend import bytecode as bc
 from repro.backend.codegen import compile_world
 from repro.profile import (
     Profile,
@@ -28,6 +28,8 @@ from repro.profile import (
     instrument,
 )
 from repro.programs.suite import ALL_PROGRAMS, MANDELBROT, NQUEENS
+
+from .helpers import corpus_repros, unfused_stream, vm_observation
 
 LOOPY = """
 fn main(n: i64) -> i64 {
@@ -61,34 +63,38 @@ def _profile_of(source: str, *args, optimize: bool = True) -> Profile:
 
 
 # ---------------------------------------------------------------------------
-# zero-overhead observation
+# pure observation, on the fused stream
 # ---------------------------------------------------------------------------
+
+
+def _assert_observation_only(world, entry, arg_sets):
+    """A profiled run shows what a plain run shows, and the fused stream
+    counts exactly what the source stream counts."""
+    plain = vm_observation(world, entry, arg_sets, profile=False)
+    profiled = vm_observation(world, entry, arg_sets)
+    with unfused_stream():
+        reference = vm_observation(world, entry, arg_sets)
+    assert profiled == reference
+    assert profiled[:2] == plain
+    return profiled
 
 
 @pytest.mark.parametrize("program", ALL_PROGRAMS, ids=lambda p: p.name)
 def test_instrumented_run_is_pure_observation(program):
     """Same results, same retired instruction count, with and without."""
     world = compile_source(program.source)
-    plain = compile_world(world)
-    plain_result = plain.call(program.entry, *program.test_args)
-
-    instrumented, collector = instrument(world)
-    instr_result = instrumented.call(program.entry, *program.test_args)
-
-    assert instr_result == plain_result
+    runs, executed, entries, _calls, _edges = _assert_observation_only(
+        world, program.entry, [program.test_args])
     if program.test_expect is not None:
-        assert plain_result == program.test_expect
-    assert instrumented.vm.executed == plain.vm.executed
-    assert not collector.is_empty()
+        assert runs[0][0] == program.test_expect
+    assert executed > 0 and entries
 
 
-def test_disabled_profiling_uses_plain_loop():
-    """profile=None must select the original dispatch loop, untouched."""
-    vm = bc.VM()
-    assert vm.profile is None
-    world = compile_source(LOOPY)
-    compiled = compile_world(world)
-    assert compiled.vm.profile is None
+@pytest.mark.parametrize("source,entry,arg_sets", corpus_repros())
+def test_instrumented_trap_repros_match_unfused_run(source, entry, arg_sets):
+    # Most repros trap on a division; the trap kind, the retired count
+    # and the counts up to the trap must not depend on the stream.
+    _assert_observation_only(compile_source(source), entry, arg_sets)
 
 
 def test_site_metadata_is_inert():
@@ -260,15 +266,12 @@ fn main(a: i64, b: i64) -> i64 {{
        b=st.integers(-50, 50))
 def test_instrumentation_is_invisible_random_programs(source, a, b):
     world = compile_source(source)
-    plain = compile_world(world)
-    reference = plain.call("main", a, b)
+    _assert_observation_only(world, "main", [(a, b)])
 
-    instrumented, collector = instrument(world)
-    assert instrumented.call("main", a, b) == reference
-    assert instrumented.vm.executed == plain.vm.executed
-
-    profile_a = Profile.from_collector(collector, instrumented.program)
-    rerun, collector2 = instrument(world)
-    rerun.call("main", a, b)
-    profile_b = Profile.from_collector(collector2, rerun.program)
-    assert profile_a.to_dict() == profile_b.to_dict()
+    profiles = []
+    for _ in range(2):
+        compiled, collector = instrument(world)
+        compiled.call("main", a, b)
+        profiles.append(
+            Profile.from_collector(collector, compiled.program).to_dict())
+    assert profiles[0] == profiles[1]
