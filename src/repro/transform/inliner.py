@@ -1,13 +1,16 @@
 """The inliner: a thin heuristic layer over lambda mangling.
 
 Inlining in Thorin is a degenerate mangle (drop *all* parameters, jump
-to the copy) — see :func:`repro.transform.mangle.inline_call`.  This
-pass only decides *where*:
+to the copy) — see :func:`repro.transform.mangle.inline_call`, which
+moves the body instead of copying it at a callee's last use.  This pass
+only decides *where*:
 
 * functions with exactly one call site and no other uses are always
-  inlined (the copy replaces the original, which becomes garbage);
+  inlined (their body moves into the caller, the blocks keep their
+  identity, and the emptied entry is left for cleanup);
 * small functions (scope size below a threshold) are inlined at every
-  call site, within a budget;
+  call site, within a budget (copies, except at the last site, which
+  moves);
 * recursive targets and sites inside the target's own scope are left
   alone — specialization of recursion is the partial evaluator's job.
 """

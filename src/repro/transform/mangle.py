@@ -27,13 +27,17 @@ other recursive reference keeps pointing at the old, generic entry.
 
 Classic transformations are one-liners on top (see the helpers at the
 bottom): inlining = drop all params + jump; loop unrolling = clone;
-lambda lifting/dropping = lift/drop of free defs.
+lambda lifting/dropping = lift/drop of free defs.  Inlining at a
+callee's only use moves the scope instead of copying it: with no other
+caller, the original would be garbage the moment the copy existed (see
+:func:`inline_call`).
 """
 
 from __future__ import annotations
 
 from ..core.defs import Continuation, Def, Param
 from ..core.primops import EvalOp, PrimOp, peel_markers
+from ..core.rewrite import rewrite_uses
 from ..core.scope import Scope, scope_of
 from ..core.types import fn_type
 from ..core.world import World
@@ -247,6 +251,16 @@ def inline_call(caller: Continuation, stats_out: list | None = None) -> bool:
     ``f'`` is the scope of ``f`` with all parameters dropped to the
     ``a_i`` — beta reduction as a degenerate mangle.  Returns ``True`` if
     something was inlined.
+
+    When the plain jump is the only use of a non-external ``f``, the
+    original would be garbage the moment a copy existed, so the scope is
+    *moved* instead (a shrinking reduction): the parameters' users are
+    rewritten to the ``a_i`` in place, the rewritten body goes to a fresh
+    parameterless ``f'``, and ``f`` itself is left as ``jump f'()`` for
+    cleanup to collect.  That last jump keeps ``f``'s parameters bound
+    inside the caller's scope, where the primops the rewrite superseded
+    still use them until garbage collection.  No :class:`MangleStats` is
+    recorded for a move: nothing was copied.
     """
     if not caller.has_body():
         return False
@@ -258,6 +272,15 @@ def inline_call(caller: Continuation, stats_out: list | None = None) -> bool:
     scope = scope_of(callee)
     if caller in scope:
         return False  # would duplicate the caller into itself
+    world = caller.world
+    if (caller.callee is callee and callee.num_uses == 1
+            and not callee.is_external):
+        rewrite_uses(world, dict(zip(callee.params, caller.args)))
+        moved = world.continuation(fn_type(()), f"{callee.name}.m")
+        world.jump(moved, callee.callee, callee.args)
+        world.jump(callee, moved, ())
+        world.jump(caller, moved, ())
+        return True
     specialized = drop(scope, list(caller.args), stats_out)
-    caller.world.jump(caller, specialized, ())
+    world.jump(caller, specialized, ())
     return True

@@ -61,8 +61,8 @@ reported in ``PipelineStats.cff_residual`` (raised only under strict).
 Profile-guided mode (experiment F4): ``optimize(world, profile=...)``
 first runs the static rounds to a fixed point, then applies the PGO
 passes (:mod:`repro.transform.pgo`) — hot-loop peeling *before* PGO
-inlining, so peeled loops inside hot callees are carried along by the
-inline copy — and finally re-runs the static rounds to clean up and
+inlining, so peeled loops inside hot callees are carried along into
+the caller — and finally re-runs the static rounds to clean up and
 exploit what specialization exposed.  The PGO phases run under the same
 fault isolation as the static ones.  The profile is normally collected
 by :func:`repro.profile.driver.compile_profiled`, the two-phase

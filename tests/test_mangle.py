@@ -5,6 +5,7 @@ import pytest
 from repro.core import types as ct
 from repro.core.scope import Scope
 from repro.core.primops import Literal
+from repro.core.verify import verify
 from repro.core.world import World
 from repro.backend.interp import Interpreter
 from repro.transform.mangle import (
@@ -119,7 +120,7 @@ class TestInlineCall:
         world.make_external(caller)
         world.jump(caller, addc, tuple(caller.params))
         assert inline_call(caller)
-        # caller now jumps to a dropped copy with zero params
+        # caller now jumps to a parameterless block holding addc's body
         assert caller.callee is not addc
         assert run(world, caller, 5) == 12
 
@@ -139,6 +140,84 @@ class TestInlineCall:
                     caller.params[2]))
         assert inline_call(caller)
         assert run(world, caller, 0) == 55
+
+
+def make_clamp(world, name="clamp"):
+    """fn clamp(mem, x, ret) = ret(mem, if x < 10 { x + 1 } else { x * 2 })"""
+    f = world.continuation(FN_I64, name)
+    mem, x, ret = f.params
+    then_bb = world.basic_block((ct.MEM,), "then")
+    else_bb = world.basic_block((ct.MEM,), "else")
+    world.jump(f, world.branch(),
+               (mem, world.lt(x, world.literal(ct.I64, 10)), then_bb, else_bb))
+    world.jump(then_bb, ret,
+               (then_bb.params[0], world.add(x, world.one(ct.I64))))
+    world.jump(else_bb, ret,
+               (else_bb.params[0], world.mul(x, world.literal(ct.I64, 2))))
+    return f
+
+
+def make_caller(world, callee, name, offset=3):
+    """An external ``name(mem, x, ret) = callee(mem, x + offset, ret)``."""
+    caller = world.continuation(FN_I64, name)
+    mem, x, ret = caller.params
+    world.jump(caller, callee,
+               (mem, world.add(x, world.literal(ct.I64, offset)), ret))
+    world.make_external(caller)
+    return caller
+
+
+class TestInlineMove:
+    """At the callee's last use, inlining moves the body instead of
+    copying it: the original would be garbage the moment a copy existed."""
+
+    def test_once_called_callee_moves_its_blocks(self, world):
+        clamp = make_clamp(world)
+        caller = make_caller(world, clamp, "main")
+        inner = set(Scope(clamp).continuations()) - {clamp}
+        before = [run(world, caller, x) for x in (-4, 6, 7, 30)]
+        stats: list[MangleStats] = []
+        assert inline_call(caller, stats)
+        assert stats == []  # nothing was copied
+        moved = caller.callee
+        assert moved.name == "clamp.m" and moved.num_params == 0
+        assert set(moved.args[2:]) == inner  # the same block objects
+        assert inner <= set(Scope(caller).continuations())
+        assert clamp.callee is moved and not clamp.args  # left for GC
+        verify(world, full=True)  # before any cleanup
+        assert [run(world, caller, x) for x in (-4, 6, 7, 30)] == before
+
+    def test_first_site_copies_last_site_moves(self, world):
+        addc = make_add_const(world, 7)
+        first = make_caller(world, addc, "first", offset=1)
+        last = make_caller(world, addc, "last", offset=2)
+        body = addc.ops
+        stats: list[MangleStats] = []
+        assert inline_call(first, stats)
+        assert len(stats) == 1 and addc.ops == body  # a copy
+        assert inline_call(last, stats)
+        assert len(stats) == 1  # a move
+        assert addc.callee is last.callee and last.callee.name == "addc.m"
+        assert run(world, first, 5) == 13
+        assert run(world, last, 5) == 14
+
+    @pytest.mark.parametrize("kind", ["external", "run"])
+    def test_external_and_run_callees_still_copy(self, world, kind):
+        addc = make_add_const(world, 7)
+        if kind == "external":
+            world.make_external(addc)
+            caller = make_caller(world, addc, "main")
+        else:
+            caller = make_caller(world, world.run(addc), "main")
+        assert addc.num_uses == 1
+        body = addc.ops
+        stats: list[MangleStats] = []
+        assert inline_call(caller, stats)
+        assert len(stats) == 1
+        assert addc.ops == body
+        assert run(world, caller, 5) == 15
+        if kind == "external":
+            assert run(world, addc, 5) == 12
 
 
 class TestStats:

@@ -58,12 +58,15 @@ def _catalogue_programs():
 def test_every_program_optimizes_without_incidents():
     """No pass of the default pipeline rolls back or is quarantined on
     the suite or the service benchmark's catalogue: an incident there
-    means a compile silently fell back to less optimized code."""
+    means a compile silently fell back to less optimized code.  Every
+    compile also reaches its fixed point before the round bound: a
+    program that ends at ``MAX_ROUNDS`` was still being rewritten."""
     from repro.frontend import compile_source
-    from repro.transform.pipeline import optimize
+    from repro.transform.pipeline import MAX_ROUNDS, optimize
 
     sources = {p.name: p.source for p in ALL_PROGRAMS}
     sources.update((p["name"], p["source"]) for p in _catalogue_programs())
     for name, source in sources.items():
         stats = optimize(compile_source(source, optimize=False))
         assert stats.incidents == [], (name, stats.incidents)
+        assert stats.rounds < MAX_ROUNDS, (name, stats.rounds)

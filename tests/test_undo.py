@@ -190,7 +190,7 @@ class TestPipelineRollback:
 
         real_restore = UndoLog.restore
         for name, target in (("compose", "inline"),
-                             ("sort_hof", "lambda_drop"),
+                             ("filter_image", "lambda_drop"),
                              ("dot_generic", "closure_elim"),
                              ("nbody", "mem_opt")):
             injector = FaultInjector(FaultPlan("raise", target=target))
