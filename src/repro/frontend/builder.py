@@ -10,21 +10,38 @@ Per function, the builder tracks for every block:
 * the current definition of each variable (``defs``),
 * whether the block is *sealed* (all predecessors known),
 * its direct-jump predecessors (``preds``) and the variable each of its
-  phi parameters carries (``phi_vars``).
+  phi parameters carries (``phi_vars``),
+* for a loop header, the variables its loop may assign (``carried``).
 
-Reading a variable with no local definition recurses into the
-predecessors; joins materialize as appended parameters; trivial
-parameters (all incoming values equal) are removed again — yielding
-minimal SSA on reducible control flow.  Blocks with a single
-predecessor never receive parameters: the value is referenced
-*directly* across blocks, which the graph IR allows because there is
-no nesting to fight.
+Reading a variable with no local definition looks through the
+predecessors, and a parameter is appended only where one is needed:
+
+* A sealed join uses Braun et al.'s marker variant.  The lookup marks
+  the block, reads every predecessor, and returns their common value
+  when they agree.  A phi is made when they differ, or when the lookup
+  re-enters the marked block (a loop), in which case the re-entry makes
+  it and the outer lookup completes its arguments.
+* A loop header is handed the variables assigned in the loop's
+  condition and body (the ``for`` variable included; the memory token
+  always).  Any other variable is read straight from the preheader,
+  open or sealed: the loop cannot change it.  A carried variable read
+  while the header is open gets its phi at once, as the back edges are
+  not known yet.
+
+Trivial-phi removal (all incoming values equal) still runs where a phi
+can turn out trivial after it was made: for a header's open phis when
+it is sealed, for a phi completed after a re-entry, and as the cascade
+into phis that took a dissolved one as an argument.  Dissolved phis
+forward through ``_replacements``, which every read resolves through,
+so no environment map needs patching.  The result is minimal SSA on
+reducible control flow.  Blocks with a single predecessor never
+receive parameters: the value is referenced *directly* across blocks,
+which the graph IR allows because there is no nesting to fight.
 
 Invariant maintained throughout: **every predecessor's jump carries one
-argument per parameter of its target.**  Creating a phi appends the
-corresponding argument to all currently-known predecessors; a new jump
-passes arguments for all currently-existing parameters; sealing only
-runs the triviality check for phis created while the block was open.
+argument per parameter of its target**, except for a phi whose lookup
+is still in flight (its creator appends the arguments when the lookup
+returns).  A new jump passes arguments for all existing parameters.
 
 Variables are identified by declaration objects (never by name), so
 shadowing is a non-issue; the memory token is threaded through the very
@@ -33,6 +50,8 @@ only carry a mem parameter when memory state actually merges.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 from ..core.defs import Continuation, Def, Param
 from ..core.primops import peel_markers
@@ -53,6 +72,10 @@ class _MemVar:
 
 MEM_VAR = _MemVar()
 
+# A sealed join's ``defs`` entry while its predecessors are being read:
+# a lookup that finds it has come back around a loop.
+_LOOKING = object()
+
 
 class SSABuilder:
     """SSA-construction state for one function body."""
@@ -66,6 +89,7 @@ class SSABuilder:
         self._preds: dict[Continuation, list[Continuation]] = {}
         self._phi_vars: dict[Continuation, list[object]] = {}
         self._open_phis: dict[Continuation, list[Param]] = {}
+        self._carried: dict[Continuation, set[object]] = {}
         # Forwarding pointers for removed phis: triviality cascades can
         # dissolve a param *after* some in-flight computation picked it
         # up; everyone resolves through this table before using a value.
@@ -86,10 +110,17 @@ class SSABuilder:
         self._phi_vars[block] = []
         self._fixed[block] = block.num_params
 
-    def new_block(self, name: str) -> Continuation:
-        """A join block: starts with no params; phis appended on demand."""
+    def new_block(self, name: str,
+                  carried: Iterable[object] | None = None) -> Continuation:
+        """A join block: starts with no params; phis appended on demand.
+
+        A loop header passes *carried*, the variables its loop assigns;
+        its first predecessor must be the preheader.
+        """
         block = self.world.continuation(fn_type(()), name)
         self._register(block)
+        if carried is not None:
+            self._carried[block] = {*carried, MEM_VAR}
         return block
 
     def new_branch_target(self, name: str, pred: Continuation) -> Continuation:
@@ -157,37 +188,59 @@ class SSABuilder:
         return self._resolve(d)
 
     def _read(self, block: Continuation, var: object, type: Type) -> Def:
-        local = self._defs[block].get(var)
+        defs = self._defs[block]
+        local = defs.get(var)
+        if local is _LOOKING:
+            # Back around a loop to a join whose lookup is in flight:
+            # it needs a phi, and that lookup supplies the arguments.
+            phi = defs[var] = self._append_phi(block, var, type)
+            return phi
         if local is not None:
             return self._resolve(local)
         value = self._resolve(self._read_nonlocal(block, var, type))
-        self._defs[block][var] = value
+        defs[var] = value
         return value
 
     def _read_nonlocal(self, block: Continuation, var: object,
                        type: Type) -> Def:
+        preds = self._preds[block]
+        carried = self._carried.get(block)
+        if carried is not None and var not in carried:
+            # The loop never assigns it: read it before the loop.
+            return self._read(preds[0], var, type)
         if block not in self._sealed:
             phi = self._new_phi(block, var, type)
-            if isinstance(phi, Param) and phi.continuation is block:
-                self._open_phis.setdefault(block, []).append(phi)
+            self._open_phis.setdefault(block, []).append(phi)
             return phi
-        preds = self._preds[block]
         if len(preds) == 1:
             return self._read(preds[0], var, type)
         if not preds:
             return self.world.bottom(type)  # read before any write
-        phi = self._new_phi(block, var, type)
-        if isinstance(phi, Param) and phi.continuation is block:
-            return self._try_remove_trivial(block, phi)
-        return phi
+        return self._read_join(block, var, type, preds)
 
-    def _new_phi(self, block: Continuation, var: object, type: Type) -> Def:
-        assert self._fixed[block] == 0, (
-            f"phi on fixed-signature block {block.unique_name()}"
-        )
-        name = getattr(var, "name", None) or "phi"
-        param = block.append_param(type, str(name))
-        self._phi_vars[block].append(var)
+    def _read_join(self, block: Continuation, var: object, type: Type,
+                   preds: list[Continuation]) -> Def:
+        """Braun et al.'s marker lookup at a sealed join."""
+        defs = self._defs[block]
+        defs[var] = _LOOKING
+        values = [self._read(pred, var, type) for pred in preds]
+        # Later reads may dissolve a phi an earlier one returned.
+        values = [self._resolve(value) for value in values]
+        phi = defs[var]
+        if phi is _LOOKING:
+            first = values[0]
+            if all(value is first for value in values):
+                return first
+            phi = self._append_phi(block, var, type)
+            self._append_args(preds, values)
+            return phi
+        self._append_args(preds, values)
+        return self._try_remove_trivial(block, phi)
+
+    def _new_phi(self, block: Continuation, var: object,
+                 type: Type) -> Param:
+        """A phi on an open block, its known predecessors read at once."""
+        param = self._append_phi(block, var, type)
         # Record the definition *before* reading predecessors: a loop in
         # the predecessor chain must resolve to this very phi instead of
         # recursing forever.
@@ -196,19 +249,28 @@ class SSABuilder:
         # create and remove other phis, and must not observe this phi's
         # jump arguments half-appended.
         preds = list(self._preds[block])
+        # No triviality cascade during those reads can dissolve this phi:
+        # cascades only visit sealed blocks.
         values = [self._read(pred, var, type) for pred in preds]
-        # A triviality cascade during those reads may have dissolved
-        # this very phi already (its env entry then points elsewhere).
-        current = self._defs[block].get(var)
-        if current is not param or param not in block.params:
-            assert current is not None
-            return current
+        self._append_args(preds, values)
+        return param
+
+    def _append_phi(self, block: Continuation, var: object,
+                    type: Type) -> Param:
+        assert self._fixed[block] == 0, (
+            f"phi on fixed-signature block {block.unique_name()}"
+        )
+        name = getattr(var, "name", None) or "phi"
+        self._phi_vars[block].append(var)
+        return block.append_param(type, str(name))
+
+    def _append_args(self, preds: list[Continuation],
+                     values: list[Def]) -> None:
         for pred, value in zip(preds, values):
             assert pred.has_body(), (
                 f"predecessor {pred.unique_name()} has not jumped yet"
             )
             pred._set_ops(pred.ops + (self._resolve(value),))
-        return param
 
     # ------------------------------------------------------------------
     # trivial-phi elimination (Braun et al.)
@@ -255,9 +317,8 @@ class SSABuilder:
     def _remove_param(self, block: Continuation, param: Param,
                       replacement: Def) -> None:
         index = param.index
-        self._replacements[param] = replacement
         memo = rewrite_uses(self.world, {param: replacement})
-        replacement = memo.get(replacement, replacement)
+        self._replacements[param] = memo.get(replacement, replacement)
         # Drop the argument from every predecessor's jump (ops[0] is the
         # callee, hence the +1).
         for pred in self._preds[block]:
@@ -274,11 +335,6 @@ class SSABuilder:
         open_list = self._open_phis.get(block)
         if open_list and param in open_list:
             open_list.remove(param)
-        # Fix env maps that still name the removed param.
-        for defs in self._defs.values():
-            for var, value in list(defs.items()):
-                if value is param:
-                    defs[var] = replacement
 
     # ------------------------------------------------------------------
     # jumps & sealing

@@ -215,7 +215,8 @@ class FnEmitter:
 
     def _emit_while(self, stmt: ast.WhileStmt) -> None:
         b = self.b
-        head = b.new_block("while_head")
+        head = b.new_block("while_head",
+                           carried=_assigned(stmt.cond, stmt.body))
         b.jump_to(head)
         b.enter(head)
         cond = self.emit_expr(stmt.cond)
@@ -243,7 +244,7 @@ class FnEmitter:
         start = self.emit_expr(stmt.start)
         end = self.emit_expr(stmt.end)
         b.write(stmt, start)
-        head = b.new_block("for_head")
+        head = b.new_block("for_head", carried=_assigned(stmt.body) | {stmt})
         b.jump_to(head)
         b.enter(head)
         i = b.read(stmt, stmt.var_type)
@@ -537,6 +538,17 @@ class FnEmitter:
         cont = self.world.continuation(expr.fn_type, "lambda")
         FnEmitter(self.module, expr, cont, captured).run()
         return cont
+
+
+def _assigned(*nodes: ast.Node) -> set[object]:
+    """Declarations of the variables assigned anywhere in *nodes*."""
+    assigned = set()
+    for node in nodes:
+        for child in ast.walk(node):
+            if (isinstance(child, ast.AssignStmt)
+                    and isinstance(child.target, ast.Name)):
+                assigned.add(child.target.decl)
+    return assigned
 
 
 def _free_decls(lam: ast.Lambda) -> list[object]:

@@ -9,7 +9,13 @@ Tokenization is a single pass of one compiled master regex (trivia,
 numbers, identifiers and maximal-munch punctuation as ordered
 alternatives); a char-at-a-time scanner spends most of its time in
 method-call overhead, and the lexer sits on the floor of every
-compile-time measurement.
+compile-time measurement.  One match takes a token together with the
+trivia before it and is classified by one probe, ``m.lastgroup``; a
+token's column is its offset from the start of its line, which moves
+only when the trivia holds a newline.
+
+Punctuation and keyword texts never collide with identifier or literal
+texts, so the parser tests a token by its text alone.
 """
 
 from __future__ import annotations
@@ -49,30 +55,38 @@ PUNCTUATION = (
 INT_SUFFIXES = ("i8", "i16", "i32", "i64", "u8", "u16", "u32", "u64")
 FLOAT_SUFFIXES = ("f32", "f64")
 
-# One alternative per token class, tried in order, so earlier classes
-# shadow later ones exactly like the old sequential scanner did:
-# complete block comments are trivia, a dangling ``/*`` is an error;
-# hex literals win over a decimal ``0`` with an ``x...`` suffix; the
-# punctuation alternation preserves the longest-first PUNCTUATION order.
-# A decimal number is body (digits, optional fraction — only when a
-# digit follows the dot, so ``0..10`` lexes as ``0`` ``..`` ``10`` —
-# and optional exponent) plus a trailing alphanumeric run that the
-# number parser validates as a type suffix.
+# One match per token: the trivia before it (whitespace, line comments,
+# complete block comments), then one alternative per token class, tried
+# in order, so earlier classes shadow later ones exactly like the old
+# sequential scanner did: a dangling ``/*`` is an error; hex literals
+# win over a decimal ``0`` with an ``x...`` suffix; the punctuation
+# alternation preserves the longest-first PUNCTUATION order; any other
+# character is stray; and trivia up to the end of the input matches
+# with no group.  A decimal number is digits, an optional fraction
+# (only when a digit follows the dot, so ``0..10`` lexes as ``0``
+# ``..`` ``10``) and an optional exponent, plus a trailing alphanumeric
+# run that the number parser validates as a type suffix.  Each class is
+# one named group that closes last in its alternative, so
+# ``m.lastgroup`` names the class.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<trivia>(?:[ \t\r\n]+|//[^\n]*|/\*(?:[^*]|\*(?!/))*\*/)+)
-    | (?P<badcomment>/\*)
+    (?:[ \t\r\n]+|//[^\n]*|/\*(?:[^*]|\*(?!/))*\*/)*
+    (?:
+      (?P<badcomment>/\*)
     | (?P<hex>0[xX][0-9a-zA-Z_]*)
-    | (?P<body>[0-9][0-9_]*
+    | (?P<number>[0-9][0-9_]*
         (?P<frac>\.[0-9][0-9_]*)?
-        (?P<exp>[eE][+-]?[0-9]+)?)
-      (?P<suffix>[0-9a-zA-Z_]*)
+        (?P<exp>[eE][+-]?[0-9]+)?
+        (?P<suffix>[0-9a-zA-Z_]*))
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<punct><<=|>>=|==|!=|<=|>=|&&|\|\||->|\.\.|\+=|-=|\*=|/=|%=
         |&=|\|=|\^=|<<|>>
         |[-+*/%=<>!&|^(){}\[\],;:.@$])
+    | (?P<stray>.)
+    | \Z
+    )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
@@ -85,12 +99,6 @@ class Token:
         self.loc = loc
         self.value = value
 
-    def is_punct(self, text: str) -> bool:
-        return self.kind is TokKind.PUNCT and self.text == text
-
-    def is_keyword(self, text: str) -> bool:
-        return self.kind is TokKind.KEYWORD and self.text == text
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{self.kind.value} {self.text!r} @{self.loc}>"
 
@@ -101,53 +109,54 @@ class Lexer:
 
     def tokens(self) -> list[Token]:
         source = self.source
-        length = len(source)
         result: list[Token] = []
-        match = _TOKEN_RE.match
+        append = result.append
+        # Matches are contiguous: *pos* is where the last token ended.
+        # Columns count from the offset where the current line starts,
+        # which moves only when the trivia before a token holds a newline.
         pos = 0
-        line, col = 1, 1
-        while pos < length:
-            m = match(source, pos)
-            if m is None:
-                raise LexError(
-                    f"stray character {source[pos]!r}", SourceLoc(line, col)
-                )
-            loc = SourceLoc(line, col)
-            group = m.group
-            if group("trivia") is None:
-                if group("badcomment") is not None:
-                    raise LexError("unterminated block comment", loc)
-                if group("ident") is not None:
-                    text = m.group()
-                    kind = (TokKind.KEYWORD if text in KEYWORDS
-                            else TokKind.IDENT)
-                    result.append(Token(kind, text, loc))
-                elif group("punct") is not None:
-                    result.append(Token(TokKind.PUNCT, m.group(), loc))
-                else:
-                    result.append(self._number(m, loc))
-            text = m.group()
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                col = len(text) - text.rfind("\n")
+        line, line_start = 1, 0
+        for m in _TOKEN_RE.finditer(source):
+            group = m.lastgroup
+            if group is None:  # only trivia was left: the end of input
+                start = end = m.end()
             else:
-                col += len(text)
-            pos = m.end()
-        result.append(Token(TokKind.EOF, "", SourceLoc(line, col)))
+                start, end = m.span(group)
+            if start != pos:
+                newlines = source.count("\n", pos, start)
+                if newlines:
+                    line += newlines
+                    line_start = source.rindex("\n", pos, start) + 1
+            pos = end
+            loc = SourceLoc(line, start - line_start + 1)
+            text = source[start:end]
+            if group == "ident":
+                append(Token(TokKind.KEYWORD if text in KEYWORDS
+                             else TokKind.IDENT, text, loc))
+            elif group == "punct":
+                append(Token(TokKind.PUNCT, text, loc))
+            elif group is None:
+                append(Token(TokKind.EOF, "", loc))
+                break  # finditer would match empty at the end once more
+            elif group == "stray":
+                raise LexError(f"stray character {text!r}", loc)
+            elif group == "badcomment":
+                raise LexError("unterminated block comment", loc)
+            else:
+                append(self._number(m, group, text, loc))
         return result
 
-    def _number(self, m: "re.Match[str]", loc: SourceLoc) -> Token:
-        text = m.group()
-        if m.group("hex") is not None:
+    def _number(self, m: "re.Match[str]", group: str, text: str,
+                loc: SourceLoc) -> Token:
+        if group == "hex":
             body, suffix = self._split_suffix(text, INT_SUFFIXES)
             try:
                 value = int(body.replace("_", ""), 16)
             except ValueError:
                 raise LexError(f"bad hex literal {text!r}", loc) from None
             return Token(TokKind.INT, text, loc, (value, suffix))
-        body = m.group("body").replace("_", "")
         suffix = m.group("suffix")
+        body = text[:len(text) - len(suffix)].replace("_", "")
         is_float = (m.group("frac") is not None
                     or m.group("exp") is not None)
         if suffix in FLOAT_SUFFIXES:

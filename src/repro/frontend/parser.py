@@ -16,7 +16,21 @@ Grammar sketch (Rust-flavoured)::
               | expr ';' | expr  (trailing block result)
     expr     := lambda | if | binary
     lambda   := '|' params '|' ('->' type)? (block | expr)
-    call     := ('@' | '$')? postfix '(' expr % ',' ')'
+    binary   := unary (BINOP unary)*         (nine levels, below)
+    unary    := ('-' | '!') unary | postfix
+    postfix  := ('@' | '$')? primary suffix*  (a marker marks a call)
+    suffix   := '(' expr % ',' ')' | '[' expr ']' | '.' INT | 'as' type
+
+Binary operators are left-associative on nine levels, loosest first:
+``||``; ``&&``; ``== != < <= > >=``; ``|``; ``^``; ``&``; ``<< >>``;
+``+ -``; ``* / %``.  Unary operators and the postfix forms bind
+tighter than any of them, and ``as`` is a postfix form.  The parser
+climbs the levels with one ``{op: level}`` table (``BINARY_PREC``): an
+operand is parsed once, and a recursive call is made only when the next
+operator binds tighter than the current one.
+
+Tokens are tested by their text alone: punctuation and keyword texts
+never collide with identifier or literal texts.
 
 Blocks follow the Rust rule: the last expression without a trailing
 semicolon is the block's value.
@@ -50,6 +64,9 @@ BINARY_LEVELS = [
     ("*", "/", "%"),
 ]
 
+BINARY_PREC = {op: level for level, ops in enumerate(BINARY_LEVELS)
+               for op in ops}
+
 # Maximum nesting of expressions/types/blocks.  The parser recurses on
 # nested constructs; without an explicit bound, adversarial input like
 # ten thousand `(`s would ride the process recursion limit (bumped high
@@ -79,9 +96,8 @@ class Parser:
     # token plumbing
     # ------------------------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -89,10 +105,14 @@ class Parser:
             self.pos += 1
         return tok
 
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos].text == text
+
     def accept(self, text: str) -> Token | None:
-        tok = self.peek()
-        if tok.is_punct(text) or tok.is_keyword(text):
-            return self.next()
+        tok = self.tokens[self.pos]
+        if tok.text == text:
+            self.pos += 1
+            return tok
         return None
 
     def expect(self, text: str) -> Token:
@@ -134,10 +154,10 @@ class Parser:
 
     def _parse_param_list(self, closer: str) -> list[ast.ParamDecl]:
         params: list[ast.ParamDecl] = []
-        while not self.peek().is_punct(closer):
+        while not self.at(closer):
             if params:
                 self.expect(",")
-                if self.peek().is_punct(closer):  # trailing comma
+                if self.at(closer):  # trailing comma
                     break
             name_tok = self.expect_ident()
             self.expect(":")
@@ -160,14 +180,15 @@ class Parser:
         if tok.kind is TokKind.IDENT and tok.text in PRIM_TYPE_NAMES:
             self.next()
             return ast.PrimTypeExpr(tok.loc, tok.text)
-        if tok.is_keyword("fn"):
+        text = tok.text
+        if text == "fn":
             self.next()
             self.expect("(")
             param_types = self._parse_type_list(")")
             self.expect(")")
             ret = self.parse_type() if self.accept("->") else None
             return ast.FnTypeExpr(tok.loc, param_types, ret)
-        if tok.is_punct("("):
+        if text == "(":
             self.next()
             elems = self._parse_type_list(")")
             self.expect(")")
@@ -176,7 +197,7 @@ class Parser:
             if len(elems) == 1:
                 return elems[0]
             return ast.TupleTypeExpr(tok.loc, elems)
-        if tok.is_punct("["):
+        if text == "[":
             self.next()
             elem = self.parse_type()
             self.expect(";")
@@ -186,7 +207,7 @@ class Parser:
                                  count_tok.loc)
             self.expect("]")
             return ast.ArrayTypeExpr(tok.loc, elem, count_tok.value[0])
-        if tok.is_punct("&"):
+        if text == "&":
             self.next()
             self.expect("[")
             elem = self.parse_type()
@@ -196,10 +217,10 @@ class Parser:
 
     def _parse_type_list(self, closer: str) -> list[ast.TypeExpr]:
         types: list[ast.TypeExpr] = []
-        while not self.peek().is_punct(closer):
+        while not self.at(closer):
             if types:
                 self.expect(",")
-                if self.peek().is_punct(closer):
+                if self.at(closer):
                     break
             types.append(self.parse_type())
         return types
@@ -219,14 +240,14 @@ class Parser:
         loc = self.expect("{").loc
         stmts: list[ast.Stmt] = []
         result: ast.Expr | None = None
-        while not self.peek().is_punct("}"):
+        while not self.at("}"):
             item = self._parse_block_item()
             if isinstance(item, ast.Stmt):
                 stmts.append(item)
             else:
                 # An expression: result if the block ends here, else it
                 # must have been a block-like expression used as a stmt.
-                if self.peek().is_punct("}"):
+                if self.at("}"):
                     result = item
                 elif isinstance(item, (ast.IfExpr, ast.Block)):
                     stmts.append(ast.ExprStmt(item.loc, item))
@@ -240,14 +261,15 @@ class Parser:
 
     def _parse_block_item(self):
         tok = self.peek()
-        if tok.is_keyword("let"):
+        text = tok.text
+        if text == "let":
             return self._parse_let()
-        if tok.is_keyword("while"):
+        if text == "while":
             self.next()
             cond = self.parse_expr(struct_ok=False)
             body = self.parse_block()
             return ast.WhileStmt(tok.loc, cond, body)
-        if tok.is_keyword("for"):
+        if text == "for":
             self.next()
             name = self.expect_ident().text
             self.expect("in")
@@ -256,29 +278,29 @@ class Parser:
             end = self.parse_expr(struct_ok=False)
             body = self.parse_block()
             return ast.ForStmt(tok.loc, name, start, end, body)
-        if tok.is_keyword("break"):
+        if text == "break":
             self.next()
             self.expect(";")
             return ast.BreakStmt(tok.loc)
-        if tok.is_keyword("continue"):
+        if text == "continue":
             self.next()
             self.expect(";")
             return ast.ContinueStmt(tok.loc)
-        if tok.is_keyword("return"):
+        if text == "return":
             self.next()
             value = None
-            if not self.peek().is_punct(";"):
+            if not self.at(";"):
                 value = self.parse_expr()
             self.expect(";")
             return ast.ReturnStmt(tok.loc, value)
         # Expression or assignment.
         expr = self.parse_expr()
-        for text, op in ASSIGN_OPS.items():
-            if self.peek().is_punct(text):
-                self.next()
-                value = self.parse_expr()
-                self.expect(";")
-                return ast.AssignStmt(expr.loc, expr, op, value)
+        text = self.peek().text
+        if text in ASSIGN_OPS:
+            self.next()
+            value = self.parse_expr()
+            self.expect(";")
+            return ast.AssignStmt(expr.loc, expr, ASSIGN_OPS[text], value)
         if self.accept(";"):
             return ast.ExprStmt(expr.loc, expr)
         return expr
@@ -305,15 +327,15 @@ class Parser:
             self._leave()
 
     def _parse_expr_inner(self, struct_ok: bool) -> ast.Expr:
-        tok = self.peek()
-        if tok.is_punct("|"):
+        text = self.tokens[self.pos].text
+        if text == "|":
             return self._parse_lambda()
-        if tok.is_punct("||"):
+        if text == "||":
             # Zero-parameter lambda: `||` lexes as one token.
             return self._parse_lambda(zero_params=True)
-        if tok.is_keyword("if"):
+        if text == "if":
             return self._parse_if()
-        return self._parse_binary(0, struct_ok)
+        return self._parse_binary(self._parse_unary(struct_ok), 0, struct_ok)
 
     def _parse_lambda(self, zero_params: bool = False) -> ast.Lambda:
         tok = self.next()
@@ -323,7 +345,7 @@ class Parser:
             params = self._parse_param_list("|")
             self.expect("|")
         ret_type = self.parse_type() if self.accept("->") else None
-        if self.peek().is_punct("{"):
+        if self.at("{"):
             body = self.parse_block()
         else:
             expr = self.parse_expr()
@@ -336,25 +358,30 @@ class Parser:
         then_block = self.parse_block()
         else_block = None
         if self.accept("else"):
-            if self.peek().is_keyword("if"):
+            if self.at("if"):
                 else_block = self._parse_if()
             else:
                 else_block = self.parse_block()
         return ast.IfExpr(loc, cond, then_block, else_block)
 
-    def _parse_binary(self, level: int, struct_ok: bool) -> ast.Expr:
-        if level >= len(BINARY_LEVELS):
-            return self._parse_unary(struct_ok)
-        lhs = self._parse_binary(level + 1, struct_ok)
-        ops = BINARY_LEVELS[level]
-        while True:
-            tok = self.peek()
-            if tok.kind is TokKind.PUNCT and tok.text in ops:
-                self.next()
-                rhs = self._parse_binary(level + 1, struct_ok)
-                lhs = ast.Binary(tok.loc, tok.text, lhs, rhs)
-            else:
-                return lhs
+    def _parse_binary(self, lhs: ast.Expr, min_level: int,
+                      struct_ok: bool) -> ast.Expr:
+        """Fold the operators of level >= *min_level* that follow *lhs*."""
+        tokens = self.tokens
+        prec = BINARY_PREC
+        tok = tokens[self.pos]
+        level = prec.get(tok.text)
+        while level is not None and level >= min_level:
+            self.pos += 1
+            rhs = self._parse_unary(struct_ok)
+            tighter = prec.get(tokens[self.pos].text)
+            while tighter is not None and tighter > level:
+                rhs = self._parse_binary(rhs, level + 1, struct_ok)
+                tighter = prec.get(tokens[self.pos].text)
+            lhs = ast.Binary(tok.loc, tok.text, lhs, rhs)
+            tok = tokens[self.pos]
+            level = tighter
+        return lhs
 
     def _parse_unary(self, struct_ok: bool) -> ast.Expr:
         self._enter("expression")
@@ -364,14 +391,15 @@ class Parser:
             self._leave()
 
     def _parse_unary_inner(self, struct_ok: bool) -> ast.Expr:
-        tok = self.peek()
-        if tok.is_punct("-") or tok.is_punct("!"):
-            self.next()
+        tok = self.tokens[self.pos]
+        text = tok.text
+        if text == "-" or text == "!":
+            self.pos += 1
             operand = self._parse_unary(struct_ok)
-            return ast.Unary(tok.loc, tok.text, operand)
-        if tok.is_punct("@") or tok.is_punct("$"):
-            self.next()
-            mode = "run" if tok.text == "@" else "hlt"
+            return ast.Unary(tok.loc, text, operand)
+        if text == "@" or text == "$":
+            self.pos += 1
+            mode = "run" if text == "@" else "hlt"
             callee = self._parse_postfix(self._parse_primary(struct_ok),
                                          stop_before_call=True)
             call = self._parse_call(callee, mode)
@@ -381,10 +409,10 @@ class Parser:
     def _parse_call(self, callee: ast.Expr, pe_mode: str | None) -> ast.Call:
         open_tok = self.expect("(")
         args: list[ast.Expr] = []
-        while not self.peek().is_punct(")"):
+        while not self.at(")"):
             if args:
                 self.expect(",")
-                if self.peek().is_punct(")"):
+                if self.at(")"):
                     break
             args.append(self.parse_expr())
         self.expect(")")
@@ -393,64 +421,67 @@ class Parser:
     def _parse_postfix(self, expr: ast.Expr,
                        stop_before_call: bool = False) -> ast.Expr:
         while True:
-            tok = self.peek()
-            if tok.is_punct("(") and not stop_before_call:
+            tok = self.tokens[self.pos]
+            text = tok.text
+            if text == "(" and not stop_before_call:
                 expr = self._parse_call(expr, None)
-            elif tok.is_punct("["):
+            elif text == "[":
                 self.next()
                 index = self.parse_expr()
                 self.expect("]")
                 expr = ast.Index(tok.loc, expr, index)
-            elif tok.is_punct("."):
+            elif text == ".":
                 self.next()
                 field_tok = self.next()
                 if field_tok.kind is not TokKind.INT or field_tok.value[1]:
                     raise ParseError("expected tuple field index after '.'",
                                      field_tok.loc)
                 expr = ast.TupleField(tok.loc, expr, field_tok.value[0])
-            elif tok.is_keyword("as"):
+            elif text == "as":
                 self.next()
                 expr = ast.CastExpr(tok.loc, expr, self.parse_type())
             else:
                 return expr
 
     def _parse_primary(self, struct_ok: bool) -> ast.Expr:
-        tok = self.peek()
-        if tok.kind is TokKind.INT:
-            self.next()
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind is TokKind.IDENT:
+            self.pos += 1
+            return ast.Name(tok.loc, tok.text)
+        if kind is TokKind.INT:
+            self.pos += 1
             value, suffix = tok.value
             return ast.IntLit(tok.loc, value, suffix)
-        if tok.kind is TokKind.FLOAT:
-            self.next()
+        if kind is TokKind.FLOAT:
+            self.pos += 1
             value, suffix = tok.value
             return ast.FloatLit(tok.loc, value, suffix)
-        if tok.is_keyword("true"):
-            self.next()
+        text = tok.text
+        if text == "true":
+            self.pos += 1
             return ast.BoolLit(tok.loc, True)
-        if tok.is_keyword("false"):
-            self.next()
+        if text == "false":
+            self.pos += 1
             return ast.BoolLit(tok.loc, False)
-        if tok.kind is TokKind.IDENT:
-            self.next()
-            return ast.Name(tok.loc, tok.text)
-        if tok.is_punct("("):
-            self.next()
+        if text == "(":
+            self.pos += 1
             if self.accept(")"):
                 return ast.UnitLit(tok.loc)
             first = self.parse_expr()
             if self.accept(","):
                 elems = [first]
-                while not self.peek().is_punct(")"):
+                while not self.at(")"):
                     elems.append(self.parse_expr())
-                    if not self.peek().is_punct(")"):
+                    if not self.at(")"):
                         self.expect(",")
                 self.expect(")")
                 return ast.TupleLit(tok.loc, elems)
             self.expect(")")
             return first
-        if tok.is_punct("["):
-            self.next()
-            if self.peek().is_punct("]"):
+        if text == "[":
+            self.pos += 1
+            if self.at("]"):
                 raise ParseError("empty array literal has no type", tok.loc)
             first = self.parse_expr()
             if self.accept(";"):
@@ -462,12 +493,12 @@ class Parser:
                 return ast.ArrayLit(tok.loc, None, first, count_tok.value[0])
             elems = [first]
             while self.accept(","):
-                if self.peek().is_punct("]"):
+                if self.at("]"):
                     break
                 elems.append(self.parse_expr())
             self.expect("]")
             return ast.ArrayLit(tok.loc, elems, None, None)
-        if tok.is_punct("{"):
+        if text == "{":
             return self.parse_block()
         raise ParseError(f"expected an expression, found {tok.text!r}", tok.loc)
 

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro import run_function
 from repro.core import types as ct
+from repro.core.defs import Continuation
+from repro.core.scope import Scope
 from repro.frontend import compile_to_ast, compile_source
 from repro.frontend.errors import LexError, ParseError, TypeError_
 from repro.frontend.lexer import TokKind, tokenize
@@ -49,6 +52,35 @@ class TestLexer:
             tokenize("1.5q")
         with pytest.raises(LexError):
             tokenize("/* unterminated")
+
+    @staticmethod
+    def _locs(source):
+        return [(t.text, t.loc.line, t.loc.col) for t in tokenize(source)]
+
+    def test_locations_after_multiline_block_comment(self):
+        assert self._locs("a /* x\n y\n */ b\n  c") == [
+            ("a", 1, 1), ("b", 3, 5), ("c", 4, 3), ("", 4, 4)]
+
+    def test_locations_with_crlf_and_tabs(self):
+        # '\r' is trivia that takes a column; a tab takes one column.
+        assert self._locs("a\r\n\tb\t c\r\n") == [
+            ("a", 1, 1), ("b", 2, 2), ("c", 2, 5), ("", 3, 1)]
+        assert self._locs("a \r b") == [("a", 1, 1), ("b", 1, 5),
+                                         ("", 1, 6)]
+
+    def test_eof_location(self):
+        assert self._locs("") == [("", 1, 1)]
+        assert self._locs("x  // trailing") == [("x", 1, 1), ("", 1, 15)]
+        assert self._locs("x\n\n  ") == [("x", 1, 1), ("", 3, 3)]
+
+    def test_stray_character_after_a_comment(self):
+        with pytest.raises(LexError) as err:
+            tokenize("a // c\n  `")
+        assert (err.value.loc.line, err.value.loc.col) == (2, 3)
+        assert err.value.message == "stray character '`'"
+        with pytest.raises(LexError) as err:
+            tokenize("a /* c\n */ #")
+        assert (err.value.loc.line, err.value.loc.col) == (2, 5)
 
 
 class TestParser:
@@ -228,3 +260,91 @@ fn main(a: i64, b: i64) -> i64 {
         # targets as well, so mem is re-threaded here too — but the
         # *if* join that consumes the bool gets a single value phi.
         assert joins[0].num_params == 2
+
+
+class TestNoTemporaryPhis:
+    """SSA construction appends only the phis the program needs."""
+
+    def _compile(self, monkeypatch, source):
+        made = []
+        append_param = Continuation.append_param
+
+        def counting(cont, param_type, name=""):
+            made.append((cont.name, name))
+            return append_param(cont, param_type, name)
+
+        monkeypatch.setattr(Continuation, "append_param", counting)
+        world = compile_source(source, optimize=False)
+        monkeypatch.undo()
+        return world, made
+
+    def test_if_join_gets_no_phi_for_an_unchanged_variable(self, monkeypatch):
+        world, made = self._compile(monkeypatch, """
+fn main(a: i64) -> i64 {
+    let mut x = a * 2;
+    let mut y = 0;
+    if a > 0 { y = 1; } else { y = 2; }
+    x + y
+}
+""")
+        assert sorted(made) == [("if_join", "mem"), ("if_join", "y")]
+        assert run_function(world, "main", 5, backend="interp") == 11
+        assert run_function(world, "main", -5, backend="interp") == -8
+
+    def test_loop_header_gets_no_phi_for_an_unassigned_variable(
+            self, monkeypatch):
+        world, made = self._compile(monkeypatch, """
+fn main(n: i64) -> i64 {
+    let k = n * 3;
+    let mut i = 0;
+    let mut s = 0;
+    while i < n { s += k; i += 1; }
+    s + k
+}
+""")
+        assert sorted(made) == [("while_head", "i"), ("while_head", "mem"),
+                                ("while_head", "s")]
+        assert run_function(world, "main", 4, backend="interp") == 60
+
+    @pytest.mark.parametrize("source, head, var, args, expect", [
+        ("""
+fn main(n: i64) -> i64 {
+    let mut i = 0;
+    let mut odd = 0;
+    while i < n {
+        if i % 2 == 1 { odd += 1; }
+        i += 1;
+    }
+    odd
+}
+""", "while_head", "odd", (7,), 3),
+        ("""
+fn main(n: i64) -> i64 {
+    let mut total = 0;
+    for i in 0..n {
+        let mut j = 0;
+        while j < i { total += j; j += 1; }
+    }
+    total
+}
+""", "for_head", "total", (5,), 10),
+        ("""
+fn main(n: i64) -> i64 {
+    let mut i = 0;
+    let mut steps = 0;
+    while { steps += 1; i < n } { i += 1; }
+    steps
+}
+""", "while_head", "steps", (6,), 7),
+    ], ids=["nested-if", "inner-loop", "while-condition"])
+    def test_assigned_variable_keeps_its_header_phi(
+            self, monkeypatch, source, head, var, args, expect):
+        world, made = self._compile(monkeypatch, source)
+        assert (head, var) in made
+        assert (head, "mem") in made
+        assert (head, "n") not in made
+        main = world.find_external("main")
+        heads = [c for c in Scope(main).continuations() if c.name == head]
+        assert {p.name for p in heads[0].params} >= {var, "mem"}
+        assert run_function(world, "main", *args, backend="interp") == expect
+
