@@ -4,7 +4,6 @@ from .defs import Continuation, Def, Intrinsic, Param, Use
 from .limits import DeadlineExceeded, ResourceLimitError, deadline
 from .primops import ArithKind, CmpRel
 from .scope import Scope, top_level_continuations
-from .snapshot import Snapshot, restore_world, snapshot_world
 from .world import World
 
 __all__ = [
@@ -17,11 +16,8 @@ __all__ = [
     "Param",
     "ResourceLimitError",
     "Scope",
-    "Snapshot",
     "Use",
     "World",
     "deadline",
-    "restore_world",
-    "snapshot_world",
     "top_level_continuations",
 ]

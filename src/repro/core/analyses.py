@@ -17,7 +17,7 @@ Every use-edge rewiring funnels through ``Def._set_ops``, which reports
 the **user** (the def whose operand edges changed) and its new
 **operands** (defs that just gained a user).  Registry surgery (param
 append/remove, GC pruning, external marking) reports the continuations
-involved as **structural**; a wholesale rebuild (snapshot restore)
+involved as **structural**; a wholesale change (an undo-log rollback)
 reports nothing and forces a drop-all.  For a cached scope ``S`` with
 entry ``e`` the per-mutation consequences are:
 

@@ -1,12 +1,10 @@
-"""First-touch undo log: checkpoints without deep serialization.
+"""First-touch undo log: the pipeline's one checkpoint.
 
-:mod:`repro.core.snapshot` checkpoints by walking the whole graph into
-plain data and rebuilding every def on restore.  That is the right tool
-for crash bundles (self-contained, survives the process) but far too
-heavy for the optimistic per-phase checkpoints the pipeline takes on
-the off chance a pass misbehaves: profiling shows deep snapshots eat a
-third of a warm cached compile, and the rollback they enable almost
-never fires.
+The pipeline takes an optimistic checkpoint before every phase on the
+off chance a pass misbehaves, and the rollback it enables almost never
+fires, so a checkpoint must cost nothing near the world's size: a deep
+image of the graph, walked into plain data and rebuilt on restore, ate
+a third of a warm cached compile.
 
 An :class:`UndoLog` exploits the fact that every mutation of a
 **pre-existing** def funnels through a handful of choke points:
@@ -33,13 +31,12 @@ and old operand tuples are replayed through ``_set_ops`` (which
 maintains use lists pairwise, so order is irrelevant), so no surviving
 use list keeps a def minted after the checkpoint; params/types/flags/
 names are reassigned, the registry copies and counters are swapped
-back in — and notes ``world._note_all()`` so cached analyses drop,
-exactly like a snapshot restore.  The generation counter stays
-monotone throughout: a rollback *advances* it.
+back in — and notes ``world._note_all()`` so cached analyses drop: a
+rollback is a wholesale change no mutation note attributes.  The
+generation counter stays monotone throughout: a rollback *advances* it.
 
-A wholesale :func:`~repro.core.snapshot.restore_world` disarms any
-active log (``_note_all`` clears ``world._undo``): after a rebuild the
-logged objects no longer belong to the world and the log is meaningless.
+Any wholesale change disarms the active log (``_note_all`` clears
+``world._undo``); ``restore()`` re-arms at the checkpoint afterwards.
 """
 
 from __future__ import annotations
@@ -154,8 +151,7 @@ class UndoLog:
     def restore(self) -> None:
         """Roll the world back to the armed checkpoint and re-arm there.
 
-        Mirrors :func:`~repro.core.snapshot.restore_world` semantics:
-        counters and stats are reinstated, cached analyses are dropped
+        Counters and stats are reinstated, cached analyses are dropped
         via ``_note_all``, and the generation counter keeps moving
         forward.  Defs created since the checkpoint become garbage —
         absent from the restored registries and detached from every

@@ -107,8 +107,8 @@ class World:
         self._undo = None  # armed UndoLog, if any (core.undo)
         # Registered continuations whose bodies, signatures or external
         # flags changed since cleanup's eta-reduction last took the set;
-        # None stands for every continuation (a fresh world, or after a
-        # wholesale restore).
+        # None stands for every continuation (a fresh world, or after an
+        # undo-log rollback).
         self._touched_conts: set[Continuation] | None = None
         # Generation at which the last completed cleanup left the world;
         # while it stands, another cleanup is provably a no-op.
@@ -126,8 +126,8 @@ class World:
     @property
     def generation(self) -> int:
         """Monotone mutation counter: bumped by every change to the graph
-        or its registries, never by reads and never rolled back (a
-        snapshot restore *advances* it).  Cached analyses key on it.
+        or its registries, never by reads and never rolled back (an
+        undo-log rollback *advances* it).  Cached analyses key on it.
         """
         return self._generation
 
@@ -136,7 +136,7 @@ class World:
         """Monotone counter of *continuation-structure* mutations.
 
         Bumped by continuation registration/pruning, body rewires, param
-        surgery, external marking and wholesale restores — but **not** by
+        surgery, external marking and undo-log rollbacks — but **not** by
         primop creation.  Primops are immutable once built and carry no
         users at birth, so minting one cannot change which continuations
         are nested in which (the ``top_level`` sweep's answer): reaching
@@ -166,8 +166,8 @@ class World:
     # Every graph mutation funnels through one of these three hooks.
     # ``_set_ops`` (the single place use-edges change) reports the user
     # and its new operands; structural registry surgery reports the
-    # continuations it touched; wholesale rebuilds (snapshot restore)
-    # report nothing and force a drop-all.  The generation counter bumps
+    # continuations it touched; a wholesale change (an undo-log
+    # rollback) reports nothing and forces a drop-all.  The generation counter bumps
     # unconditionally; the analysis manager only hears about it once it
     # exists.  Touched continuations also feed ``_touched_conts``, the
     # worklist of cleanup's eta-reduction.
@@ -201,8 +201,8 @@ class World:
     def _note_all(self) -> None:
         self._generation += 1
         self._structural_generation += 1
-        # A wholesale rebuild invalidates any armed undo log: the
-        # objects it tracks may no longer belong to this world.
+        # A wholesale change disarms any armed undo log, so the
+        # rewiring that follows it logs nothing.
         self._undo = None
         self._touched_conts = None
         manager = self._analyses

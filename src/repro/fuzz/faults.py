@@ -72,7 +72,6 @@ def _fault_options(injector: FaultInjector, mode: str) -> OptimizeOptions:
         pass_deadline=STALL_DEADLINE if mode == "stall" else None,
         growth_cap_factor=4.0,
         growth_cap_floor=64,
-        crash_dir=None,
         pass_hook=injector,
     )
 

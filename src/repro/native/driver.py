@@ -31,7 +31,7 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-from ..core.snapshot import canonical_json
+from ..core.canonical import canonical_json
 
 STORE_FORMAT = 1
 

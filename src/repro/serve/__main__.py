@@ -40,7 +40,8 @@ def _parse_args(argv=None) -> argparse.Namespace:
                              "triggers an mtime-LRU GC sweep (default "
                              "unbounded)")
     parser.add_argument("--crash-dir", default="crash_reports",
-                        help="where worker-crash bundles go")
+                        help="where crash bundles go (worker deaths and "
+                             "unrecoverable pipelines)")
     parser.add_argument("--max-pending", type=int, default=32, metavar="N",
                         help="compiles queued or running before the server "
                              "sheds load (default 32; per shard in fleet "

@@ -6,10 +6,10 @@ compile: the source text, the optimization level, the canonicalized
 digest of the profile (or of the training workload that determines it).
 Everything the pipeline's output depends on is in the key; nothing
 else is.  A request's ``options`` may name only the fields the key
-covers (:data:`WIRE_OPTIONS`).  The operational fields ``crash_dir``
-and ``pass_hook`` are the server's to set, so a request naming them is
-rejected like any unknown name: a client can neither redirect crash
-bundles nor change artifacts behind an unchanged key.
+covers (:data:`WIRE_OPTIONS`).  The operational field ``pass_hook`` is
+set only from a ``fault`` request, so a request naming it is rejected
+like any unknown name: a client cannot change artifacts behind an
+unchanged key.
 
 Layout: an in-memory LRU (dict-ordered, capped by entry count) in
 front of an on-disk object store ``<cache_dir>/objects/<k[:2]>/<k>.json``
@@ -46,17 +46,15 @@ import time
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from ..core.snapshot import canonical_json
+from ..core.canonical import canonical_json
 from ..transform.pipeline import OptimizeOptions
 
 CACHE_FORMAT = 1
 
-# OptimizeOptions fields the server sets and clients may not.
-_OPERATIONAL_OPTIONS = ("crash_dir", "pass_hook")
-
 # The option names a request may carry: every one reaches the key.
+# ``pass_hook`` is operational, a callable no wire can carry.
 WIRE_OPTIONS = frozenset(f.name for f in fields(OptimizeOptions)
-                         if f.name not in _OPERATIONAL_OPTIONS)
+                         if f.name != "pass_hook")
 
 # Retired OptimizeOptions fields, at the value the pipeline now always
 # uses.  They stay in the key material so every stored artifact keeps
@@ -97,8 +95,7 @@ def canonical_options(overrides: dict | None = None) -> dict:
 @functools.lru_cache(maxsize=OPTIONS_MEMO_ENTRIES)
 def _canonical_options(overrides_json: str) -> dict:
     out = asdict(OptimizeOptions(**json.loads(overrides_json)))
-    for name in _OPERATIONAL_OPTIONS:
-        del out[name]
+    del out["pass_hook"]
     out.update(_RETIRED_OPTIONS)
     return out
 

@@ -57,9 +57,13 @@ Success: ``{"ok": true, "id": ..., ...}`` — compile replies add
 ``results`` (one ``{"value", "trap", "output"}`` per argument list).
 
 Failure: ``{"ok": false, "error": {"code": ..., "message": ...}}`` with
-``code`` one of :data:`ERROR_CODES`; ``worker-crash`` errors add
-``crash_bundle`` (the report directory written by
-:func:`repro.transform.crashreport.write_worker_crash_report`).
+``code`` one of :data:`ERROR_CODES`.  ``compile-error`` adds ``kind``
+(the worker's exception class).  ``worker-crash`` errors, and a
+``compile-error`` of kind ``PipelineCrash`` (a compile or a VM-tier run
+whose pipeline could not recover), add ``crash_bundle``: the directory
+under the server's ``crash_dir`` holding the request (``report.json``,
+with the error) and its source (``repro.impala``), which replay the
+crash.
 
 Member order
 ------------

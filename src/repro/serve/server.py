@@ -23,8 +23,13 @@ Request flow, in order:
    reply instead of buffering unboundedly.
 4. **execute** — the job runs in a pool worker under the per-request
    deadline.  A worker death (segfault, injected ``kill``, deadline
-   overrun) becomes a structured ``worker-crash`` reply carrying the
-   crash-bundle path, the seat respawns, and the server keeps serving.
+   overrun) becomes a structured ``worker-crash`` reply, the seat
+   respawns, and the server keeps serving.  A pipeline that could not
+   recover (``PipelineCrash``) becomes a ``compile-error``.  Both
+   replies carry ``crash_bundle``: the request, written under
+   ``crash_dir`` by :meth:`CompileServer._write_crash_bundle`, the only
+   bundle writer.  A world is a deterministic function of its request,
+   so the request replays the crash.
 
 Fault-injected requests bypass the cache in both directions: their
 artifacts are not representative and must never be served to (or
@@ -56,6 +61,8 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import itertools
+import json
 import os
 import tempfile
 import time
@@ -69,7 +76,7 @@ from ..native import (TierDecision, TieringManager, TieringPolicy,
 from .cache import ArtifactCache, cache_key, run_cache_key
 from .protocol import (LineServer, ProtocolError, RawJSON, error_reply,
                        validate_compile_request, validate_run_request)
-from .worker import CompileHandler
+from .worker import run_job
 
 # Budget for one background native compile (pool deadline); the cc
 # subprocess inside gets a tighter timeout so a wedged compiler
@@ -134,8 +141,7 @@ class CompileServer(LineServer):
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
-        self.pool = WorkerPool(CompileHandler(self.config.crash_dir),
-                               size=self.config.workers)
+        self.pool = WorkerPool(run_job, size=self.config.workers)
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.config.workers + 2,
             thread_name_prefix="serve-pool")
@@ -249,8 +255,7 @@ class CompileServer(LineServer):
                                       timeout=self.config.request_timeout))
         except JobError as exc:
             self.metrics.bump("compile_errors")
-            return error_reply(
-                "compile-error", f"{exc.kind}: {exc.detail}", kind=exc.kind)
+            return self._job_error_reply(exc, request)
         except WorkerCrash as exc:
             self.metrics.bump("worker_crashes")
             if "deadline" in exc.reason:
@@ -317,8 +322,7 @@ class CompileServer(LineServer):
                                       timeout=self.config.request_timeout))
         except JobError as exc:
             self.metrics.bump("run_errors")
-            return error_reply(
-                "compile-error", f"{exc.kind}: {exc.detail}", kind=exc.kind)
+            return self._job_error_reply(exc, request)
         except WorkerCrash as exc:
             self.metrics.bump("worker_crashes")
             if decision.tier == "native":
@@ -370,6 +374,8 @@ class CompileServer(LineServer):
         except JobError as exc:
             self.metrics.bump("native_compile_errors")
             self.tiering.quarantine(key, f"{exc.kind}: {exc.detail}")
+            if exc.kind == "PipelineCrash":
+                self._write_crash_bundle(exc, job)
         except WorkerCrash as exc:
             self.metrics.bump("native_compile_crashes")
             self.tiering.quarantine(key, exc.reason)
@@ -384,15 +390,45 @@ class CompileServer(LineServer):
         finally:
             self._promotions.pop(key, None)
 
-    def _write_crash_bundle(self, crash: WorkerCrash,
-                            request: dict) -> str | None:
-        from ..transform.crashreport import write_worker_crash_report
+    def _job_error_reply(self, error: JobError, request: dict) -> dict:
+        extra = {}
+        if error.kind == "PipelineCrash":
+            extra["crash_bundle"] = self._write_crash_bundle(error, request)
+        return error_reply("compile-error", f"{error.kind}: {error.detail}",
+                           kind=error.kind, **extra)
 
+    def _write_crash_bundle(self, error: JobError | WorkerCrash,
+                            request: dict) -> str | None:
+        """Write ``crash-NNNN-<kind>/`` under ``crash_dir``; its path.
+
+        ``report.json`` holds the request verbatim with the error's
+        kind, message, traceback (a :class:`JobError`'s, from the
+        worker) and exit code (a :class:`WorkerCrash`'s), and
+        ``repro.impala`` the request's source.  The index is taken by
+        ``mkdir`` alone, so servers sharing ``crash_dir`` never race for
+        one.  Best-effort: ``None`` when nothing could be written.
+        """
+        if isinstance(error, JobError):
+            kind, message = error.kind, error.detail
+        else:
+            kind, message = type(error).__name__, error.reason
+        report = {"error": {"kind": kind, "message": message,
+                            "traceback": getattr(error, "trace", None),
+                            "exitcode": getattr(error, "exitcode", None)},
+                  "request": request}
         try:
-            bundle = write_worker_crash_report(
-                directory=self.config.crash_dir, error=crash,
-                request=request,
-                context={"server": f"{self.config.host}:{self.config.port}"})
+            text = json.dumps(report, indent=2)
+            root = Path(self.config.crash_dir)
+            root.mkdir(parents=True, exist_ok=True)
+            for index in itertools.count():
+                bundle = root / f"crash-{index:04d}-{kind}"
+                try:
+                    bundle.mkdir()
+                    break
+                except FileExistsError:
+                    continue
+            (bundle / "repro.impala").write_text(request["source"])
+            (bundle / "report.json").write_text(text)
             return str(bundle)
         except Exception:  # reporting is best-effort
             return None

@@ -10,8 +10,9 @@ contract.  On both targets:
 * every distinct compile is byte-identical to an in-process
   :func:`repro.serve.worker.compile_request`, and every distinct run
   agrees with the graph interpreter;
-* an injected worker ``kill`` yields a ``worker-crash`` reply with a
-  crash bundle, and the next request is served from the cache;
+* an injected worker ``kill`` yields a ``worker-crash`` reply whose
+  crash bundle holds the request's source (in ``report.json`` and as
+  ``repro.impala``), and the next request is served from the cache;
 * SIGTERM produces a clean exit (status 0).
 
 With ``N > 0`` one shard is SIGKILLed halfway through the mix: its
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import os
 import signal
 import subprocess
@@ -173,6 +175,22 @@ def _check_identity(distinct: list[dict], replies: dict,
           flush=True)
 
 
+def _bundle_problem(bundle: str | None, source: str) -> str | None:
+    """Why the crash bundle at *bundle* does not replay *source*."""
+    if not bundle:
+        return "no bundle"
+    try:
+        report = json.loads((Path(bundle) / "report.json").read_text())
+        replay = (Path(bundle) / "repro.impala").read_text()
+    except (OSError, ValueError) as exc:
+        return f"unreadable bundle ({exc})"
+    if report.get("request", {}).get("source") != source:
+        return "report.json does not hold the request's source"
+    if replay != source:
+        return "repro.impala is not the request's source"
+    return None
+
+
 def _check_worker_crash(client: ServeClient, failures: list[str]) -> None:
     source = ALL_PROGRAMS[0].source
     crash = client.compile(source + "\n", opt="static",
@@ -180,8 +198,9 @@ def _check_worker_crash(client: ServeClient, failures: list[str]) -> None:
     error = crash.get("error") or {}
     if crash.get("ok") or error.get("code") != "worker-crash":
         failures.append(f"expected a worker-crash reply, got {crash}")
-    elif not error.get("crash_bundle"):
-        failures.append(f"worker-crash reply without a bundle: {crash}")
+    elif problem := _bundle_problem(error.get("crash_bundle"),
+                                    source + "\n"):
+        failures.append(f"worker-crash reply: {problem}: {crash}")
     else:
         print(f"worker crash handled; bundle at {error['crash_bundle']}",
               flush=True)

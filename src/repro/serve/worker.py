@@ -50,8 +50,8 @@ def _pipeline_options(request: dict):
     """Request overrides -> OptimizeOptions.
 
     ``canonical_options`` admits only the fields the cache key covers;
-    the operational ones (``crash_dir``, ``pass_hook``) are applied
-    afterwards by the caller, from the server's own settings.
+    the operational ``pass_hook`` is applied afterwards, from a
+    ``fault`` request.
     """
     from ..transform.pipeline import OptimizeOptions
 
@@ -90,13 +90,12 @@ def _artifacts(world, stats_payload) -> dict:
     return artifacts
 
 
-def compile_request(request: dict, *, crash_dir: str | None = None) -> dict:
+def compile_request(request: dict) -> dict:
     """Execute one validated compile request; returns the artifact dict.
 
-    *crash_dir* (the server's) replaces the pipeline's default crash
-    bundle directory.  Raises on compiler errors — the worker pool
-    translates exceptions into structured ``compile-error`` replies (and
-    a dead process into ``worker-crash``).
+    Raises on compiler errors — the worker pool translates exceptions
+    into structured ``compile-error`` replies (and a dead process into
+    ``worker-crash``).
     """
     opt = request.get("opt", "static")
     world = compile_source(request["source"], optimize=False)
@@ -104,10 +103,7 @@ def compile_request(request: dict, *, crash_dir: str | None = None) -> dict:
     if opt == "none":
         return _artifacts(world, None)
 
-    options = _pipeline_options(request)
-    if crash_dir is not None:
-        options = replace(options, crash_dir=crash_dir)
-    options = _maybe_fault_hook(request, options)
+    options = _maybe_fault_hook(request, _pipeline_options(request))
     if opt == "static":
         stats = _optimize(world, options)
         return _artifacts(world, stats.as_dict())
@@ -291,20 +287,11 @@ def native_compile_request(request: dict) -> dict:
             "pgo": bool(profile_data)}
 
 
-class CompileHandler:
-    """The pool handler: picks the crash directory at server start.
-
-    Instances ride into the children via fork (no pickling), so this
-    can be configured with whatever the server was started with.
-    """
-
-    def __init__(self, crash_dir: str | None = None):
-        self.crash_dir = crash_dir
-
-    def __call__(self, request: dict) -> dict:
-        op = request.get("op", "compile")
-        if op == "run":
-            return run_request(request)
-        if op == "native-compile":
-            return native_compile_request(request)
-        return compile_request(request, crash_dir=self.crash_dir)
+def run_job(request: dict) -> dict:
+    """The pool handler: one job, dispatched on its ``op``."""
+    op = request.get("op", "compile")
+    if op == "run":
+        return run_request(request)
+    if op == "native-compile":
+        return native_compile_request(request)
+    return compile_request(request)

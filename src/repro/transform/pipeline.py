@@ -17,7 +17,7 @@ Mirrors the order the paper's compiler uses:
 Each pass runs with its own keyword defaults (budgets, thresholds) and
 the static rounds stop at a fixed point or after :data:`MAX_ROUNDS`.
 :class:`OptimizeOptions` holds only what callers vary: ``mem_opt``,
-checking, fault isolation and crash reporting.
+checking and fault isolation.
 
 Fault isolation (the default, ``strict=False``): every phase runs
 inside a checkpoint/rollback guard built on :mod:`repro.core.undo`.
@@ -27,11 +27,13 @@ budget, the pipeline **rolls back** to the last checkpoint,
 **quarantines** that pass for the rest of this ``optimize`` call,
 records a :class:`PassIncident` in :class:`PipelineStats`, and keeps
 going — a buggy pass degrades one compilation to "less optimized", it
-does not take the compiler down.  If recovery itself fails, a crash
-bundle (pre-pipeline IR, deep-snapshotted at entry via
-:mod:`repro.core.snapshot`, plus pass trace and options) is written via
-:mod:`repro.transform.crashreport` and :class:`PipelineCrash` is
-raised.
+does not take the compiler down.  If recovery itself fails,
+:class:`PipelineCrash` is raised with the pass trace in its message.
+The pipeline writes no crash bundle: a world is a deterministic
+function of its source (construction hash-conses and folds as it
+builds), so the input that built it replays the crash; the compile
+service writes that request as the crash bundle
+(:mod:`repro.serve.server`).
 
 ``OptimizeOptions(strict=True)`` restores fail-fast behaviour: no
 checkpoints, no quarantine, the first error propagates to the caller.
@@ -75,6 +77,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+from ..core.canonical import canonical_json
 from ..core.limits import DeadlineExceeded, ResourceLimitError, deadline
 from ..core.undo import UndoLog
 from ..core.world import World
@@ -113,8 +116,6 @@ class OptimizeOptions:
     # continuations behind is treated as blown up and rolled back.
     growth_cap_factor: float = 64.0
     growth_cap_floor: int = 4096
-    # Where crash bundles go on unrecoverable failure (None disables).
-    crash_dir: str | None = "crash_reports"
     # Test/fault-injection hook, called as ``pass_hook(phase, world)``
     # inside the isolated region right after each phase body.
     pass_hook: Callable[[str, World], None] | None = None
@@ -155,16 +156,25 @@ class PassGrowthError(ResourceLimitError):
 class PipelineCrash(Exception):
     """Non-strict ``optimize`` failed unrecoverably.
 
-    Raised after the crash bundle (if enabled) has been written;
-    ``report_path`` points at it and ``__cause__`` is the original
-    error.
+    ``__cause__`` is the original error.  ``trace`` is the pass trace up
+    to the failure (rounds, phases, incidents, quarantined and skipped
+    passes, checkpoints, rollbacks); the message carries it as
+    canonical JSON, so it crosses a worker pipe as plain text.
     """
 
-    def __init__(self, message: str, report_path=None):
-        if report_path is not None:
-            message = f"{message} (crash report: {report_path})"
-        super().__init__(message)
-        self.report_path = report_path
+    def __init__(self, error: Exception, stats: PipelineStats):
+        self.trace = {
+            "rounds": stats.rounds,
+            "phases": stats.phases(),
+            "incidents": [i.as_dict() for i in stats.incidents],
+            "quarantined": list(stats.quarantined),
+            "skipped": list(stats.skipped),
+            "checkpoints": stats.checkpoints,
+            "rollbacks": stats.rollbacks,
+        }
+        super().__init__(
+            f"optimization pipeline failed unrecoverably: {error!r}; "
+            f"pass trace: {canonical_json(self.trace)}")
 
 
 @dataclass
@@ -251,7 +261,7 @@ class _PhaseRunner:
     growth cap and — under ``verify_each_pass`` — the full verifier.
     Any failure rolls the world back to the checkpoint and quarantines
     the pass.  A failure *of the rollback itself* propagates;
-    ``optimize`` turns it into a crash bundle.
+    ``optimize`` turns it into a :class:`PipelineCrash`.
     """
 
     def __init__(self, world: World, options: OptimizeOptions,
@@ -573,31 +583,9 @@ def _optimize_paused(world: World, options: OptimizeOptions,
                      profile) -> PipelineStats:
     stats = PipelineStats()
     runner = _PhaseRunner(world, options, stats)
-    if options.strict:
-        return _optimize_guarded(world, options, profile, stats, runner)
-
-    from ..core.snapshot import snapshot_world
-
-    # The crash bundle's pre-pipeline image; phase checkpoints are
-    # undo logs.
-    entry_snapshot = snapshot_world(world)
     try:
         return _optimize_guarded(world, options, profile, stats, runner)
     except Exception as exc:
-        report_path = None
-        if options.crash_dir is not None:
-            from .crashreport import write_crash_report
-
-            try:
-                report_path = write_crash_report(
-                    directory=options.crash_dir,
-                    entry_snapshot=entry_snapshot,
-                    error=exc,
-                    stats=stats,
-                    options=options,
-                )
-            except Exception:  # pragma: no cover - reporting best-effort
-                report_path = None
-        raise PipelineCrash(
-            f"optimization pipeline failed unrecoverably: {exc!r}",
-            report_path) from exc
+        if options.strict:
+            raise
+        raise PipelineCrash(exc, stats) from exc

@@ -25,7 +25,7 @@ from repro.core import types as ct
 from repro.core.cfg import CFG
 from repro.core.schedule import Placement, Schedule
 from repro.core.scope import Scope, top_level_of
-from repro.core.snapshot import restore_world, snapshot_world
+from repro.core.undo import UndoLog
 from repro.core.verify import VerifyError, verify_analyses
 from repro.core.world import World
 
@@ -91,11 +91,11 @@ class TestGenerationMonotone:
         world.remove_external(f)
         assert world.generation > g
 
-    def test_snapshot_restore_advances(self, world):
+    def test_undo_restore_advances(self, world):
         make_fib(world)
-        snap = snapshot_world(world)
+        log = UndoLog(world)
         g = world.generation
-        restore_world(snap, into=world)
+        log.restore()
         assert world.generation > g, \
             "a restored world must never look unmutated to caches"
 
@@ -125,7 +125,7 @@ class TestGenerationMonotone:
             lambda: f.remove_param(f.num_params - 1),
             lambda: world.make_external(f),
             lambda: world.remove_external(f),
-            lambda: restore_world(snapshot_world(world), into=world),
+            lambda: UndoLog(world).restore(),
         ]
         seen = [world.generation]
         for mutate in mutations:
@@ -247,7 +247,7 @@ class TestManagerInvalidation:
         f = make_fib(world)
         manager = world.analyses
         cached = manager.scope(f)
-        restore_world(snapshot_world(world), into=world)
+        UndoLog(world).restore()
         drop_alls = manager.stats.drop_alls
         assert manager.scope(f) is not cached
         assert manager.stats.drop_alls == drop_alls + 1

@@ -1,4 +1,4 @@
-"""Fault-tolerant pipeline: rollback, quarantine, crash bundles."""
+"""Fault-tolerant pipeline: rollback, quarantine, unrecoverable crashes."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.backend.interp import Interpreter
-from repro.core.snapshot import Snapshot, restore_world
 from repro.core.verify import verify
 from repro.frontend import compile_source
 from repro.fuzz.faults import run_fault_case
@@ -37,7 +36,7 @@ def _injected(mode: str, target: str):
         verify_each_pass=True,
         pass_deadline=0.15 if mode == "stall" else None,
         growth_cap_factor=4.0, growth_cap_floor=64,
-        crash_dir=None, pass_hook=injector)
+        pass_hook=injector)
     stats = optimize(world, options=options)
     return world, injector, stats
 
@@ -109,9 +108,9 @@ def test_clean_run_records_no_incidents():
     assert stats.checkpoints > 0
 
 
-def test_unrecoverable_failure_writes_crash_bundle(tmp_path, monkeypatch):
-    """If rollback itself dies, optimize raises PipelineCrash and leaves
-    a bundle whose world.json restores to the pre-pipeline IR."""
+def test_unrecoverable_failure_raises_pipeline_crash(monkeypatch):
+    """If rollback itself dies, optimize raises PipelineCrash: caused by
+    the rollback's error, with the pass trace up to it in its message."""
     import repro.core.undo as undo_mod
 
     def broken_restore(self):
@@ -123,39 +122,21 @@ def test_unrecoverable_failure_writes_crash_bundle(tmp_path, monkeypatch):
 
     world = _world()
     injector = FaultInjector(FaultPlan("raise", target="inline"))
-    crash_dir = tmp_path / "crash_reports"
-    options = OptimizeOptions(pass_hook=injector, crash_dir=str(crash_dir))
     with pytest.raises(PipelineCrash) as info:
-        optimize(world, options=options)
+        optimize(world, options=OptimizeOptions(pass_hook=injector))
 
-    report_path = info.value.report_path
-    assert report_path is not None
-    monkeypatch.undo()
-
-    report = json.loads((report_path / "report.json").read_text())
-    assert report["error"]["type"] == "RuntimeError"
-    assert "pass_trace" in report
-
-    snap = Snapshot.from_json((report_path / "world.json").read_text())
-    restored = restore_world(snap)
-    verify(restored, full=True)
-    expected = Interpreter(_world()).call(PROGRAM.entry,
-                                          *PROGRAM.test_args)
-    assert Interpreter(restored).call(PROGRAM.entry,
-                                      *PROGRAM.test_args) == expected
-
-
-def test_crash_dir_none_disables_bundles(monkeypatch):
-    import repro.core.undo as undo_mod
-
-    def broken_restore(self):
-        raise RuntimeError("simulated rollback failure")
-
-    monkeypatch.setattr(undo_mod.UndoLog, "restore", broken_restore)
-    world = _world()
-    injector = FaultInjector(FaultPlan("raise", target="inline"))
-    with pytest.raises(PipelineCrash) as info:
-        optimize(world, options=OptimizeOptions(pass_hook=injector,
-                                                crash_dir=None))
-    assert info.value.report_path is None
+    crash = info.value
+    assert isinstance(crash.__cause__, RuntimeError)
+    assert "simulated rollback failure" in str(crash.__cause__)
+    trace = crash.trace
+    assert trace["rounds"] == 1
+    assert trace["phases"] == ["cleanup", "partial_eval", "cleanup",
+                               "closure_elim", "cleanup"]
+    assert trace["incidents"] == trace["quarantined"] == []
+    assert trace["skipped"] == []
+    assert trace["rollbacks"] == 0
+    assert trace["checkpoints"] >= 1
+    message = str(crash)
+    assert "simulated rollback failure" in message
+    assert json.loads(message.split("pass trace: ", 1)[1]) == trace
 

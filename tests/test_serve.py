@@ -18,7 +18,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.snapshot import canonical_json
+from repro.core.canonical import canonical_json
 from repro.serve import cache as cache_module
 from repro.serve import smoke
 from repro.serve.cache import ArtifactCache, cache_key, run_cache_key
@@ -177,8 +177,8 @@ def test_mid_request_disconnect_leaves_server_healthy(served):
         assert client.ping()["ok"]
 
 
-# Option names the wire refuses: the operational fields the server sets,
-# a retired pipeline field and a retired budget.
+# Option names the wire refuses: the operational ``pass_hook``, two
+# retired pipeline fields and a retired budget.
 WIRE_REJECTED = ({"pass_hook": 1}, {"crash_dir": "/elsewhere"},
                  {"crash_context": {"origin": "client"}}, {"max_rounds": 2})
 
@@ -239,6 +239,7 @@ def test_compile_error_is_not_a_crash(served):
         reply = client.compile("fn main(  broken")
         assert reply["error"]["code"] == "compile-error"
         assert reply["error"]["kind"] == "ParseError"
+        assert "crash_bundle" not in reply["error"]
         assert client.ping()["ok"]
 
 
@@ -341,6 +342,144 @@ def test_worker_kill_yields_bundle_and_server_survives(served):
         assert client.stats()["worker_crashes"] == before + 1
 
 
+def _unrecoverable_seat(request):
+    """Pool handler whose seat cannot recover a failed pass: inlining
+    raises, and so does rolling it back.  The seat is a forked child,
+    so neither patch reaches the test process or another seat."""
+    from repro.core.undo import UndoLog
+    from repro.serve.worker import run_job
+    from repro.transform import inliner
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("simulated failure")
+
+    inliner.inline_small_functions = fail
+    UndoLog.restore = fail
+    return run_job(request)
+
+
+@pytest.mark.parametrize("request_", [
+    {"op": "compile", "source": SRC, "opt": "static"},
+    {"op": "run", "source": SRC, "entry": "main", "args": [[3]]},
+], ids=["compile", "vm-run"])
+def test_pipeline_crash_reply_names_its_bundle(tmp_path, monkeypatch,
+                                               request_):
+    """A compile, or a VM-tier run, whose pipeline cannot recover gets a
+    ``compile-error`` of kind ``PipelineCrash`` naming one bundle under
+    the server's ``crash_dir``: the request and its source replay it.
+    The worker writes nothing where it runs."""
+    from concurrent.futures import ThreadPoolExecutor
+    from pathlib import Path
+
+    from repro.core.pool import WorkerPool
+
+    workdir = tmp_path / "workdir"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)   # the seat forks with this directory
+    crashes = tmp_path / "crashes"
+    # A run key is served by the interpreter twice, then by the VM.
+    sends = 1 if request_["op"] == "compile" else 3
+
+    async def scenario():
+        server = CompileServer(ServerConfig(
+            cache_dir=str(tmp_path / "cache"), crash_dir=str(crashes),
+            native=False))
+        server.pool = WorkerPool(_unrecoverable_seat, size=1)
+        server._executor = ThreadPoolExecutor(max_workers=2)
+        try:
+            line = encode_message(request_)
+            return [json.loads(await _answer(server, line))
+                    for _ in range(sends)]
+        finally:
+            await server.stop()
+
+    *interpreted, reply = asyncio.run(scenario())
+    assert all(r["ok"] and r["tier"] == "interp" for r in interpreted)
+    error = reply["error"]
+    assert error["code"] == "compile-error"
+    assert error["kind"] == "PipelineCrash"
+    assert "pass trace" in error["message"]
+    bundle = Path(error["crash_bundle"])
+    assert list(crashes.iterdir()) == [bundle]
+    assert bundle.name == "crash-0000-PipelineCrash"
+    report = json.loads((bundle / "report.json").read_text())
+    assert report["request"]["op"] == request_["op"]
+    assert report["request"]["source"] == SRC
+    assert report["error"]["kind"] == "PipelineCrash"
+    assert "pass trace" in report["error"]["message"]
+    assert "simulated failure" in report["error"]["traceback"]
+    assert (bundle / "repro.impala").read_text() == SRC
+    assert list(workdir.iterdir()) == []
+
+
+def test_native_compile_pipeline_crash_leaves_its_bundle(tmp_path,
+                                                         monkeypatch):
+    """A background native compile whose pipeline cannot recover
+    quarantines its key and leaves one bundle, the promotion job, under
+    the server's ``crash_dir``; the worker writes nothing where it
+    runs."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.core.pool import WorkerPool
+    from repro.native import native_available
+
+    if not native_available():
+        pytest.skip("no C compiler: the native tier is off")
+    workdir = tmp_path / "workdir"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)   # the seat forks with this directory
+    crashes = tmp_path / "crashes"
+
+    async def scenario():
+        server = CompileServer(ServerConfig(
+            cache_dir=str(tmp_path / "cache"), crash_dir=str(crashes),
+            tier_hot_requests=1))
+        server.pool = WorkerPool(_unrecoverable_seat, size=1)
+        server._executor = ThreadPoolExecutor(max_workers=2)
+        try:
+            # The first run is served by the interpreter and marks the
+            # key hot, which starts the native compile.
+            reply = json.loads(await _answer(server, encode_message(
+                {"op": "run", "source": SRC, "entry": "main",
+                 "args": [[3]]})))
+            await asyncio.gather(*server._promotions.values())
+            return reply, server.tiering.state_of(reply["key"])
+        finally:
+            await server.stop()
+
+    reply, state = asyncio.run(scenario())
+    assert reply["ok"] and reply["tier"] == "interp"
+    assert state == "quarantined"
+    (bundle,) = crashes.iterdir()
+    assert bundle.name == "crash-0000-PipelineCrash"
+    report = json.loads((bundle / "report.json").read_text())
+    assert report["request"]["op"] == "native-compile"
+    assert report["request"]["source"] == SRC
+    assert (bundle / "repro.impala").read_text() == SRC
+    assert list(workdir.iterdir()) == []
+
+
+def test_bundle_index_is_taken_by_mkdir(tmp_path, monkeypatch):
+    """Servers sharing a ``crash_dir`` race for bundle indices: one
+    that saw index 0 free while another took it still writes its
+    bundle, at index 1."""
+    from pathlib import Path
+
+    from repro.core.pool import WorkerCrash
+
+    crashes = tmp_path / "crashes"
+    (crashes / "crash-0000-WorkerCrash").mkdir(parents=True)
+    server = CompileServer(ServerConfig(
+        cache_dir=str(tmp_path / "cache"), crash_dir=str(crashes)))
+    monkeypatch.setattr(Path, "exists", lambda self, *a, **kw: False)
+    bundle = server._write_crash_bundle(
+        WorkerCrash("worker killed", exitcode=-9),
+        {"op": "compile", "source": SRC, "opt": "static"})
+    monkeypatch.undo()
+    assert bundle == str(crashes / "crash-0001-WorkerCrash")
+    assert (Path(bundle) / "repro.impala").read_text() == SRC
+
+
 def test_fault_requests_bypass_the_cache(served):
     with served.client() as client:
         clean = client.compile(SRC + "\n// fault-cache", opt="static")
@@ -370,7 +509,7 @@ def test_cache_key_is_semantic():
     assert key != cache_key({**base, "options": {"growth_cap_floor": 2048}})
     # Defaults spelled out == defaults omitted.
     assert key == cache_key({**base, "options": {"growth_cap_floor": 4096}})
-    # Operational fields are the server's: a request naming one is
+    # A field the key does not cover (here the retired crash_dir) is
     # rejected, neither keyed nor silently dropped.
     with pytest.raises(ValueError, match="crash_dir"):
         cache_key({**base, "options": {"crash_dir": "/elsewhere"}})

@@ -8,7 +8,6 @@ from repro.backend.interp import Interpreter
 from repro.core import types as ct
 from repro.core.rewrite import replace_def, rewrite_uses
 from repro.core.scope import Scope
-from repro.core.snapshot import restore_world, snapshot_world
 from repro.core.undo import UndoLog
 from repro.core.verify import VerifyError, cff_violations
 from repro.core.world import World
@@ -138,9 +137,8 @@ fn main(a: i64) -> i64 { helper(a) + helper(a + 1) }
         assert caller.callee is target
         verify_cleanup(world)
 
-    @pytest.mark.parametrize("restore", ["snapshot", "undo"])
-    def test_restore_reconsiders_every_continuation(self, world, restore):
-        """After a wholesale restore the next cleanup scans everything,
+    def test_restore_reconsiders_every_continuation(self, world):
+        """After an undo-log rollback the next cleanup scans everything,
         not just what was touched since the previous one."""
         caller, fwd, target = _forwarding_world(world)
         world.make_external(fwd)
@@ -151,13 +149,9 @@ fn main(a: i64) -> i64 { helper(a) + helper(a + 1) }
         del world._externals[fwd.name]
         cleanup(world)
         assert caller.callee is fwd
-        if restore == "snapshot":
-            restore_world(snapshot_world(world), into=world)
-            caller = world.find_external("caller")
-        else:
-            log = UndoLog(world)
-            world.literal(ct.I64, 99)
-            log.restore()
+        log = UndoLog(world)
+        world.literal(ct.I64, 99)
+        log.restore()
         cleanup(world)
         assert caller.callee.name == "target"
 

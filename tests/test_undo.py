@@ -27,7 +27,9 @@ def _fingerprint(world):
             [c.gid for c in world._continuations],
             sorted(world._externals),
             world.stats.gvn_hits, world.stats.gvn_misses,
-            world.stats.folds)
+            world.stats.folds,
+            [(key, op.gid) for key, op in world._primops.items()],
+            sorted((name, c.gid) for name, c in world._intrinsics.items()))
 
 
 class TestRoundtrip:
@@ -136,13 +138,10 @@ class TestRoundtrip:
         assert world.generation > generation
 
     def test_wholesale_restore_disarms(self):
-        from repro.core.snapshot import restore_world, snapshot_world
-
         world = World()
         make_fib(world)
-        snap = snapshot_world(world)
         undo = UndoLog(world)
-        restore_world(snap, into=world)
+        world._note_all()
         assert not undo.armed
         assert world._undo is None
 
@@ -172,19 +171,18 @@ class TestPipelineRollback:
 
         world = compile_source(SOURCE, optimize=False)
         injector = FaultInjector(FaultPlan("raise", target="inline"))
-        stats = optimize(world, options=OptimizeOptions(
-            pass_hook=injector, crash_dir=None))
+        stats = optimize(world, options=OptimizeOptions(pass_hook=injector))
         assert stats.rollbacks >= 1
         assert any("inline" in key for key in stats.quarantined)
         verify(world, full=True)
         assert self._run(world) == expected
 
-    def test_rollback_matches_snapshot_rollback(self, monkeypatch):
+    def test_rollback_matches_phase_boundary(self, monkeypatch):
         """Rolling a faulted phase back through the undo log leaves
-        exactly the world a deep snapshot taken at the previous phase
-        boundary restores to — including no trace of the defs the
-        faulted phase created on the use lists of surviving ones."""
-        from repro.core.snapshot import restore_world, snapshot_world
+        exactly the world of the previous phase boundary — printed IR,
+        counters, registries and value-numbering table — including no
+        trace of the defs the faulted phase created on the use lists of
+        surviving ones."""
         from repro.fuzz.inject import FaultInjector, FaultPlan
         from repro.programs.suite import by_name
 
@@ -199,23 +197,22 @@ class TestPipelineRollback:
 
             def hook(phase, world):
                 injector(phase, world)   # raises on the target
-                boundaries.append(snapshot_world(world))
+                boundaries.append(_fingerprint(world))
 
             def restore(log):
-                faulted = print_world(log.world)
+                faulted = _fingerprint(log.world)
                 real_restore(log)
                 rolled_back.append(
-                    (faulted, print_world(log.world), boundaries[-1]))
+                    (faulted, _fingerprint(log.world), boundaries[-1]))
 
             monkeypatch.setattr(UndoLog, "restore", restore)
             world = compile_source(by_name(name).source, optimize=False)
-            stats = optimize(world, options=OptimizeOptions(
-                pass_hook=hook, crash_dir=None))
+            stats = optimize(world, options=OptimizeOptions(pass_hook=hook))
             monkeypatch.undo()
             assert stats.rollbacks == 1, name
-            ((faulted, undone, snapshot),) = rolled_back
+            ((faulted, undone, boundary),) = rolled_back
             assert faulted != undone, f"{name}: {target} changed nothing"
-            assert undone == print_world(restore_world(snapshot)), name
+            assert undone == boundary, name
             verify(world, full=True)
 
     def test_pipeline_disarms_on_exit(self):
