@@ -7,26 +7,39 @@ Two tools live here:
   submission order.  Extracted from ``fuzz/cli.py`` so the serve smoke
   driver and benchmarks can reuse it.
 * :class:`WorkerPool` / :class:`ForkWorker` — *persistent* crash-
-  isolated workers for the compile service.  Each worker is a forked
-  child on a duplex pipe; a job that crashes the child (segfault,
-  ``SIGKILL`` fault injection, runaway recursion) surfaces as a
-  structured :class:`WorkerCrash` in the parent while the pool respawns
-  the seat, so one poisoned request never takes the server down.
+  isolated workers for the compile service, awaited on the server's
+  event loop.  Each worker is a forked child on a socket pair: the job
+  is written to it, the reply is read as it arrives (``add_reader``),
+  and the deadline is a loop timer.  A job that crashes the child
+  (segfault, ``SIGKILL`` fault injection, runaway recursion) or
+  overruns its deadline surfaces as a structured :class:`WorkerCrash`
+  in the parent while the seat respawns, so one poisoned request never
+  takes the server down.
 
 Fork (not spawn) is deliberate in both cases: children inherit the
 loaded modules and the handler closure, so there is no re-import or
-re-pickle cost per seat, and handlers may close over rich objects.
-POSIX-only, like the rest of the fuzz tooling.
+re-pickle cost per seat, and handlers may close over rich objects.  A
+seat keeps nothing else of its parent: it closes every descriptor but
+its end of the pair and stdio (the server's listener and connections
+included), and restores the default SIGTERM/SIGINT dispositions and no
+signal wakeup fd, so a seat forked after the server installed its
+signal handlers is as clean as one forked before.  POSIX-only, like
+the rest of the fuzz tooling.
 """
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing
-import multiprocessing.connection
 import os
-import threading
-import time
+import pickle
+import signal
+import socket
+import struct
 import traceback
+
+# Every message on a seat's socket: an 8-byte length, then the pickle.
+_HEADER = struct.Struct("!Q")
 
 
 def map_cases(worker, cases, jobs):
@@ -74,172 +87,214 @@ class JobError(Exception):
         super().__init__(f"{kind}: {detail}")
 
 
-def _child_loop(conn, handler, parent_conn=None):
-    """Worker main: serve jobs off *conn* until EOF or parent death."""
-    # A fresh process group would also work, but keeping the parent's
-    # group lets Ctrl-C at the terminal reach the whole tree.
-    #
-    # The fork also inherits the *parent's* end of the pipe; close our
-    # copy or EOF can never arrive.  Even then, sibling seats forked
-    # later inherit this seat's parent end too, so a parent that dies
-    # without cleanup (SIGKILL) may never produce EOF here — watch for
-    # reparenting as the backstop, or the worker outlives the daemon.
-    if parent_conn is not None:
-        parent_conn.close()
-    parent_pid = os.getppid()
+def _frame(message) -> bytes:
+    body = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    return _HEADER.pack(len(body)) + body
+
+
+def _recv_exactly(sock: socket.socket, size: int) -> bytes | None:
+    chunks = []
+    while size:
+        chunk = sock.recv(min(size, 1 << 20))
+        if not chunk:
+            return None
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
+def _seat_main(sock: socket.socket, handler) -> None:
+    """Worker main: serve jobs off *sock* until EOF.
+
+    The parent holds the only other end of the pair (every seat closes
+    every descriptor it inherited), so EOF arrives when the parent
+    closes the seat or dies, however it dies.
+    """
     while True:
+        header = _recv_exactly(sock, _HEADER.size)
+        if header is None:
+            return
+        body = _recv_exactly(sock, _HEADER.unpack(header)[0])
+        if body is None:
+            return
         try:
-            while not conn.poll(1.0):
-                if os.getppid() != parent_pid:
-                    os._exit(0)
-            job = conn.recv()
-        except (EOFError, OSError):
-            os._exit(0)
-        if job is _SHUTDOWN:
-            os._exit(0)
-        try:
-            result = handler(job)
-            reply = ("ok", result)
+            reply = _frame(("ok", handler(pickle.loads(body))))
         except BaseException as exc:  # noqa: BLE001 — child must not die
-            reply = ("error", (type(exc).__name__, str(exc),
-                               traceback.format_exc()))
+            reply = _frame(("error", (type(exc).__name__, str(exc),
+                                      traceback.format_exc())))
+        sock.sendall(reply)
+
+
+def _fork_seat(handler) -> tuple[int, socket.socket]:
+    """Fork one seat; returns its pid and the parent's end of its pair."""
+    ours, theirs = socket.socketpair()
+    pid = os.fork()
+    if pid == 0:  # the seat
+        status = 0
         try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            os._exit(1)
+            keep = theirs.fileno()
+            os.closerange(3, keep)
+            os.closerange(keep + 1, os.sysconf("SC_OPEN_MAX"))
+            signal.set_wakeup_fd(-1)
+            for signum in (signal.SIGTERM, signal.SIGINT):
+                signal.signal(signum, signal.SIG_DFL)
+            _seat_main(theirs, handler)
+        except BaseException:  # noqa: BLE001
+            status = 1  # never unwind into the parent's stack
+        finally:
+            os._exit(status)
+    theirs.close()
+    ours.setblocking(False)
+    return pid, ours
 
 
-class _Shutdown:
-    def __reduce__(self):
-        return (_shutdown_sentinel, ())
-
-
-def _shutdown_sentinel():
-    return _SHUTDOWN
-
-
-_SHUTDOWN = _Shutdown()
+# How a job ended when the handler did not reply.
+_EOF, _DEADLINE, _CLOSED = object(), object(), object()
 
 
 class ForkWorker:
-    """One persistent forked worker on a duplex pipe.
+    """One persistent forked worker on a socket pair.
 
-    ``run(job, timeout)`` is synchronous: send the job, poll for the
-    reply, and translate every way the child can fail into a structured
-    exception.  Not thread-safe — :class:`WorkerPool` serializes access
-    per seat.
+    ``await run(job, timeout)`` writes the job, reads the reply on the
+    running loop and translates every way the child can fail into a
+    structured exception.  One job at a time — :class:`WorkerPool`
+    hands a seat to one caller at a time.
     """
 
     def __init__(self, handler):
         self._handler = handler
+        self._closed = False
         self._spawn()
 
-    def _spawn(self):
-        ctx = multiprocessing.get_context("fork")
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        self._proc = ctx.Process(
-            target=_child_loop,
-            args=(child_conn, self._handler, parent_conn),
-            daemon=True)
-        self._proc.start()
-        child_conn.close()
-        self._conn = parent_conn
-        self.jobs_done = 0
-
-    @property
-    def pid(self) -> int | None:
-        return self._proc.pid
+    def _spawn(self) -> None:
+        self.pid, self._sock = _fork_seat(self._handler)
+        self._exitcode: int | None = None
+        self._buffer = bytearray()
+        self._outcome: asyncio.Future | None = None
+        self._loop = None
 
     def alive(self) -> bool:
-        return self._proc.is_alive()
+        if self._exitcode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self._exitcode = os.waitstatus_to_exitcode(status)
+        return self._exitcode is None
 
-    def run(self, job, timeout: float | None = None):
+    async def run(self, job, timeout: float | None = None):
         """Execute *job* in the child; return the handler's result.
 
         Raises :class:`JobError` if the handler raised (worker fine),
-        :class:`WorkerCrash` if the child died or blew *timeout* —
-        in both crash cases the seat is killed and respawned before
-        the exception propagates, so the worker is immediately
-        reusable.
+        :class:`WorkerCrash` if the child died or blew *timeout* — in
+        both crash cases the seat is killed and respawned before the
+        exception propagates, so the worker is immediately reusable —
+        and ``RuntimeError`` if the seat was closed meanwhile.
         """
         if not self.alive():
             self._respawn()
+        self._loop = loop = asyncio.get_running_loop()
+        self._outcome = outcome = loop.create_future()
+        timer = None
         try:
-            self._conn.send(job)
-        except (BrokenPipeError, OSError):
+            await loop.sock_sendall(self._sock, _frame(job))
+            loop.add_reader(self._sock, self._readable)
+            if timeout is not None:
+                timer = loop.call_later(timeout, self._settle, _DEADLINE)
+            result = await outcome
+        except ConnectionError:
             self._respawn()
             raise WorkerCrash("worker pipe closed before submit", job=job)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            wait = 0.25 if deadline is None else min(
-                0.25, max(0.0, deadline - time.monotonic()))
-            if self._conn.poll(wait):
-                try:
-                    status, payload = self._conn.recv()
-                except (EOFError, OSError):
-                    exitcode = self._reap()
-                    raise WorkerCrash(
-                        f"worker died mid-job (exitcode={exitcode})",
-                        job=job, exitcode=exitcode)
-                self.jobs_done += 1
-                if status == "ok":
-                    return payload
-                kind, detail, trace = payload
-                raise JobError(kind, detail, trace)
-            if not self._proc.is_alive():
-                exitcode = self._reap()
-                raise WorkerCrash(
-                    f"worker died mid-job (exitcode={exitcode})",
-                    job=job, exitcode=exitcode)
-            if deadline is not None and time.monotonic() >= deadline:
-                exitcode = self._reap()
-                raise WorkerCrash(
-                    f"worker deadline exceeded ({timeout:g}s); killed",
-                    job=job, exitcode=exitcode)
+        except asyncio.CancelledError:
+            self._respawn()  # the job's reply is no longer wanted
+            raise
+        finally:
+            if timer is not None:
+                timer.cancel()
+            self._unwatch()
+        if result is _CLOSED:
+            raise RuntimeError("pool is closed")
+        if result is _DEADLINE or result is _EOF:
+            exitcode = self._respawn()
+            reason = (f"worker deadline exceeded ({timeout:g}s); killed"
+                      if result is _DEADLINE else
+                      f"worker died mid-job (exitcode={exitcode})")
+            raise WorkerCrash(reason, job=job, exitcode=exitcode)
+        status, payload = result
+        if status == "ok":
+            return payload
+        kind, detail, trace = payload
+        raise JobError(kind, detail, trace)
 
-    def _reap(self) -> int | None:
-        """Kill (if needed) and respawn; return the old exitcode."""
-        if self._proc.is_alive():
-            self._proc.kill()
-        self._proc.join(timeout=5.0)
-        exitcode = self._proc.exitcode
-        self._respawn()
+    def _readable(self) -> None:
+        try:
+            while True:
+                chunk = self._sock.recv(1 << 20)
+                if not chunk:
+                    self._settle(_EOF)
+                    return
+                self._buffer += chunk
+        except BlockingIOError:
+            pass
+        except ConnectionError:
+            self._settle(_EOF)
+            return
+        if len(self._buffer) < _HEADER.size:
+            return
+        size = _HEADER.unpack_from(self._buffer)[0]
+        if len(self._buffer) >= _HEADER.size + size:
+            body = bytes(self._buffer[_HEADER.size:])
+            self._buffer.clear()
+            self._settle(pickle.loads(body))
+
+    def _settle(self, result) -> None:
+        if self._outcome is not None and not self._outcome.done():
+            self._outcome.set_result(result)
+
+    def _unwatch(self) -> None:
+        """Stop reading the pair (before it closes: the loop's selector
+        must never hold a closed descriptor)."""
+        if self._outcome is not None:
+            self._outcome = None
+            self._loop.remove_reader(self._sock)
+
+    def _stop(self) -> int | None:
+        """Close the pair, kill the child if it still runs, reap it;
+        its exit code."""
+        self._unwatch()
+        self._sock.close()
+        if self._exitcode is None:
+            try:
+                os.kill(self.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            _, status = os.waitpid(self.pid, 0)
+            self._exitcode = os.waitstatus_to_exitcode(status)
+        return self._exitcode
+
+    def _respawn(self) -> int | None:
+        """Replace the child with a fresh one (none once closed); the
+        old one's exit code."""
+        exitcode = self._stop()
+        if not self._closed:
+            self._spawn()
         return exitcode
 
-    def _respawn(self):
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-        if self._proc.is_alive():
-            self._proc.kill()
-            self._proc.join(timeout=5.0)
-        self._spawn()
-
-    def close(self):
-        if self._proc.is_alive():
-            try:
-                self._conn.send(_SHUTDOWN)
-            except (BrokenPipeError, OSError):
-                pass
-            self._proc.join(timeout=2.0)
-            if self._proc.is_alive():
-                self._proc.kill()
-                self._proc.join(timeout=5.0)
-        try:
-            self._conn.close()
-        except OSError:
-            pass
+    def close(self) -> None:
+        """Stop the child for good; a job in flight ends with
+        ``RuntimeError``."""
+        self._closed = True
+        self._settle(_CLOSED)
+        self._stop()
 
 
 class WorkerPool:
-    """A fixed set of :class:`ForkWorker` seats behind a checkout lock.
+    """A fixed set of :class:`ForkWorker` seats, handed out on the loop.
 
-    ``run(job, timeout)`` blocks until a seat is free (bounded by the
+    ``await run(job, timeout)`` waits for a free seat (bounded by the
     caller's own admission control — the server sheds load *before*
     reaching here), runs the job, and returns the seat even when the
-    job crashed it (the seat respawned itself).  Thread-safe: designed
-    to be driven from an executor under asyncio.
+    job crashed it (the seat respawned itself).  Callers share one
+    event loop; a seat freed by one job goes straight to the oldest
+    waiter.
     """
 
     def __init__(self, handler, size: int = 2):
@@ -247,7 +302,7 @@ class WorkerPool:
             raise ValueError("pool size must be >= 1")
         self._workers = [ForkWorker(handler) for _ in range(size)]
         self._idle = list(self._workers)
-        self._cond = threading.Condition()
+        self._waiters: list[asyncio.Future] = []
         self._closed = False
         self.crashes = 0
 
@@ -255,34 +310,42 @@ class WorkerPool:
     def size(self) -> int:
         return len(self._workers)
 
-    def run(self, job, timeout: float | None = None):
-        with self._cond:
-            while not self._idle:
-                if self._closed:
-                    raise RuntimeError("pool is closed")
-                self._cond.wait()
-            if self._closed:
-                raise RuntimeError("pool is closed")
+    async def run(self, job, timeout: float | None = None):
+        if self._closed:
+            raise RuntimeError("pool is closed")
+        if self._idle:
             worker = self._idle.pop()
+        else:
+            waiter = asyncio.get_running_loop().create_future()
+            self._waiters.append(waiter)
+            worker = await waiter
         try:
-            return worker.run(job, timeout=timeout)
+            return await worker.run(job, timeout=timeout)
         except WorkerCrash:
-            with self._cond:
-                self.crashes += 1
+            self.crashes += 1
             raise
         finally:
-            with self._cond:
-                self._idle.append(worker)
-                self._cond.notify()
+            self._release(worker)
 
-    def close(self):
-        with self._cond:
-            self._closed = True
-            workers, self._workers = self._workers, []
-            self._idle = []
-            self._cond.notify_all()
-        for worker in workers:
+    def _release(self, worker: ForkWorker) -> None:
+        if self._closed:
+            return
+        while self._waiters:
+            waiter = self._waiters.pop(0)
+            if not waiter.done():
+                waiter.set_result(worker)
+                return
+        self._idle.append(worker)
+
+    def close(self) -> None:
+        self._closed = True
+        for waiter in self._waiters:
+            if not waiter.done():
+                waiter.set_exception(RuntimeError("pool is closed"))
+        self._waiters = []
+        for worker in self._workers:
             worker.close()
+        self._workers, self._idle = [], []
 
     def __enter__(self):
         return self

@@ -39,9 +39,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .client import ServeClient
 from .protocol import wait_for_stop
-from .router import Router, RouterConfig
+from .router import Router, RouterConfig, ShardDown, ShardLink
 
 RESTART_BACKOFF_BASE = 0.5
 RESTART_BACKOFF_CAP = 10.0
@@ -140,24 +139,21 @@ class Fleet:
         # The port is bound before the file is written, so one ping
         # settles readiness.
         while True:
+            probe = ShardLink(shard.name, self.config.host, shard.port,
+                              conns=1, timeout=5.0)
             try:
-                reply = await asyncio.get_running_loop().run_in_executor(
-                    None, self._ping_shard, shard)
-                if reply.get("pong"):
+                if (await probe.ping()).get("pong"):
                     break
-            except Exception:
+            except (ShardDown, TimeoutError):
                 pass
+            finally:
+                probe.close()
             if time.monotonic() > deadline:
                 shard.proc.kill()
                 raise RuntimeError(f"{shard.name} did not answer ping")
             await asyncio.sleep(0.1)
         shard.up_since = time.monotonic()
         self.router.add_shard(shard.name, self.config.host, shard.port)
-
-    def _ping_shard(self, shard: ShardProc) -> dict:
-        with ServeClient(self.config.host, shard.port,
-                         timeout=5.0, retry_overloaded=False) as client:
-            return client.ping()
 
     async def _supervise(self, shard: ShardProc) -> None:
         """Watch one shard; restart with backoff when it dies."""
@@ -224,7 +220,6 @@ class Fleet:
         for task in getattr(self, "_supervisors", []):
             task.cancel()
         await self.router.stop()
-        loop = asyncio.get_running_loop()
         for shard in self.shards:
             if shard.proc is not None and shard.proc.poll() is None:
                 shard.proc.send_signal(signal.SIGTERM)
@@ -232,12 +227,13 @@ class Fleet:
         for shard in self.shards:
             if shard.proc is None:
                 continue
-            try:
-                await asyncio.wait_for(
-                    loop.run_in_executor(None, shard.proc.wait),
-                    timeout=15.0)
-            except asyncio.TimeoutError:
+            deadline = time.monotonic() + 15.0
+            while (shard.proc.poll() is None
+                   and time.monotonic() < deadline):
+                await asyncio.sleep(0.05)
+            if shard.proc.poll() is None:
                 shard.proc.kill()
+                shard.proc.wait()
 
     async def run(self) -> None:
         await self.start()

@@ -5,12 +5,11 @@ endpoint (``{"op": "stats"}``) serializes :meth:`Metrics.snapshot`
 straight to the wire.  Histograms use power-of-two millisecond buckets
 (1ms, 2ms, 4ms, ... 65s, +inf): coarse enough to be cheap, fine enough
 to see a cold compile (hundreds of ms) versus a warm cache hit
-(sub-millisecond) at a glance.
+(sub-millisecond) at a glance.  A server updates its metrics only from
+its event loop's thread, so nothing here locks.
 """
 
 from __future__ import annotations
-
-import threading
 
 _BUCKET_MS = [2 ** i for i in range(17)]  # 1ms .. 65536ms
 
@@ -49,10 +48,9 @@ class Histogram:
 
 
 class Metrics:
-    """All serve-side counters behind one lock (asyncio + executor safe)."""
+    """All serve-side counters of one server."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self.counters: dict[str, int] = {}
         self.latency: dict[str, Histogram] = {}
         # Wall-clock seconds per pipeline phase kind, summed over every
@@ -60,15 +58,13 @@ class Metrics:
         self.phase_seconds: dict[str, float] = {}
 
     def bump(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            self.counters[name] = self.counters.get(name, 0) + amount
+        self.counters[name] = self.counters.get(name, 0) + amount
 
     def observe(self, name: str, seconds: float) -> None:
-        with self._lock:
-            hist = self.latency.get(name)
-            if hist is None:
-                hist = self.latency[name] = Histogram()
-            hist.observe(seconds)
+        hist = self.latency.get(name)
+        if hist is None:
+            hist = self.latency[name] = Histogram()
+        hist.observe(seconds)
 
     def record_compile(self, stats) -> None:
         """Fold one compile's ``stats`` artifact into the totals: phase
@@ -80,24 +76,20 @@ class Metrics:
             return  # opt "none" runs no pipeline
         records = ([stats] if "timings" in stats else
                    [sub for sub in stats.values() if isinstance(sub, dict)])
-        with self._lock:
-            for record in records:
-                for phase, seconds in record.get("timings", {}).items():
-                    self.phase_seconds[phase] = (
-                        self.phase_seconds.get(phase, 0.0) + seconds)
-                for name, amount in (
-                        ("pipeline_rollbacks", record.get("rollbacks", 0)),
-                        ("pipeline_quarantines",
-                         len(record.get("quarantined", ())))):
-                    self.counters[name] = self.counters.get(name, 0) + amount
+        for record in records:
+            for phase, seconds in record.get("timings", {}).items():
+                self.phase_seconds[phase] = (
+                    self.phase_seconds.get(phase, 0.0) + seconds)
+            self.bump("pipeline_rollbacks", record.get("rollbacks", 0))
+            self.bump("pipeline_quarantines",
+                      len(record.get("quarantined", ())))
 
     def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "counters": dict(self.counters),
-                "latency": {name: hist.snapshot()
-                            for name, hist in self.latency.items()},
-                "pipeline_phase_seconds": {
-                    phase: round(seconds, 6)
-                    for phase, seconds in sorted(self.phase_seconds.items())},
-            }
+        return {
+            "counters": dict(self.counters),
+            "latency": {name: hist.snapshot()
+                        for name, hist in self.latency.items()},
+            "pipeline_phase_seconds": {
+                phase: round(seconds, 6)
+                for phase, seconds in sorted(self.phase_seconds.items())},
+        }

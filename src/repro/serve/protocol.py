@@ -92,7 +92,13 @@ daemon (:class:`~repro.serve.server.CompileServer`) and the fleet
 router (:class:`~repro.serve.router.Router`) both subclass it and only
 supply :meth:`LineServer.dispatch`.  It listens, publishes the bound
 port, serves every line of a connection concurrently, fans batches
-out, tags replies and drains on SIGTERM/SIGINT.
+out, tags replies and drains on SIGTERM/SIGINT.  Each connection is an
+:class:`asyncio.Protocol`: a request that need not wait (a ``ping``, a
+shard's cache hit, a router forward, whose reply arrives by callback)
+is answered in the event-loop pass that read it, with no task, future
+or lock; the others run as tasks.  A connection whose peer stops
+reading its replies stops being read, and one that ends (EOF, or a
+line over :data:`MAX_LINE_BYTES`) closes once its replies are written.
 """
 
 from __future__ import annotations
@@ -374,13 +380,13 @@ async def wait_for_stop(stopping: asyncio.Event) -> None:
 class LineServer:
     """The asyncio server side of the wire protocol.
 
-    One connection is one NDJSON stream, *pipelined*: every line becomes
-    a task and its replies are written, under a per-connection lock, as
-    they complete.  That is what makes a pooled router->shard
-    connection a pipeline instead of a turn-taking RPC channel: a cold
-    compile does not block the cache hits queued behind it.  A ``batch``
-    line fans its sub-requests out concurrently, streams each sub-reply
-    as it finishes and closes with a summary line.
+    One connection is one NDJSON stream, *pipelined*: every line is
+    dispatched as soon as it is read and its replies are written as
+    they complete, so a cold compile does not block the cache hits
+    queued behind it on the same connection (a router->shard link is a
+    pipeline, not a turn-taking RPC channel).  A ``batch`` line fans its
+    sub-requests out concurrently, streams each sub-reply as it
+    finishes and closes with a summary line.
 
     Subclasses implement :meth:`dispatch` for the ``compile``, ``run``,
     ``stats`` and ``ping`` ops.  Request counters, error replies, the
@@ -395,23 +401,40 @@ class LineServer:
         self.metrics = Metrics()
         self.started = time.time()
         self._server: asyncio.base_events.Server | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
+        self._connections: set[_Connection] = set()
+        self._tasks: set[asyncio.Task] = set()
         self._stopping = asyncio.Event()
 
-    async def dispatch(self, message: dict) -> dict | bytes:
-        """The reply to one non-batch request whose ``op`` is in
-        :data:`OPS`: a reply object, or a reply line encoded elsewhere
-        (a shard's), which is re-tagged rather than re-encoded.  Raise
-        :class:`ProtocolError` for an error reply."""
+    def dispatch(self, message: dict, respond) -> None:
+        """Answer one non-batch request whose ``op`` is in :data:`OPS`.
+
+        Call ``respond`` once, now or later, with a reply object, a
+        reply line encoded elsewhere (a shard's, which is re-tagged
+        rather than re-encoded) or a :class:`ProtocolError`; a request
+        that must wait hands a coroutine to :meth:`spawn`.  Raising
+        :class:`ProtocolError` here is an error reply too."""
         raise NotImplementedError
+
+    def spawn(self, work, respond) -> None:
+        """Run the coroutine *work* as a task; ``respond`` gets what it
+        returns, or the :class:`ProtocolError` it raises."""
+        async def run():
+            try:
+                result = await work
+            except ProtocolError as exc:
+                result = exc
+            respond(result)
+
+        task = asyncio.get_running_loop().create_task(run())
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
         """Listen; with ``port_file`` set, publish the bound port there."""
-        self._server = await asyncio.start_server(
-            self._connection, self.config.host, self.config.port,
-            limit=MAX_LINE_BYTES + 2)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.config.host, self.config.port)
         if self.config.port_file:
             # Atomic: supervisors poll for this file and must never read
             # a half-written port number.
@@ -435,8 +458,8 @@ class LineServer:
         # A process exit would close these sockets anyway, but an
         # in-process stop (tests, the fleet manager's router) must not
         # leave peers blocked on a dead stream.
-        for writer in list(self._connections):
-            writer.close()
+        for connection in list(self._connections):
+            connection.transport.close()
         if self._server is not None:
             await self._server.wait_closed()
 
@@ -448,73 +471,39 @@ class LineServer:
         finally:
             await self.stop()
 
-    # -- connections --------------------------------------------------------
-
-    async def _connection(self, reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> None:
-        write_lock = asyncio.Lock()
-
-        async def send(line: bytes) -> None:
-            try:
-                async with write_lock:
-                    writer.write(line)
-                    await writer.drain()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass  # peer vanished; the work itself already happened
-
-        tasks: set[asyncio.Task] = set()
-        self._connections.add(writer)
-        try:
-            while not self._stopping.is_set():
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    # The line outgrew the stream limit; the framing is
-                    # lost, so reply and drop the connection.
-                    await send(encode_message(error_reply(
-                        "oversized",
-                        f"request line exceeds {MAX_LINE_BYTES} bytes")))
-                    break
-                if not line.endswith(b"\n"):
-                    break  # EOF (possibly mid-request): just drop it.
-                if line.strip():
-                    task = asyncio.create_task(self.serve_line(line, send))
-                    tasks.add(task)
-                    task.add_done_callback(tasks.discard)
-            # Drain in-flight replies before closing the stream; a
-            # disconnect mid-compile still runs the job to completion
-            # (the artifact lands in the cache) but its write fails.
-            await asyncio.gather(*tasks, return_exceptions=True)
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # peer vanished mid-reply; nothing to salvage
-        except asyncio.CancelledError:
-            # Shutdown with this connection still open.  Nothing awaits
-            # this task, and asyncio's stream callback (3.11) reports a
-            # cancelled handler as an error, so it ends here.
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
+    # -- requests -----------------------------------------------------------
 
     async def serve_line(self, line: bytes, send) -> None:
-        """Answer one request line.  Each reply line is passed to the
-        coroutine function *send*: one reply, or a batch's sub-replies
-        in completion order followed by its summary."""
+        """Answer one request line in process.  The coroutine function
+        *send* receives each reply line — one reply, or a batch's
+        sub-replies in completion order followed by its summary — once
+        the last one is ready."""
+        lines: list[bytes] = []
+        finished = asyncio.get_running_loop().create_future()
+        self._serve(line, lines.append, lambda: finished.set_result(None))
+        await finished
+        for reply in lines:
+            await send(reply)
+
+    def _serve(self, line: bytes, send, done) -> None:
+        """Answer one request line: each reply line goes to the plain
+        function *send*, then ``done()`` is called once."""
         try:
             message = decode_line(line)
         except ProtocolError as exc:
             self.metrics.bump("requests_total")
             self.metrics.bump(f"errors_{exc.code}")
-            await send(encode_message(exc.as_reply()))
+            send(encode_message(exc.as_reply()))
+            done()
             return
         request_id = message.get("id")
         tags = {} if request_id is None else {"id": request_id}
         if message.get("op") != "batch":
-            await send(await self._reply(message, tags))
+            def respond(reply: bytes) -> None:
+                send(reply)
+                done()
+
+            self._request(message, tags, respond)
             return
 
         self.metrics.bump("requests_total")
@@ -523,42 +512,144 @@ class LineServer:
             subs = validate_batch_request(message)
         except ProtocolError as exc:
             self.metrics.bump(f"errors_{exc.code}")
-            await send(encode_message({**exc.as_reply(), **tags}))
+            send(encode_message({**exc.as_reply(), **tags}))
+            done()
             return
+        left, failed = len(subs), 0
 
-        async def one(sub: dict) -> bool:
+        def sub_reply(reply: bytes) -> None:
+            nonlocal left, failed
+            send(reply)
+            failed += head_value(reply, "ok") is not True
+            left -= 1
+            if not left:
+                summary = {"ok": True, "batch_complete": True,
+                           "replies": len(subs), "failed": failed}
+                if request_id is not None:
+                    summary["batch"] = summary["id"] = request_id
+                send(encode_message(summary))
+                done()
+
+        for sub in subs:
             sub_tags = {"id": sub["id"]}
             if request_id is not None:
                 sub_tags["batch"] = request_id
-            reply = await self._reply(sub, sub_tags)
-            await send(reply)
-            return head_value(reply, "ok") is True
+            self._request(sub, sub_tags, sub_reply)
 
-        oks = await asyncio.gather(*(one(sub) for sub in subs))
-        summary = {"ok": True, "batch_complete": True,
-                   "replies": len(oks), "failed": oks.count(False)}
-        if request_id is not None:
-            summary["batch"] = summary["id"] = request_id
-        await send(encode_message(summary))
-
-    async def _reply(self, message: dict, tags: dict) -> bytes:
-        """One non-batch request's reply line, tagged with *tags*."""
+    def _request(self, message: dict, tags: dict, respond) -> None:
+        """Dispatch one non-batch request; ``respond`` gets its reply
+        line, tagged with *tags*, now or later."""
         started = time.perf_counter()
         self.metrics.bump("requests_total")
+
+        def reply(result) -> None:
+            if isinstance(result, ProtocolError):
+                self.metrics.bump(f"errors_{result.code}")
+                result = result.as_reply()
+            self.metrics.observe("request", time.perf_counter() - started)
+            if isinstance(result, bytes):
+                respond(retag(result, **tags))
+            else:
+                respond(encode_message({**result, **tags}))
+
+        op = message.get("op")
         try:
-            op = message.get("op")
             if op == "batch":
                 raise ProtocolError("bad-request", "batches do not nest")
             if op not in OPS:
                 raise ProtocolError(
                     "bad-request", f"unknown op {op!r}; expected 'compile', "
                                    f"'run', 'batch', 'stats' or 'ping'")
-            reply = await self.dispatch(message)
+            self.dispatch(message, reply)
         except ProtocolError as exc:
-            self.metrics.bump(f"errors_{exc.code}")
-            reply = exc.as_reply()
-        finally:
-            self.metrics.observe("request", time.perf_counter() - started)
-        if isinstance(reply, bytes):
-            return retag(reply, **tags)
-        return encode_message({**reply, **tags})
+            reply(exc)
+
+
+class _Connection(asyncio.Protocol):
+    """One accepted connection of a :class:`LineServer`.
+
+    Lines are served as ``data_received`` splits them off.  While the
+    transport's write buffer is over its high-water mark (the peer is
+    not reading its replies) no further line is taken and the socket is
+    not read, so a client that pipelines without reading holds the
+    server to a bounded buffer.  EOF, or a line over
+    :data:`MAX_LINE_BYTES` (answered ``oversized``: the framing is
+    lost), ends the connection; it closes once every line taken has
+    been answered.
+    """
+
+    def __init__(self, server: LineServer):
+        self.server = server
+        self.transport: asyncio.Transport | None = None
+        self.buffer = bytearray()
+        self.scanned = 0      # buffer prefix known to hold no newline
+        self.inflight = 0     # lines taken and not yet answered
+        self.paused = False   # the transport's write buffer is full
+        self.ending = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self.server._connections.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        self._take_lines()
+
+    def eof_received(self) -> bool:
+        self.ending = True
+        self._take_lines()
+        return True  # half-open: the replies still have to go out
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self._take_lines()
+        if not (self.paused or self.ending):
+            self.transport.resume_reading()
+
+    def _take_lines(self) -> None:
+        buffer = self.buffer
+        while not self.paused:
+            end = buffer.find(b"\n", self.scanned)
+            if end < 0:
+                if len(buffer) > MAX_LINE_BYTES:
+                    self._oversized()
+                elif self.ending:
+                    buffer.clear()  # EOF mid-request: drop the fragment
+                self.scanned = len(buffer)
+                break
+            if end > MAX_LINE_BYTES:
+                self._oversized()
+                break
+            line = bytes(buffer[:end + 1])
+            del buffer[:end + 1]
+            self.scanned = 0
+            if line.strip():
+                self.inflight += 1
+                self.server._serve(line, self._send, self._answered)
+        self._close_if_done()
+
+    def _oversized(self) -> None:
+        self.buffer.clear()
+        self.ending = True
+        self.transport.pause_reading()
+        self._send(encode_message(error_reply(
+            "oversized", f"request line exceeds {MAX_LINE_BYTES} bytes")))
+
+    def _send(self, line: bytes) -> None:
+        if not self.transport.is_closing():
+            self.transport.write(line)
+
+    def _answered(self) -> None:
+        self.inflight -= 1
+        self._close_if_done()
+
+    def _close_if_done(self) -> None:
+        if self.ending and not self.inflight and not self.buffer:
+            self.transport.close()  # flushes the replies, then closes

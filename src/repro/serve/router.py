@@ -31,7 +31,12 @@ routed one by one, so one client line fans out across the fleet.
 Router->shard transport is a small pool of *pipelined* connections
 per shard (:class:`ShardLink`): many requests in flight per
 connection, tagged with router-assigned ids and matched to replies by
-id (the shard serves one connection's lines concurrently).
+id (the shard serves one connection's lines concurrently).  Each
+connection is an :class:`asyncio.Protocol` whose reply lines resolve
+the callback registered under their id, so a forwarded request costs
+no task, future or timeout wrapper: the client line is read, checked
+and written to the shard in one event-loop pass, and the shard's reply
+is re-tagged and written to the client in the pass that reads it.
 
 Replies are forwarded, not rebuilt: a link hands back the shard's
 reply line undecoded, and the router rewrites only its head — the
@@ -144,15 +149,74 @@ class HashRing:
 # ---------------------------------------------------------------------------
 
 
-class _Conn:
-    """One pipelined connection: many requests in flight, matched by id."""
+class _LinkConn(asyncio.Protocol):
+    """One pipelined connection of a :class:`ShardLink`.
 
-    def __init__(self):
-        self.reader: asyncio.StreamReader | None = None
-        self.writer: asyncio.StreamWriter | None = None
-        self.pending: dict[str, asyncio.Future] = {}
-        self.reader_task: asyncio.Task | None = None
+    ``pending`` maps each router id in flight to its callback and
+    deadline, in send order; lines sent before the connection is up
+    queue in ``queued``.  One timer per connection, armed for the
+    oldest deadline, expires requests the shard sits on.
+    """
+
+    def __init__(self, link: ShardLink):
+        self.link = link
+        self.transport: asyncio.Transport | None = None
+        self.queued: list[bytes] = []
+        self.pending: dict[str, tuple] = {}
+        self.buffer = bytearray()
+        self.timer: asyncio.TimerHandle | None = None
+        self.connecting: asyncio.Task | None = None
         self.dead = False
+
+    def send(self, rid: str, line: bytes, callback) -> None:
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.link.timeout
+        self.pending[rid] = (callback, deadline)
+        if self.timer is None:
+            self.timer = loop.call_at(deadline, self._expire)
+        if self.transport is None:
+            self.queued.append(line)
+        else:
+            self.transport.write(line)
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        transport.write(b"".join(self.queued))
+        self.queued = []
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self.buffer
+        buffer += data
+        start = 0
+        while (end := buffer.find(b"\n", start)) >= 0:
+            line = bytes(buffer[start:end + 1])
+            start = end + 1
+            rid = head_value(line, "id")
+            entry = (self.pending.pop(rid, None)
+                     if isinstance(rid, str) else None)
+            if entry is not None:
+                entry[0](line, None)
+        del buffer[:start]
+        if len(buffer) > MAX_LINE_BYTES + 1:
+            self.link._kill(self, "reply line over the size limit")
+
+    def connection_lost(self, exc) -> None:
+        # A line still in the buffer was cut short: never forwarded.
+        self.link._kill(self, "connection lost")
+
+    def _expire(self) -> None:
+        now = asyncio.get_running_loop().time()
+        while self.pending:
+            rid, (callback, deadline) = next(iter(self.pending.items()))
+            if deadline > now:
+                self.timer = asyncio.get_running_loop().call_at(
+                    deadline, self._expire)
+                return
+            del self.pending[rid]
+            callback(None, TimeoutError(
+                f"shard {self.link.name} did not answer within "
+                f"{self.link.timeout}s"))
+        self.timer = None
 
 
 class ShardLink:
@@ -161,11 +225,12 @@ class ShardLink:
     Requests are tagged with router ids (``r<N>``) before they go on
     the wire and matched back by that id, read from the head of each
     reply line without decoding the rest, so any number can be in
-    flight per connection.  Connections are created lazily and
-    round-robined; any transport failure — including a line cut short
-    by the shard's death — fails *all* pending requests on that
-    connection with :class:`ShardDown` (the router then redispatches
-    them — requests are pure).
+    flight per connection.  Connections are opened lazily (requests
+    sent meanwhile queue on the connection) and round-robined; any
+    transport failure — including a line cut short by the shard's death
+    — fails *all* pending requests on that connection with
+    :class:`ShardDown` (the router then redispatches them — requests
+    are pure).
     """
 
     _rids = itertools.count()
@@ -177,106 +242,89 @@ class ShardLink:
         self.port = port
         self.max_conns = max(1, conns)
         self.timeout = timeout
-        self._conns: list[_Conn] = []
+        self._conns: list[_LinkConn] = []
         self._next = 0
         self.closed = False
 
-    async def request(self, message: dict) -> bytes:
-        """Forward one message; returns the shard's reply line, undecoded.
+    def send(self, message: dict, callback) -> None:
+        """Forward one message; ``callback(line, None)`` receives the
+        shard's reply line, undecoded, or ``callback(None, error)`` a
+        :class:`ShardDown` (any transport failure) or a
+        :class:`TimeoutError` (the shard sat on the request past the
+        link timeout).
 
         The wire carries a router id in place of the caller's ``id``,
         and the line comes back tagged with it: the caller re-tags it
-        (:func:`~repro.serve.protocol.retag`) or decodes it (:meth:`call`).
-        Raises :class:`ShardDown` on any transport failure and
-        :class:`asyncio.TimeoutError` if the shard sits on the request
-        past the link timeout.
+        (:func:`~repro.serve.protocol.retag`).
         """
         if self.closed:
-            raise ShardDown(f"link to {self.name} is closed")
-        conn = await self._pick()
+            callback(None, ShardDown(f"link to {self.name} is closed"))
+            return
         rid = f"r{next(self._rids)}"
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        conn.pending[rid] = future
-        try:
-            conn.writer.write(encode_message({**message, "id": rid}))
-            await conn.writer.drain()
-        except (ConnectionError, OSError) as exc:
-            conn.pending.pop(rid, None)
-            self._kill_conn(conn, f"write failed: {exc}")
-            raise ShardDown(str(exc)) from exc
-        try:
-            return await asyncio.wait_for(future, self.timeout)
-        except asyncio.TimeoutError:
-            conn.pending.pop(rid, None)
-            raise
+        self._pick().send(rid, encode_message({**message, "id": rid}),
+                          callback)
 
     async def call(self, message: dict) -> dict:
-        """:meth:`request` for the router's own use: the reply decoded,
-        the link's id dropped."""
-        reply = decode_line(await self.request(message))
+        """:meth:`send`, awaited, for the router's own use: the reply
+        decoded, the link's id dropped; a failure is raised."""
+        future = asyncio.get_running_loop().create_future()
+
+        def settle(line, error):
+            if not future.done():
+                if error is None:
+                    future.set_result(line)
+                else:
+                    future.set_exception(error)
+
+        self.send(message, settle)
+        reply = decode_line(await future)
         reply.pop("id", None)
         return reply
 
     async def ping(self) -> dict:
         return await self.call({"op": "ping"})
 
-    async def _pick(self) -> _Conn:
-        alive = [c for c in self._conns if not c.dead]
-        if len(alive) < self.max_conns:
-            conn = _Conn()
-            try:
-                conn.reader, conn.writer = await asyncio.wait_for(
-                    asyncio.open_connection(self.host, self.port,
-                                            limit=MAX_LINE_BYTES + 2),
-                    timeout=10.0)
-            except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
-                raise ShardDown(f"connect to {self.name} failed: {exc}") \
-                    from exc
-            conn.reader_task = asyncio.create_task(self._read_loop(conn))
+    def _pick(self) -> _LinkConn:
+        if len(self._conns) < self.max_conns:
+            conn = _LinkConn(self)
+            conn.connecting = asyncio.get_running_loop().create_task(
+                self._connect(conn))
             self._conns.append(conn)
-            alive.append(conn)
-        self._next = (self._next + 1) % len(alive)
-        return alive[self._next]
+        self._next = (self._next + 1) % len(self._conns)
+        return self._conns[self._next]
 
-    async def _read_loop(self, conn: _Conn) -> None:
+    async def _connect(self, conn: _LinkConn) -> None:
+        loop = asyncio.get_running_loop()
         try:
-            while True:
-                line = await conn.reader.readline()
-                if not line.endswith(b"\n"):
-                    break  # EOF, maybe mid-line: never forward a torn reply
-                rid = head_value(line, "id")
-                future = (conn.pending.pop(rid, None)
-                          if isinstance(rid, str) else None)
-                if future is not None and not future.done():
-                    future.set_result(line)
-        except (ConnectionError, OSError, asyncio.LimitOverrunError,
-                ValueError):
-            pass
-        except asyncio.CancelledError:
-            raise
-        finally:
-            self._kill_conn(conn, "connection lost")
+            await asyncio.wait_for(loop.create_connection(
+                lambda: conn, self.host, self.port), timeout=10.0)
+            error = None
+        except (OSError, asyncio.TimeoutError) as exc:
+            error = exc
+        conn.connecting = None
+        if error is not None:
+            self._kill(conn, f"connect to {self.name} failed: {error}")
 
-    def _kill_conn(self, conn: _Conn, reason: str) -> None:
+    def _kill(self, conn: _LinkConn, reason: str) -> None:
         if conn.dead:
             return
         conn.dead = True
         if conn in self._conns:
             self._conns.remove(conn)
-        for future in conn.pending.values():
-            if not future.done():
-                future.set_exception(ShardDown(
-                    f"shard {self.name}: {reason}"))
-        conn.pending.clear()
-        if conn.writer is not None:
-            conn.writer.close()
+        if conn.timer is not None:
+            conn.timer.cancel()
+        if conn.connecting is not None:
+            conn.connecting.cancel()
+        if conn.transport is not None:
+            conn.transport.close()
+        pending, conn.pending = conn.pending, {}
+        for callback, _ in pending.values():
+            callback(None, ShardDown(f"shard {self.name}: {reason}"))
 
     def close(self) -> None:
         self.closed = True
         for conn in list(self._conns):
-            if conn.reader_task is not None:
-                conn.reader_task.cancel()
-            self._kill_conn(conn, "link closed")
+            self._kill(conn, "link closed")
 
 
 # ---------------------------------------------------------------------------
@@ -420,15 +468,17 @@ class Router(LineServer):
 
     # -- routing ------------------------------------------------------------
 
-    async def dispatch(self, message: dict) -> dict | bytes:
+    def dispatch(self, message: dict, respond) -> None:
         """``ping``/``stats`` are answered here; ``compile``/``run``
         come back as the owning shard's reply line."""
         op = message["op"]
         if op == "ping":
-            return self._ping_reply()
-        if op == "stats":
-            return await self._stats_reply()
-        return await self._forward(self._routing_key(message), message)
+            respond(self._ping_reply())
+        elif op == "stats":
+            self.spawn(self._stats_reply(), respond)
+        else:
+            self._forward(self._routing_key(message), message, respond,
+                          len(self.ring) + 1)
 
     def _routing_key(self, message: dict) -> str:
         """The shard-affinity key: exactly the shard's own cache key.
@@ -449,36 +499,39 @@ class Router(LineServer):
         except ValueError as exc:  # an option outside WIRE_OPTIONS
             raise ProtocolError("bad-request", str(exc)) from exc
 
-    async def _forward(self, key: str, message: dict) -> bytes:
-        """Route by ring, forward, redispatch on shard death; returns
-        the owning shard's reply line.
+    def _forward(self, key: str, message: dict, respond,
+                 attempts: int) -> None:
+        """Route by ring and forward; ``respond`` gets the owning
+        shard's reply line.  A shard that dies first is taken out of
+        the ring and the request redispatched.
 
         Every attempt re-consults the ring, so after a failure the key
         lands on the next live shard.  Attempts are bounded by the
         fleet size: once every shard has failed us the ring is empty
-        and the loop raises ``unavailable``.
+        and the request is answered ``unavailable``.
         """
-        attempts = len(self.ring) + 1
-        for _ in range(attempts):
-            name = self.ring.lookup(key)
-            if name is None:
-                break
-            link = self._link_for(name)
-            try:
-                line = await link.request(message)
-            except ShardDown:
+        name = self.ring.lookup(key) if attempts else None
+        if name is None:
+            respond(ProtocolError("unavailable", "no live shard available"))
+            return
+
+        def reply(line: bytes | None, error: Exception | None) -> None:
+            if error is None:
+                self.metrics.bump("routed")
+                respond(line)
+            elif isinstance(error, TimeoutError):
+                self.metrics.bump("shard_timeouts")
+                respond(ProtocolError("unavailable", str(error)))
+            elif self._stopping.is_set():
+                # stop() is closing the links: open no new ones.
+                respond(ProtocolError("shutting-down",
+                                      "router is shutting down"))
+            else:
                 self.note_shard_dead(name)
                 self.metrics.bump("redispatches")
-                continue
-            except asyncio.TimeoutError:
-                self.metrics.bump("shard_timeouts")
-                raise ProtocolError(
-                    "unavailable",
-                    f"shard {name} did not answer within "
-                    f"{self.config.request_timeout}s") from None
-            self.metrics.bump("routed")
-            return line
-        raise ProtocolError("unavailable", "no live shard available")
+                self._forward(key, message, respond, attempts - 1)
+
+        self._link_for(name).send(message, reply)
 
     # -- introspection ------------------------------------------------------
 

@@ -4,20 +4,23 @@ The transport — pipelined NDJSON connections, ``batch`` fan-out, reply
 tagging, SIGTERM drain — is :class:`~repro.serve.protocol.LineServer`;
 this module is what a shard does with each request.  The event loop
 only parses, routes and replies; every compile runs in a forked worker
-(:class:`repro.core.pool.WorkerPool`) reached through a small thread
-executor, so the loop stays responsive while compiles grind and stays
-*alive* when a compile takes its whole process down.
+(:class:`repro.core.pool.WorkerPool`), which the loop awaits like a
+socket (the job goes down the seat's pipe, the reply is read when it
+arrives, the deadline is a loop timer), so the loop stays responsive
+while compiles grind and stays *alive* when a compile takes its whole
+process down.  A ``ping``, a ``stats`` and a cache hit are answered in
+the event-loop pass that read them.
 
 Request flow, in order:
 
 1. **cache** — a content-address hit (memory or disk) replies
-   immediately; no worker, no queue, and no JSON work on the
+   immediately; no worker, no queue, no task, and no JSON work on the
    artifacts: the cache holds their canonical text, which the reply
    splices verbatim (:class:`~repro.serve.protocol.RawJSON`).  A cold
    compile's reply splices the text its cache write produced.
 2. **single-flight** — an identical request already compiling joins its
-   in-flight future instead of compiling twice; joiners are marked
-   ``coalesced`` in the reply.
+   leader instead of compiling twice and is answered with it; joiners
+   are marked ``coalesced`` in the reply.
 3. **admission** — at most ``max_pending`` compiles may be queued or
    running; beyond that the server sheds load with an ``overloaded``
    reply instead of buffering unboundedly.
@@ -60,7 +63,6 @@ bounds the shared object store with an mtime-LRU sweep.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import itertools
 import json
 import os
@@ -124,8 +126,9 @@ class CompileServer(LineServer):
         self.cache = ArtifactCache(self.config.cache_dir,
                                    max_bytes=self.config.cache_max_bytes)
         self.pool: WorkerPool | None = None
-        self._executor: concurrent.futures.ThreadPoolExecutor | None = None
-        self._inflight: dict[str, asyncio.Future] = {}
+        # Cache key -> the responders of requests that joined the
+        # compile in flight for it.
+        self._inflight: dict[str, list] = {}
         self._pending = 0
         self.tiering = TieringManager(TieringPolicy(
             enabled=self.config.native and native_available(),
@@ -142,9 +145,6 @@ class CompileServer(LineServer):
 
     async def start(self) -> None:
         self.pool = WorkerPool(run_job, size=self.config.workers)
-        self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.config.workers + 2,
-            thread_name_prefix="serve-pool")
         await super().start()
 
     async def stop(self) -> None:
@@ -153,28 +153,28 @@ class CompileServer(LineServer):
         for task in list(self._promotions.values()):
             task.cancel()
         await super().stop()
-        for future in list(self._inflight.values()):
-            if not future.done():
-                future.set_result(error_reply(
-                    "shutting-down", "server is shutting down"))
+        shutting_down = error_reply("shutting-down",
+                                    "server is shutting down")
+        for joiners in self._inflight.values():
+            for respond in joiners:
+                respond(shutting_down)
         self._inflight.clear()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
         if self.pool is not None:
             self.pool.close()
 
     # -- request routing ----------------------------------------------------
 
-    async def dispatch(self, message: dict) -> dict:
+    def dispatch(self, message: dict, respond) -> None:
         op = message["op"]
         if op == "ping":
-            return {"ok": True, "pong": True, "version": __version__,
-                    "pid": os.getpid(), "shard": self.config.shard_name}
-        if op == "stats":
-            return self._stats_reply()
-        if op == "compile":
-            return await self._compile(message)
-        return await self._run(message)
+            respond({"ok": True, "pong": True, "version": __version__,
+                     "pid": os.getpid(), "shard": self.config.shard_name})
+        elif op == "stats":
+            respond(self._stats_reply())
+        elif op == "compile":
+            self._compile(message, respond)
+        else:
+            self.spawn(self._run(message), respond)
 
     def _stats_reply(self) -> dict:
         assert self.pool is not None
@@ -195,7 +195,7 @@ class CompileServer(LineServer):
 
     # -- the compile path ---------------------------------------------------
 
-    async def _compile(self, message: dict) -> dict:
+    def _compile(self, message: dict, respond) -> None:
         started = time.perf_counter()
         self.metrics.bump("compile_requests")
         request = validate_compile_request(message)
@@ -212,17 +212,15 @@ class CompileServer(LineServer):
                 self.metrics.bump("cache_hits")
                 self.metrics.observe("compile_cached",
                                      time.perf_counter() - started)
-                return self._ok(key, RawJSON(text), cached=tier)
+                respond(self._ok(key, RawJSON(text), cached=tier))
+                return
             self.metrics.bump("cache_misses")
 
-            inflight = self._inflight.get(key)
-            if inflight is not None:
+            joiners = self._inflight.get(key)
+            if joiners is not None:
                 self.metrics.bump("coalesced")
-                reply = await inflight
-                if reply.get("ok"):
-                    reply = self._ok(key, reply["artifacts"], cached=False,
-                                     coalesced=True)
-                return reply
+                joiners.append(respond)
+                return
 
         if self._pending >= self.config.max_pending:
             self.metrics.bump("shed")
@@ -231,28 +229,37 @@ class CompileServer(LineServer):
                 f"{self._pending} compiles already pending "
                 f"(max {self.config.max_pending}); retry later")
 
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
         if cacheable:
-            self._inflight[key] = future
+            self._inflight[key] = []
         self._pending += 1
+        self.spawn(self._lead(request, key, started), respond)
+
+    async def _lead(self, request: dict, key: str, started) -> dict:
+        """Compile; every request that joined this key meanwhile is
+        answered with the same reply."""
+        reply = error_reply("shutting-down", "server is shutting down")
         try:
             reply = await self._execute(request, key, started)
         finally:
             self._pending -= 1
-            if cacheable and self._inflight.get(key) is future:
-                del self._inflight[key]
-            if not future.done():
-                future.set_result(reply)
+            # A fault request shares its key with its clean twin but
+            # never leads the twin's joiners.
+            joiners = (self._inflight.pop(key, ())
+                       if "fault" not in request else ())
+            if reply.get("ok"):
+                joined = self._ok(key, reply["artifacts"], cached=False,
+                                  coalesced=True)
+            else:
+                joined = reply
+            for respond in joiners:
+                respond(joined)
         return reply
 
     async def _execute(self, request: dict, key: str, started) -> dict:
-        assert self.pool is not None and self._executor is not None
-        loop = asyncio.get_running_loop()
+        assert self.pool is not None
         try:
-            artifacts = await loop.run_in_executor(
-                self._executor,
-                lambda: self.pool.run(request,
-                                      timeout=self.config.request_timeout))
+            artifacts = await self.pool.run(
+                request, timeout=self.config.request_timeout)
         except JobError as exc:
             self.metrics.bump("compile_errors")
             return self._job_error_reply(exc, request)
@@ -307,8 +314,7 @@ class CompileServer(LineServer):
 
     async def _execute_run(self, request: dict, key: str,
                            decision: TierDecision, started) -> dict:
-        assert self.pool is not None and self._executor is not None
-        loop = asyncio.get_running_loop()
+        assert self.pool is not None
         job = {"op": "run", "tier": decision.tier, "key": key,
                "source": request["source"], "entry": request["entry"],
                "args": request["args"], "options": request["options"]}
@@ -316,10 +322,8 @@ class CompileServer(LineServer):
             job["native"] = {"so": decision.so_path,
                              "entry_meta": decision.entry_meta}
         try:
-            result = await loop.run_in_executor(
-                self._executor,
-                lambda: self.pool.run(job,
-                                      timeout=self.config.request_timeout))
+            result = await self.pool.run(
+                job, timeout=self.config.request_timeout)
         except JobError as exc:
             self.metrics.bump("run_errors")
             return self._job_error_reply(exc, request)
@@ -365,12 +369,9 @@ class CompileServer(LineServer):
             self._promote(key, job))
 
     async def _promote(self, key: str, job: dict) -> None:
-        assert self.pool is not None and self._executor is not None
-        loop = asyncio.get_running_loop()
+        assert self.pool is not None
         try:
-            result = await loop.run_in_executor(
-                self._executor,
-                lambda: self.pool.run(job, timeout=NATIVE_COMPILE_TIMEOUT))
+            result = await self.pool.run(job, timeout=NATIVE_COMPILE_TIMEOUT)
         except JobError as exc:
             self.metrics.bump("native_compile_errors")
             self.tiering.quarantine(key, f"{exc.kind}: {exc.detail}")

@@ -471,6 +471,50 @@ def test_dead_shard_redispatch_and_revival(fleet):
         assert reply["ok"]
 
 
+def test_a_shard_that_sits_on_requests_times_them_out():
+    """A shard that reads requests and never answers: each forwarded
+    request is answered ``unavailable`` once the link timeout passes,
+    one after another as their deadlines come up."""
+    async def scenario():
+        async def mute(reader, writer):
+            await reader.read()  # never replies
+            writer.close()
+
+        shard = await asyncio.start_server(mute, "127.0.0.1", 0)
+        router = Router(RouterConfig(
+            port=0, request_timeout=0.3, health_interval=3600.0,
+            shards=[ShardAddr("mute", "127.0.0.1",
+                              shard.sockets[0].getsockname()[1])]))
+        started = time.monotonic()
+        answered = []
+
+        async def send(reply: bytes) -> None:
+            answered.append((time.monotonic() - started,
+                             json.loads(reply)))
+
+        def ask(index: int):
+            line = encode_message({"op": "compile", "id": index,
+                                   "source": f"{SRC} // {index}"})
+            return router.serve_line(line, send)
+
+        first = asyncio.ensure_future(ask(0))
+        await asyncio.sleep(0.15)
+        await asyncio.gather(first, ask(1))
+        router._drop_link("mute")
+        shard.close()
+        await shard.wait_closed()
+        return answered, router.metrics.counters
+
+    answered, counters = asyncio.run(scenario())
+    assert [reply["id"] for _, reply in answered] == [0, 1]
+    for elapsed, reply in answered:
+        assert reply["error"]["code"] == "unavailable"
+        assert "did not answer within 0.3s" in reply["error"]["message"]
+    assert 0.3 <= answered[0][0] < answered[1][0] < 2.0
+    assert answered[1][0] >= 0.45
+    assert counters["shard_timeouts"] == 2
+
+
 # ---------------------------------------------------------------------------
 # the real fleet manager (subprocess): SIGKILL -> supervised restart
 # ---------------------------------------------------------------------------

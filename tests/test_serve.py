@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,6 +180,45 @@ def test_mid_request_disconnect_leaves_server_healthy(served):
         assert client.ping()["ok"]
 
 
+def test_a_client_that_stops_reading_stops_being_read(served):
+    """A client pipelines warm hits (~47 KB replies each) and reads
+    nothing: once its replies back up, the server stops taking lines
+    from it instead of buffering every reply."""
+    from repro.programs.suite import by_name
+
+    request = {"op": "compile", "source": by_name("nbody").source,
+               "opt": "static"}
+    sent = 2000
+    with served.client() as client:
+        assert client.request(request)["ok"]  # warm
+        before = client.stats()["counters"]["requests_total"]
+    line = encode_message(request)
+    raw = socket.socket()
+    raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)
+    raw.connect(("127.0.0.1", served.port))
+    raw.settimeout(2.0)
+    try:
+        try:
+            for _ in range(sent):
+                raw.sendall(line)
+        except socket.timeout:
+            pass  # the server stopped reading: as intended
+        # Let the server take whatever it is going to take.  Each
+        # stats request counts itself.
+        with served.client() as client:
+            taken, previous, polls = None, -1, 0
+            deadline = time.monotonic() + 20.0
+            while taken != previous and time.monotonic() < deadline:
+                previous = taken
+                time.sleep(0.5)
+                polls += 1
+                taken = (client.stats()["counters"]["requests_total"]
+                         - before - polls)
+    finally:
+        raw.close()
+    assert taken < sent // 4, f"read {taken} of {sent} pipelined lines"
+
+
 # Option names the wire refuses: the operational ``pass_hook``, two
 # retired pipeline fields and a retired budget.
 WIRE_REJECTED = ({"pass_hook": 1}, {"crash_dir": "/elsewhere"},
@@ -281,8 +323,6 @@ def test_duplicate_inflight_requests_coalesce(tmp_path):
     overlap deterministically over sockets — so this drives the
     server's dispatch path directly with a deliberately slow worker.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     from repro.core.pool import WorkerPool
     from repro.serve.protocol import encode_message
 
@@ -291,7 +331,6 @@ def test_duplicate_inflight_requests_coalesce(tmp_path):
             cache_dir=str(tmp_path / "cache"),
             crash_dir=str(tmp_path / "crashes")))
         server.pool = WorkerPool(_slow_stub_handler, size=2)
-        server._executor = ThreadPoolExecutor(max_workers=4)
         try:
             line = encode_message(
                 {"op": "compile", "source": SRC, "opt": "static"})
@@ -314,6 +353,28 @@ def test_duplicate_inflight_requests_coalesce(tmp_path):
             await server.stop()
 
     asyncio.run(scenario())
+
+
+def test_closing_the_pool_ends_a_job_in_flight_without_a_new_seat():
+    """Shutdown with a compile in flight: the job ends with the pool's
+    ``RuntimeError`` (a ``shutting-down`` reply) and its seat is reaped,
+    not respawned."""
+    from repro.core.pool import WorkerPool
+
+    async def scenario():
+        pool = WorkerPool(_slow_stub_handler, size=1)
+        (seat,) = pool._workers
+        pid = seat.pid
+        job = asyncio.ensure_future(pool.run({"source": SRC}))
+        await asyncio.sleep(0.3)  # the job is now inside the seat
+        pool.close()
+        with pytest.raises(RuntimeError, match="pool is closed"):
+            await job
+        return seat, pid
+
+    seat, pid = asyncio.run(scenario())
+    assert seat.pid == pid
+    assert not seat.alive()
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +403,116 @@ def test_worker_kill_yields_bundle_and_server_survives(served):
         assert client.stats()["worker_crashes"] == before + 1
 
 
+def test_deadline_kill_answers_worker_crash_and_the_seat_serves_on(
+        tmp_path):
+    """A compile that overruns ``request_timeout`` gets a
+    ``worker-crash`` reply naming its bundle; the seat it held is killed
+    and respawned, and serves the next compile."""
+    stall = {"op": "compile", "source": SRC, "opt": "static",
+             "fault": {"mode": "stall", "target": "inline"}}
+
+    async def scenario():
+        server = CompileServer(ServerConfig(
+            port=0, workers=1, request_timeout=0.5,
+            cache_dir=str(tmp_path / "cache"),
+            crash_dir=str(tmp_path / "crashes")))
+        await server.start()
+        try:
+            stalled = json.loads(await _answer(server, encode_message(stall)))
+            after = json.loads(await _answer(server, encode_message(
+                {"op": "compile", "source": SRC, "opt": "static"})))
+            return stalled, after, dict(server.metrics.counters)
+        finally:
+            await server.stop()
+
+    stalled, after, counters = asyncio.run(scenario())
+    error = stalled["error"]
+    assert error["code"] == "worker-crash"
+    assert "deadline exceeded" in error["message"]
+    report = json.loads((Path(error["crash_bundle"]) / "report.json")
+                        .read_text())
+    assert report["request"]["fault"]["mode"] == "stall"
+    assert counters["deadline_kills"] == 1
+    assert after["ok"], after
+
+
+def _live_children(pid: int) -> set[int]:
+    """Pids of the live (non-zombie) children of *pid*, from /proc."""
+    children = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            fields = Path(f"/proc/{entry}/stat").read_text() \
+                .rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            children.add(int(entry))
+    return children
+
+
+def _respawn_a_seat(service) -> int:
+    """Kill one seat of a booted daemon with a fault; the new seat's pid."""
+    seats = _live_children(service.proc.pid)
+    with service.client() as client:
+        reply = client.compile(SRC + "\n// respawn", opt="static",
+                               fault={"mode": "kill", "target": "inline"})
+    assert reply["error"]["code"] == "worker-crash"
+    (respawned,) = _live_children(service.proc.pid) - seats
+    return respawned
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_sigterm_to_a_respawned_seat_stops_only_that_seat(tmp_path):
+    """A seat respawned after the daemon installed its signal handlers
+    dies of SIGTERM like a seat forked at start; the daemon serves on."""
+    with smoke.boot(tmp_path) as service:
+        seat = _respawn_a_seat(service)
+        os.kill(seat, signal.SIGTERM)
+        deadline = time.monotonic() + 5.0
+        while (seat in _live_children(service.proc.pid)
+               and service.proc.poll() is None
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        time.sleep(0.5)  # a shutdown the signal started would show now
+        assert service.proc.poll() is None, "the daemon shut down"
+        assert seat not in _live_children(service.proc.pid)
+        with service.client() as client:
+            assert client.compile(SRC, opt="static")["ok"]
+    assert service.exit_code == 0
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_connection_open_at_a_respawn_closes_with_the_server(tmp_path):
+    """A connection accepted before a seat respawns is not held open by
+    the new seat: after the daemon answers its oversized line and
+    closes it, the client sees the end of the stream."""
+    with smoke.boot(tmp_path) as service:
+        held = socket.create_connection(("127.0.0.1", service.port),
+                                        timeout=10)
+        stream = held.makefile("rb")
+        try:
+            held.sendall(encode_message({"op": "ping"}))
+            assert json.loads(stream.readline())["pong"]
+            _respawn_a_seat(service)
+            held.sendall(b"x" * (MAX_LINE_BYTES + 16))
+            reply = json.loads(stream.readline())
+            assert reply["error"]["code"] == "oversized"
+            held.settimeout(5.0)
+            try:
+                rest = stream.read()
+            except ConnectionResetError:
+                rest = b""
+            except socket.timeout:
+                pytest.fail("the connection stayed open after the server "
+                            "closed it")
+            assert rest == b""
+        finally:
+            stream.close()
+            held.close()
+
+
 def _unrecoverable_seat(request):
     """Pool handler whose seat cannot recover a failed pass: inlining
     raises, and so does rolling it back.  The seat is a forked child,
@@ -368,7 +539,6 @@ def test_pipeline_crash_reply_names_its_bundle(tmp_path, monkeypatch,
     ``compile-error`` of kind ``PipelineCrash`` naming one bundle under
     the server's ``crash_dir``: the request and its source replay it.
     The worker writes nothing where it runs."""
-    from concurrent.futures import ThreadPoolExecutor
     from pathlib import Path
 
     from repro.core.pool import WorkerPool
@@ -385,7 +555,6 @@ def test_pipeline_crash_reply_names_its_bundle(tmp_path, monkeypatch,
             cache_dir=str(tmp_path / "cache"), crash_dir=str(crashes),
             native=False))
         server.pool = WorkerPool(_unrecoverable_seat, size=1)
-        server._executor = ThreadPoolExecutor(max_workers=2)
         try:
             line = encode_message(request_)
             return [json.loads(await _answer(server, line))
@@ -418,8 +587,6 @@ def test_native_compile_pipeline_crash_leaves_its_bundle(tmp_path,
     quarantines its key and leaves one bundle, the promotion job, under
     the server's ``crash_dir``; the worker writes nothing where it
     runs."""
-    from concurrent.futures import ThreadPoolExecutor
-
     from repro.core.pool import WorkerPool
     from repro.native import native_available
 
@@ -435,7 +602,6 @@ def test_native_compile_pipeline_crash_leaves_its_bundle(tmp_path,
             cache_dir=str(tmp_path / "cache"), crash_dir=str(crashes),
             tier_hot_requests=1))
         server.pool = WorkerPool(_unrecoverable_seat, size=1)
-        server._executor = ThreadPoolExecutor(max_workers=2)
         try:
             # The first run is served by the interpreter and marks the
             # key hot, which starts the native compile.
@@ -596,8 +762,6 @@ def _stub_handler(request):
 
 @pytest.mark.parametrize("damage", ["truncate", "empty", "binary"])
 def test_corrupt_disk_object_is_a_miss(tmp_path, damage):
-    from concurrent.futures import ThreadPoolExecutor
-
     from repro.core.pool import WorkerPool
 
     async def scenario():
@@ -605,7 +769,6 @@ def test_corrupt_disk_object_is_a_miss(tmp_path, damage):
             cache_dir=str(tmp_path / "cache"),
             crash_dir=str(tmp_path / "crashes")))
         server.pool = WorkerPool(_stub_handler, size=1)
-        server._executor = ThreadPoolExecutor(max_workers=2)
         try:
             line = encode_message({"op": "compile", "source": SRC,
                                    "opt": "static", "id": 3})
