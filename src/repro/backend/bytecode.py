@@ -457,6 +457,13 @@ class VM:
     def output_text(self) -> str:
         return "".join(self.output)
 
+    def reset(self, program: VMProgram) -> None:
+        """Back to *program*'s initial heap (the null word, then its
+        globals) with no output: the next call sees nothing an earlier
+        one allocated or printed."""
+        self.heap = [0, *program.data]
+        self.output = []
+
     def alloc_words(self, count: int):
         if len(self.heap) + count > self.heap_limit:
             raise VMLimitError("heap", self.heap_limit)

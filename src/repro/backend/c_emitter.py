@@ -24,8 +24,8 @@ Two consumers build on this emitter:
 
 The hook methods (``_prelude``, ``_postlude``, ``_function_entry``,
 ``_block_entry``, ``_arith_expr``, ``_cast_expr``, ``_float_lit``,
-``_int_lit``, ``_emit_print``) are the subclassing surface; everything
-else is shared emission logic.
+``_int_lit``, ``_alloc_expr``, ``_emit_print``) are the subclassing
+surface; everything else is shared emission logic.
 """
 
 from __future__ import annotations
@@ -180,6 +180,9 @@ class CEmitter:
 
     def _cast_expr(self, op: Cast | Bitcast) -> str:
         return f"({c_type(op.type)}){self._ref(op.op(0))}"
+
+    def _alloc_expr(self, elem: str, count: str) -> str:
+        return f"({elem}*)calloc({count}, sizeof({elem}))"
 
     def _emit_print(self, intrinsic: Intrinsic, value: Def) -> None:
         fmt = {Intrinsic.PRINT_I64: '"%lld"',
@@ -373,16 +376,15 @@ class CEmitter:
             ptr_t = op.type.elements[1]
             assert isinstance(ptr_t, PtrType)
             pointee = ptr_t.pointee
+            name = self._name(op)
             if isinstance(pointee, IndefiniteArrayType):
                 elem = c_type(pointee.elem_type)
-                self.out.write(
-                    f"    {elem}* {self._name(op)} = ({elem}*)calloc("
-                    f"{self._ref(op.extra)}, sizeof({elem}));\n")
+                count = self._ref(op.extra)
             else:
                 elem = c_type(pointee)
-                self.out.write(
-                    f"    {elem}* {self._name(op)} = ({elem}*)calloc(1, "
-                    f"sizeof({elem}));\n")
+                count = "1"
+            self.out.write(f"    {elem}* {name} = "
+                           f"{self._alloc_expr(elem, count)};\n")
             return
         if isinstance(op, Extract):
             agg = peel_markers(op.agg)

@@ -7,14 +7,20 @@ Two tools live here:
   submission order.  Extracted from ``fuzz/cli.py`` so the serve smoke
   driver and benchmarks can reuse it.
 * :class:`WorkerPool` / :class:`ForkWorker` — *persistent* crash-
-  isolated workers for the compile service, awaited on the server's
-  event loop.  Each worker is a forked child on a socket pair: the job
-  is written to it, the reply is read as it arrives (``add_reader``),
-  and the deadline is a loop timer.  A job that crashes the child
-  (segfault, ``SIGKILL`` fault injection, runaway recursion) or
-  overruns its deadline surfaces as a structured :class:`WorkerCrash`
-  in the parent while the seat respawns, so one poisoned request never
-  takes the server down.
+  isolated workers (seats) for the compile service, driven by the
+  server's event loop.  Each seat is a forked child on a socket pair
+  whose parent end is registered with the loop once, for the seat's
+  life.  ``WorkerPool.submit(job, timeout, done)`` is the one job path:
+  the job is written with one non-blocking ``send`` (the loop writes any
+  remainder), the seat reads it with one ``recv`` in the common case,
+  and whatever ends the job — the reply, EOF, the deadline timer or
+  :meth:`WorkerPool.close` — calls ``done(result, error)`` once.  A job
+  that crashes the child (segfault, ``SIGKILL`` fault injection,
+  runaway recursion) or overruns its deadline ends with a structured
+  :class:`WorkerCrash` after the seat has respawned, so one poisoned
+  request never takes the server down; a seat that dies while idle is
+  replaced as soon as its EOF is read.  ``await pool.run(job)`` is the
+  same path for callers that read better as a coroutine.
 
 Fork (not spawn) is deliberate in both cases: children inherit the
 loaded modules and the handler closure, so there is no re-import or
@@ -23,13 +29,16 @@ seat keeps nothing else of its parent: it closes every descriptor but
 its end of the pair and stdio (the server's listener and connections
 included), and restores the default SIGTERM/SIGINT dispositions and no
 signal wakeup fd, so a seat forked after the server installed its
-signal handlers is as clean as one forked before.  POSIX-only, like
-the rest of the fuzz tooling.
+signal handlers is as clean as one forked before.  It then freezes the
+heap it inherited (``gc.freeze``), so the collections its jobs run
+never walk the parent's objects.  POSIX-only, like the rest of the fuzz
+tooling.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import multiprocessing
 import os
 import pickle
@@ -37,6 +46,7 @@ import signal
 import socket
 import struct
 import traceback
+from collections import deque
 
 # Every message on a seat's socket: an 8-byte length, then the pickle.
 _HEADER = struct.Struct("!Q")
@@ -92,15 +102,15 @@ def _frame(message) -> bytes:
     return _HEADER.pack(len(body)) + body
 
 
-def _recv_exactly(sock: socket.socket, size: int) -> bytes | None:
-    chunks = []
-    while size:
-        chunk = sock.recv(min(size, 1 << 20))
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
+# Bytes one recv asks for: a whole job or reply in the common case.
+_READ = 1 << 16
+
+
+def _frame_end(buffer) -> int | None:
+    """Where the first frame in *buffer* ends, once its header is in."""
+    if len(buffer) < _HEADER.size:
+        return None
+    return _HEADER.size + _HEADER.unpack_from(buffer)[0]
 
 
 def _seat_main(sock: socket.socket, handler) -> None:
@@ -110,15 +120,19 @@ def _seat_main(sock: socket.socket, handler) -> None:
     every descriptor it inherited), so EOF arrives when the parent
     closes the seat or dies, however it dies.
     """
+    buffer = bytearray()
     while True:
-        header = _recv_exactly(sock, _HEADER.size)
-        if header is None:
-            return
-        body = _recv_exactly(sock, _HEADER.unpack(header)[0])
-        if body is None:
-            return
+        end = _frame_end(buffer)
+        while end is None or len(buffer) < end:
+            chunk = sock.recv(_READ)
+            if not chunk:
+                return
+            buffer += chunk
+            end = _frame_end(buffer)
+        job = pickle.loads(buffer[_HEADER.size:end])
+        del buffer[:end]
         try:
-            reply = _frame(("ok", handler(pickle.loads(body))))
+            reply = _frame(("ok", handler(job)))
         except BaseException as exc:  # noqa: BLE001 — child must not die
             reply = _frame(("error", (type(exc).__name__, str(exc),
                                       traceback.format_exc())))
@@ -138,6 +152,7 @@ def _fork_seat(handler) -> tuple[int, socket.socket]:
             signal.set_wakeup_fd(-1)
             for signum in (signal.SIGTERM, signal.SIGINT):
                 signal.signal(signum, signal.SIG_DFL)
+            gc.freeze()
             _seat_main(theirs, handler)
         except BaseException:  # noqa: BLE001
             status = 1  # never unwind into the parent's stack
@@ -148,30 +163,35 @@ def _fork_seat(handler) -> tuple[int, socket.socket]:
     return pid, ours
 
 
-# How a job ended when the handler did not reply.
-_EOF, _DEADLINE, _CLOSED = object(), object(), object()
-
-
 class ForkWorker:
-    """One persistent forked worker on a socket pair.
+    """One persistent forked worker (a *seat*) on a socket pair.
 
-    ``await run(job, timeout)`` writes the job, reads the reply on the
-    running loop and translates every way the child can fail into a
-    structured exception.  One job at a time — :class:`WorkerPool`
-    hands a seat to one caller at a time.
+    The parent's end is registered with *loop* when the seat is forked
+    and unregistered when it is stopped, so a job adds and removes no
+    reader.  :meth:`start` writes a job; the reply, EOF, the deadline
+    timer or :meth:`close` ends it: the seat first calls
+    ``free(seat, error)`` (the pool's hand-back) and then
+    ``done(result, error)``.  EOF while no job runs is a seat that died
+    idle: it is replaced on the spot.  One job at a time —
+    :class:`WorkerPool` hands a seat to one job at a time.
     """
 
-    def __init__(self, handler):
+    def __init__(self, handler, loop: asyncio.AbstractEventLoop, free):
         self._handler = handler
+        self._loop = loop
+        self._free = free
         self._closed = False
+        # The job in flight: what ``done`` is told, and its deadline.
+        self._job = self._done = self._timer = None
+        self._unsent: memoryview | None = None  # the job's unwritten tail
         self._spawn()
 
     def _spawn(self) -> None:
         self.pid, self._sock = _fork_seat(self._handler)
+        self._fd = self._sock.fileno()
         self._exitcode: int | None = None
         self._buffer = bytearray()
-        self._outcome: asyncio.Future | None = None
-        self._loop = None
+        self._loop.add_reader(self._fd, self._readable)
 
     def alive(self) -> bool:
         if self._exitcode is None:
@@ -180,86 +200,97 @@ class ForkWorker:
                 self._exitcode = os.waitstatus_to_exitcode(status)
         return self._exitcode is None
 
-    async def run(self, job, timeout: float | None = None):
-        """Execute *job* in the child; return the handler's result.
+    def start(self, job, timeout: float | None, done) -> None:
+        """Write *job* to the seat; ``done(result, error)`` ends it.
 
-        Raises :class:`JobError` if the handler raised (worker fine),
-        :class:`WorkerCrash` if the child died or blew *timeout* — in
-        both crash cases the seat is killed and respawned before the
-        exception propagates, so the worker is immediately reusable —
-        and ``RuntimeError`` if the seat was closed meanwhile.
+        *error* is ``None`` (the handler returned *result*), a
+        :class:`JobError` (the handler raised; the seat is fine), a
+        :class:`WorkerCrash` (the seat died or blew *timeout*, and has
+        already respawned) or ``RuntimeError`` (the seat was closed).
         """
-        if not self.alive():
-            self._respawn()
-        self._loop = loop = asyncio.get_running_loop()
-        self._outcome = outcome = loop.create_future()
-        timer = None
+        self._job, self._done = job, done
+        if timeout is not None:
+            self._timer = self._loop.call_later(timeout, self._expire,
+                                                timeout)
+        frame = _frame(job)
         try:
-            await loop.sock_sendall(self._sock, _frame(job))
-            loop.add_reader(self._sock, self._readable)
-            if timeout is not None:
-                timer = loop.call_later(timeout, self._settle, _DEADLINE)
-            result = await outcome
-        except ConnectionError:
-            self._respawn()
-            raise WorkerCrash("worker pipe closed before submit", job=job)
-        except asyncio.CancelledError:
-            self._respawn()  # the job's reply is no longer wanted
-            raise
-        finally:
-            if timer is not None:
-                timer.cancel()
-            self._unwatch()
-        if result is _CLOSED:
-            raise RuntimeError("pool is closed")
-        if result is _DEADLINE or result is _EOF:
+            sent = self._sock.send(frame)
+        except (BlockingIOError, InterruptedError):
+            sent = 0
+        except OSError:
             exitcode = self._respawn()
-            reason = (f"worker deadline exceeded ({timeout:g}s); killed"
-                      if result is _DEADLINE else
-                      f"worker died mid-job (exitcode={exitcode})")
-            raise WorkerCrash(reason, job=job, exitcode=exitcode)
-        status, payload = result
-        if status == "ok":
-            return payload
-        kind, detail, trace = payload
-        raise JobError(kind, detail, trace)
+            self._end(None, WorkerCrash("worker pipe closed before submit",
+                                        job=job, exitcode=exitcode))
+            return
+        if sent < len(frame):
+            self._unsent = memoryview(frame)[sent:]
+            self._loop.add_writer(self._fd, self._writable)
+
+    def _writable(self) -> None:
+        try:
+            sent = self._sock.send(self._unsent)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            sent = len(self._unsent)  # the seat is gone; EOF follows
+        self._unsent = self._unsent[sent:]
+        if not self._unsent:
+            self._unsent = None
+            self._loop.remove_writer(self._fd)
 
     def _readable(self) -> None:
         try:
-            while True:
-                chunk = self._sock.recv(1 << 20)
-                if not chunk:
-                    self._settle(_EOF)
-                    return
-                self._buffer += chunk
-        except BlockingIOError:
-            pass
-        except ConnectionError:
-            self._settle(_EOF)
+            chunk = self._sock.recv(_READ)
+        except (BlockingIOError, InterruptedError):
             return
-        if len(self._buffer) < _HEADER.size:
+        except OSError:
+            chunk = b""
+        if not chunk:
+            job = self._job
+            exitcode = self._respawn()
+            if job is not None:
+                self._end(None, WorkerCrash(
+                    f"worker died mid-job (exitcode={exitcode})",
+                    job=job, exitcode=exitcode))
             return
-        size = _HEADER.unpack_from(self._buffer)[0]
-        if len(self._buffer) >= _HEADER.size + size:
-            body = bytes(self._buffer[_HEADER.size:])
-            self._buffer.clear()
-            self._settle(pickle.loads(body))
+        buffer = self._buffer
+        buffer += chunk
+        end = _frame_end(buffer)
+        if end is None or len(buffer) < end:
+            return
+        status, payload = pickle.loads(buffer[_HEADER.size:end])
+        buffer.clear()
+        if status == "ok":
+            self._end(payload, None)
+        else:
+            self._end(None, JobError(*payload))
 
-    def _settle(self, result) -> None:
-        if self._outcome is not None and not self._outcome.done():
-            self._outcome.set_result(result)
+    def _expire(self, timeout: float) -> None:
+        self._timer = None
+        job = self._job
+        exitcode = self._respawn()
+        self._end(None, WorkerCrash(
+            f"worker deadline exceeded ({timeout:g}s); killed",
+            job=job, exitcode=exitcode))
 
-    def _unwatch(self) -> None:
-        """Stop reading the pair (before it closes: the loop's selector
-        must never hold a closed descriptor)."""
-        if self._outcome is not None:
-            self._outcome = None
-            self._loop.remove_reader(self._sock)
+    def _end(self, result, error) -> None:
+        """End the job in flight: hand the seat back, then ``done``."""
+        done = self._done
+        self._job = self._done = None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._free(self, error)
+        done(result, error)
 
     def _stop(self) -> int | None:
-        """Close the pair, kill the child if it still runs, reap it;
-        its exit code."""
-        self._unwatch()
+        """Unregister and close the pair, kill the child if it still
+        runs, reap it; its exit code.  (The loop's selector must never
+        hold a closed descriptor.)"""
+        self._loop.remove_reader(self._fd)
+        if self._unsent is not None:
+            self._unsent = None
+            self._loop.remove_writer(self._fd)
         self._sock.close()
         if self._exitcode is None:
             try:
@@ -272,7 +303,8 @@ class ForkWorker:
 
     def _respawn(self) -> int | None:
         """Replace the child with a fresh one (none once closed); the
-        old one's exit code."""
+        old one's exit code.  A job in flight stays for the caller to
+        end."""
         exitcode = self._stop()
         if not self._closed:
             self._spawn()
@@ -282,27 +314,32 @@ class ForkWorker:
         """Stop the child for good; a job in flight ends with
         ``RuntimeError``."""
         self._closed = True
-        self._settle(_CLOSED)
         self._stop()
+        if self._done is not None:
+            self._end(None, RuntimeError("pool is closed"))
 
 
 class WorkerPool:
-    """A fixed set of :class:`ForkWorker` seats, handed out on the loop.
+    """A fixed set of :class:`ForkWorker` seats on the running loop.
 
-    ``await run(job, timeout)`` waits for a free seat (bounded by the
-    caller's own admission control — the server sheds load *before*
-    reaching here), runs the job, and returns the seat even when the
-    job crashed it (the seat respawned itself).  Callers share one
-    event loop; a seat freed by one job goes straight to the oldest
-    waiter.
+    ``submit(job, timeout, done)`` starts the job on a free seat, or
+    queues it for the next seat freed (bounded by the caller's own
+    admission control — the server sheds load *before* reaching here);
+    a seat is handed back when its job ends, even when the job crashed
+    it (the seat respawned itself), and goes straight to the oldest
+    queued job.  ``done(result, error)`` is called exactly once, from a
+    loop callback (or from ``submit`` itself when the pool is closed).
+    Create the pool on the loop that will drive it.
     """
 
     def __init__(self, handler, size: int = 2):
         if size < 1:
             raise ValueError("pool size must be >= 1")
-        self._workers = [ForkWorker(handler) for _ in range(size)]
+        loop = asyncio.get_running_loop()
+        self._workers = [ForkWorker(handler, loop, self._free)
+                         for _ in range(size)]
         self._idle = list(self._workers)
-        self._waiters: list[asyncio.Future] = []
+        self._queue: deque = deque()
         self._closed = False
         self.crashes = 0
 
@@ -310,39 +347,49 @@ class WorkerPool:
     def size(self) -> int:
         return len(self._workers)
 
-    async def run(self, job, timeout: float | None = None):
+    def submit(self, job, timeout: float | None, done) -> None:
+        """Run *job* on a seat under *timeout*; see the class docstring
+        and :meth:`ForkWorker.start` for how ``done`` is called."""
         if self._closed:
-            raise RuntimeError("pool is closed")
-        if self._idle:
-            worker = self._idle.pop()
+            done(None, RuntimeError("pool is closed"))
+        elif self._idle:
+            self._idle.pop().start(job, timeout, done)
         else:
-            waiter = asyncio.get_running_loop().create_future()
-            self._waiters.append(waiter)
-            worker = await waiter
-        try:
-            return await worker.run(job, timeout=timeout)
-        except WorkerCrash:
-            self.crashes += 1
-            raise
-        finally:
-            self._release(worker)
+            self._queue.append((job, timeout, done))
 
-    def _release(self, worker: ForkWorker) -> None:
+    async def run(self, job, timeout: float | None = None):
+        """:meth:`submit`, awaited: the handler's result, or the error
+        that ended the job raised."""
+        future = asyncio.get_running_loop().create_future()
+
+        def done(result, error) -> None:
+            if future.cancelled():
+                return
+            if error is None:
+                future.set_result(result)
+            else:
+                future.set_exception(error)
+
+        self.submit(job, timeout, done)
+        return await future
+
+    def _free(self, worker: ForkWorker, error) -> None:
+        if isinstance(error, WorkerCrash):
+            self.crashes += 1
         if self._closed:
             return
-        while self._waiters:
-            waiter = self._waiters.pop(0)
-            if not waiter.done():
-                waiter.set_result(worker)
-                return
-        self._idle.append(worker)
+        if self._queue:
+            worker.start(*self._queue.popleft())
+        else:
+            self._idle.append(worker)
 
     def close(self) -> None:
+        """Stop every seat; queued jobs and jobs in flight end with
+        ``RuntimeError``."""
         self._closed = True
-        for waiter in self._waiters:
-            if not waiter.done():
-                waiter.set_exception(RuntimeError("pool is closed"))
-        self._waiters = []
+        queued, self._queue = self._queue, deque()
+        for _job, _timeout, done in queued:
+            done(None, RuntimeError("pool is closed"))
         for worker in self._workers:
             worker.close()
         self._workers, self._idle = [], []

@@ -14,6 +14,13 @@ lacks to *run* with the IR's semantics:
   ``step-limit`` trap (mirroring the VM's ``max_steps``) instead of
   hanging the host process, which matters because the loader runs the
   code *in-process* where no deadline can interrupt it.
+* **a run heap** — every ``Alloc`` takes a zeroed block from
+  ``repro_alloc``, which chains it to the run's heap; each entry
+  wrapper frees the previous run's chain first, trapped runs
+  included, so a process that serves many runs holds one run's heap,
+  not all of them.  A count that is negative or cannot be represented,
+  or a failed ``calloc``, traps ``oom`` (like the print buffer): a run
+  never goes on with a null buffer.
 * **print capture** — ``print_i64/f64/char`` append to a growable
   buffer rather than stdout, so the loader can return the print stream
   byte-for-byte.  The float formatter reproduces CPython's ``repr``
@@ -53,6 +60,7 @@ TRAP_OOM = 3
 
 RUNTIME_H = r"""/* repro_rt: runtime preamble for native execution (see DESIGN.md 4f) */
 #include <stdint.h>
+#include <stddef.h>
 #include <stdbool.h>
 #include <stdlib.h>
 #include <string.h>
@@ -66,8 +74,14 @@ typedef struct { int64_t w[8]; } word_block;
 enum {
     REPRO_TRAP_DIV  = 1,  /* integer division by zero */
     REPRO_TRAP_FUEL = 2,  /* block-entry budget exhausted (step-limit) */
-    REPRO_TRAP_OOM  = 3   /* print buffer allocation failed */
+    REPRO_TRAP_OOM  = 3   /* heap or print buffer allocation failed */
 };
+
+/* One block of the run heap: a header, then the caller's bytes. */
+typedef union repro_block {
+    union repro_block *next;
+    max_align_t align;
+} repro_block;
 
 static struct {
     jmp_buf jb;
@@ -76,6 +90,7 @@ static struct {
     char   *out;
     size_t  out_len;
     size_t  out_cap;
+    repro_block *heap;   /* this run's allocations, newest first */
 } repro_rt = { .fuel = INT64_MAX };
 
 static void repro_trap(int32_t code) {
@@ -85,6 +100,33 @@ static void repro_trap(int32_t code) {
 
 #define REPRO_FUEL() \
     do { if (--repro_rt.fuel < 0) repro_trap(REPRO_TRAP_FUEL); } while (0)
+
+/* -- the run heap ----------------------------------------------------- */
+
+/* Every Alloc of a run, zeroed.  A count that is negative or too large
+   to represent, or a failed calloc, traps oom: the run never goes on
+   with a null buffer. */
+static void *repro_alloc(int64_t count, size_t size) {
+    if (count < 0
+        || (uint64_t)count > (SIZE_MAX - sizeof(repro_block)) / size)
+        repro_trap(REPRO_TRAP_OOM);
+    repro_block *block =
+        (repro_block *)calloc(1, sizeof(repro_block) + (size_t)count * size);
+    if (!block) repro_trap(REPRO_TRAP_OOM);
+    block->next = repro_rt.heap;
+    repro_rt.heap = block;
+    return block + 1;
+}
+
+/* Free the previous run's heap; every entry wrapper calls this first,
+   so a trapped run's blocks go too. */
+static void repro_heap_release(void) {
+    while (repro_rt.heap) {
+        repro_block *next = repro_rt.heap->next;
+        free(repro_rt.heap);
+        repro_rt.heap = next;
+    }
+}
 
 /* -- print capture ---------------------------------------------------- */
 
@@ -263,6 +305,8 @@ class NativeEmitter(CEmitter):
     * ``INT64_MIN``/``INT32_MIN`` literals avoid the C "negate a too-big
       constant" pitfall; non-finite float literals become expressions;
     * prints append to the capture buffer;
+    * allocations come from the run heap (``repro_alloc``), which the
+      entry wrappers release when the next run starts;
     * every function and block entry burns one unit of fuel;
     * after the bodies, an ``extern`` ABI wrapper is emitted per
       all-scalar function, recorded in :attr:`entry_meta` as
@@ -373,6 +417,9 @@ class NativeEmitter(CEmitter):
                 else "(word_block){ .w = {0} }")
         return f"(repro_trap(REPRO_TRAP_DIV), {zero})"
 
+    def _alloc_expr(self, elem: str, count: str) -> str:
+        return f"({elem}*)repro_alloc({count}, sizeof({elem}))"
+
     def _emit_print(self, intrinsic: Intrinsic, value: Def) -> None:
         fn = {Intrinsic.PRINT_I64: "repro_print_i64",
               Intrinsic.PRINT_F64: "repro_print_f64",
@@ -408,6 +455,7 @@ class NativeEmitter(CEmitter):
         w = self.out
         w.write(f"\nint32_t {symbol}(const int64_t *argv, "
                 f"int64_t *out) {{\n")
+        w.write("    repro_heap_release();\n")
         w.write("    repro_rt.trap = 0;\n")
         w.write("    repro_rt.out_len = 0;\n")
         w.write("    if (setjmp(repro_rt.jb)) return repro_rt.trap;\n")

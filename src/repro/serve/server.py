@@ -3,13 +3,15 @@
 The transport — pipelined NDJSON connections, ``batch`` fan-out, reply
 tagging, SIGTERM drain — is :class:`~repro.serve.protocol.LineServer`;
 this module is what a shard does with each request.  The event loop
-only parses, routes and replies; every compile runs in a forked worker
-(:class:`repro.core.pool.WorkerPool`), which the loop awaits like a
-socket (the job goes down the seat's pipe, the reply is read when it
-arrives, the deadline is a loop timer), so the loop stays responsive
-while compiles grind and stays *alive* when a compile takes its whole
-process down.  A ``ping``, a ``stats`` and a cache hit are answered in
-the event-loop pass that read them.
+only parses, routes and replies; every compile and every run executes
+in a forked worker (:class:`repro.core.pool.WorkerPool`), which the
+loop drives like a socket (the job goes down the seat's socket, the
+reply is read when it arrives, the deadline is a loop timer), so the
+loop stays responsive while compiles grind and stays *alive* when a
+job takes its whole process down.  A ``ping``, a ``stats`` and a cache
+hit are answered in the event-loop pass that read them; a ``run`` is
+submitted to the pool in that pass and answered in the pass that reads
+the seat's reply, with no task in between.
 
 Request flow, in order:
 
@@ -25,29 +27,38 @@ Request flow, in order:
    running; beyond that the server sheds load with an ``overloaded``
    reply instead of buffering unboundedly.
 4. **execute** — the job runs in a pool worker under the per-request
-   deadline.  A worker death (segfault, injected ``kill``, deadline
-   overrun) becomes a structured ``worker-crash`` reply, the seat
-   respawns, and the server keeps serving.  A pipeline that could not
-   recover (``PipelineCrash``) becomes a ``compile-error``.  Both
-   replies carry ``crash_bundle``: the request, written under
-   ``crash_dir`` by :meth:`CompileServer._write_crash_bundle`, the only
-   bundle writer.  A world is a deterministic function of its request,
-   so the request replays the crash.
+   deadline (a miss awaits ``WorkerPool.run`` as a task).  A worker
+   death (segfault, injected ``kill``, deadline overrun) becomes a
+   structured ``worker-crash`` reply, the seat respawns, and the
+   server keeps serving.  A pipeline that could not recover
+   (``PipelineCrash``) becomes a ``compile-error``.  Both replies carry
+   ``crash_bundle``: the request, written under ``crash_dir`` by
+   :meth:`CompileServer._write_crash_bundle`, the only bundle writer.
+   A world is a deterministic function of its request, so the request
+   replays the crash.
 
 Fault-injected requests bypass the cache in both directions: their
 artifacts are not representative and must never be served to (or
 poisoned by) clean requests.
 
-``run`` requests take the tiered execution path instead: the
+``run`` requests take the tiered execution path instead, by callback
+from start to end: validation, the run key, admission, the tier
+decision, ``WorkerPool.submit`` — and the reply is written from the
+job's ``done`` callback.  The
 :class:`~repro.native.tiering.TieringManager` picks interp/VM/native
 per program, and when a program turns hot the server launches one
 background ``native-compile`` job through the same crash-isolated
-pool.  VM-tier runs execute instrumented and their profiles accumulate
-per key, so that promotion job is profile-guided: the native world is
-specialized around the paths this key's own requests actually took.  Native failures of any kind — compiler error, build timeout,
-worker crash while executing the ``.so`` — quarantine the program back
-to the VM (a crashed native *run* is retried on the VM immediately, so
-the client still gets an answer).  ``.so`` objects are
+pool.  A native-tier job carries only what the seat executes (the
+``.so``, its ``entry_meta``, the entry and the argument lists); the
+interp and VM tiers also ship the source, options and key, from which
+the seat builds (and caches) the program on a miss.  VM-tier runs
+execute instrumented and their profiles accumulate per key, so that
+promotion job is profile-guided: the native world is specialized
+around the paths this key's own requests actually took.  Native
+failures of any kind — compiler error, build timeout, worker crash
+while executing the ``.so`` — quarantine the program back to the VM (a
+crashed native *run* is resubmitted on the VM from the same callback,
+so the client still gets an answer).  ``.so`` objects are
 content-addressed in ``<cache_dir>/native`` beside the artifact store,
 so a restarted daemon re-promotes from a warm object cache.
 
@@ -174,7 +185,7 @@ class CompileServer(LineServer):
         elif op == "compile":
             self._compile(message, respond)
         else:
-            self.spawn(self._run(message), respond)
+            self._run(message, respond)
 
     def _stats_reply(self) -> dict:
         assert self.pool is not None
@@ -282,7 +293,7 @@ class CompileServer(LineServer):
 
     # -- the tiered run path ------------------------------------------------
 
-    async def _run(self, message: dict) -> dict:
+    def _run(self, message: dict, respond) -> None:
         started = time.perf_counter()
         self.metrics.bump("run_requests")
         request = validate_run_request(message)
@@ -307,42 +318,54 @@ class CompileServer(LineServer):
             self._start_promotion(key, request)
 
         self._pending += 1
-        try:
-            return await self._execute_run(request, key, decision, started)
-        finally:
-            self._pending -= 1
+        self._submit_run(request, key, decision, started, respond)
 
-    async def _execute_run(self, request: dict, key: str,
-                           decision: TierDecision, started) -> dict:
+    def _submit_run(self, request: dict, key: str, decision: TierDecision,
+                    started, respond) -> None:
+        """Run *request* on *decision*'s tier; ``respond`` gets the reply
+        from the pool's ``done`` callback."""
         assert self.pool is not None
-        job = {"op": "run", "tier": decision.tier, "key": key,
-               "source": request["source"], "entry": request["entry"],
-               "args": request["args"], "options": request["options"]}
         if decision.tier == "native":
-            job["native"] = {"so": decision.so_path,
-                             "entry_meta": decision.entry_meta}
-        try:
-            result = await self.pool.run(
-                job, timeout=self.config.request_timeout)
-        except JobError as exc:
-            self.metrics.bump("run_errors")
-            return self._job_error_reply(exc, request)
-        except WorkerCrash as exc:
-            self.metrics.bump("worker_crashes")
-            if decision.tier == "native":
+            # The seat runs a cached .so: nothing else to ship.
+            job = {"op": "run", "tier": "native",
+                   "entry": request["entry"], "args": request["args"],
+                   "native": {"so": decision.so_path,
+                              "entry_meta": decision.entry_meta}}
+        else:
+            job = {"op": "run", "tier": decision.tier, "key": key,
+                   "source": request["source"], "entry": request["entry"],
+                   "args": request["args"], "options": request["options"]}
+
+        def done(result, error) -> None:
+            if isinstance(error, WorkerCrash) and decision.tier == "native":
                 # A crashed native run quarantines the program and is
                 # retried on the VM — the client still gets an answer.
-                self.tiering.fallback(key, exc.reason)
-                return await self._execute_run(
-                    request, key, TierDecision("vm", False), started)
-            if "deadline" in exc.reason:
+                self.metrics.bump("worker_crashes")
+                self.tiering.fallback(key, error.reason)
+                self._submit_run(request, key, TierDecision("vm", False),
+                                 started, respond)
+                return
+            self._pending -= 1
+            respond(self._run_reply(request, key, decision, started,
+                                    result, error))
+
+        self.pool.submit(job, self.config.request_timeout, done)
+
+    def _run_reply(self, request: dict, key: str, decision: TierDecision,
+                   started, result, error) -> dict:
+        if isinstance(error, JobError):
+            self.metrics.bump("run_errors")
+            return self._job_error_reply(error, request)
+        if isinstance(error, WorkerCrash):
+            self.metrics.bump("worker_crashes")
+            if "deadline" in error.reason:
                 self.metrics.bump("deadline_kills")
-            bundle = self._write_crash_bundle(exc, request)
+            bundle = self._write_crash_bundle(error, request)
             return error_reply(
-                "worker-crash", exc.reason, crash_bundle=bundle,
-                exitcode=exc.exitcode)
-        except RuntimeError as exc:  # pool closed during shutdown
-            return error_reply("shutting-down", str(exc))
+                "worker-crash", error.reason, crash_bundle=bundle,
+                exitcode=error.exitcode)
+        if error is not None:  # pool closed during shutdown
+            return error_reply("shutting-down", str(error))
 
         if decision.tier == "vm":
             self.tiering.note_steps(key, result.get("steps", 0))

@@ -11,9 +11,16 @@ Three job kinds, dispatched on ``op``:
 
 * ``compile`` — the original artifact build (below);
 * ``run`` — execute an entry point at a server-chosen tier (graph
-  interpreter, bytecode VM, or a native ``.so`` via ctypes); each
-  worker process keeps small per-tier caches so repeated requests for
-  the same program skip recompilation;
+  interpreter, bytecode VM, or a native ``.so`` via ctypes) on each of
+  the job's argument lists.  An ``interp`` or ``vm`` job carries
+  ``key``, ``source``, ``options``, ``entry`` and ``args``; a
+  ``native`` job only ``native`` (``so`` and ``entry_meta``), ``entry``
+  and ``args``.  Each worker process keeps small per-tier caches (the
+  world, the compiled VM image, the loaded ``.so``) so repeated
+  requests for the same program skip recompilation; a cached image
+  keeps no state between calls — every VM call starts from the
+  program's initial heap with no output, and every native run frees
+  the heap of the run before it;
 * ``native-compile`` — emit hardened C for the statically optimized
   world and build it into the content-addressed native store.  Runs in
   the pool so a wedged or crashing system compiler takes down a
@@ -40,6 +47,7 @@ mode, which is what the server's crash-isolation test exercises.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import replace
 
 from .. import compile_source
@@ -152,6 +160,8 @@ _WORKER_CACHE_LIMIT = 16
 _INTERP_WORLDS: dict = {}
 _VM_IMAGES: dict = {}
 _NATIVE_MODULES: dict = {}
+# The caches whose miss builds a world.
+_WORLD_CACHES = {"interp": _INTERP_WORLDS, "vm": _VM_IMAGES}
 
 
 def _bounded_put(cache: dict, key, value) -> None:
@@ -199,29 +209,32 @@ def _run_vm_tier(request: dict) -> dict:
         compiled = compile_world(world)
         _bounded_put(_VM_IMAGES, key, compiled)
     results = []
-    before = compiled.vm.executed
+    vm = compiled.vm
+    before = vm.executed
     # The VM tier doubles as the PGO trainer: requests run with a
     # profile collector and ship their profile back so the server can
     # accumulate per-key training data — when the key turns hot, the
     # background native compile is profile-guided.  Profiling counts
     # only at control transfers of the fused dispatch stream.
     collector = ProfileCollector()
-    compiled.vm.profile = collector
+    vm.profile = collector
     try:
         for args in request["args"]:
-            mark = len(compiled.vm.output)
             try:
                 value = compiled.call(request["entry"], *args)
                 results.append({"value": value, "trap": None,
-                                "output":
-                                    "".join(compiled.vm.output[mark:])})
+                                "output": "".join(vm.output)})
             except (bc.VMError, ResourceLimitError) as exc:
                 results.append({"value": None, "trap": trap_kind(exc),
-                                "output":
-                                    "".join(compiled.vm.output[mark:])})
+                                "output": "".join(vm.output)})
+            finally:
+                # Every call starts from the program's initial heap, as
+                # on the interpreter tier (a fresh Interpreter per call),
+                # and the cached image holds no call's heap.
+                vm.reset(compiled.program)
     finally:
-        compiled.vm.profile = None
-    reply = {"results": results, "steps": compiled.vm.executed - before}
+        vm.profile = None
+    reply = {"results": results, "steps": vm.executed - before}
     if not collector.is_empty():
         reply["profile"] = Profile.from_collector(
             collector, compiled.program).to_dict()
@@ -288,10 +301,26 @@ def native_compile_request(request: dict) -> dict:
 
 
 def run_job(request: dict) -> dict:
-    """The pool handler: one job, dispatched on its ``op``."""
+    """The pool handler: one job, dispatched on its ``op``.
+
+    A world is cyclic (use lists), so the world a job built and dropped
+    is garbage only the cyclic collector frees.  The seat collects after
+    every job that built one — a compile, a native compile, an interp-
+    or VM-tier cache miss — so its peak RSS is set by the largest job,
+    not by where automatic collections happen to fall.  A native run
+    builds none and is never followed by a collection.
+    """
     op = request.get("op", "compile")
     if op == "run":
-        return run_request(request)
-    if op == "native-compile":
-        return native_compile_request(request)
-    return compile_request(request)
+        cache = _WORLD_CACHES.get(request["tier"])
+        built = cache is not None and request["key"] not in cache
+        job = run_request
+    else:
+        built = True
+        job = (native_compile_request if op == "native-compile"
+               else compile_request)
+    try:
+        return job(request)
+    finally:
+        if built:
+            gc.collect()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+import os
 import threading
 from pathlib import Path
 
@@ -116,6 +117,37 @@ def test_native_fuel_trap():
     src2 = "fn main(a: i64) -> i64 { a + 1 }"
     module2 = compile_native_world(compile_source(src2))
     assert module2.run("main", [1], fuel=10_000).result == 2
+
+
+def _rss_mb() -> float:
+    with open("/proc/self/statm") as statm:
+        pages = int(statm.read().split()[1])
+    return pages * os.sysconf("SC_PAGE_SIZE") / (1 << 20)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="needs /proc")
+def test_native_run_heap_is_released_by_the_next_run():
+    """A module called many times holds one run's heap, not all of
+    them: every run allocates and fills 256 KB, half of them trap after
+    allocating, and the process grows by far less than the 100 MB the
+    runs allocate in all.  A count no allocation can satisfy traps
+    ``oom`` instead of running on with a null buffer."""
+    src = ("fn main(n: i64, d: i64) -> i64 {\n"
+           "    let buf = new_buf_i64(n);\n"
+           "    for i in 0..n { buf[i] = i; }\n"
+           "    buf[n - 1] / d - n + 8\n"
+           "}")
+    module = compile_native_world(compile_source(src))
+    assert module.run("main", [4, 1]).result == 7
+    before = _rss_mb()
+    for index in range(400):
+        run = module.run("main", [32768, index % 2])
+        assert (run.result, run.trap) == ((None, "div-by-zero") if
+                                          index % 2 == 0 else (7, None))
+    grown = _rss_mb() - before
+    assert grown < 16, f"RSS grew {grown:.1f} MB over 400 runs"
+    assert module.run("main", [1 << 61, 1]).trap == "oom"
 
 
 def test_native_float_prints_match_python_repr():

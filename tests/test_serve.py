@@ -377,6 +377,223 @@ def test_closing_the_pool_ends_a_job_in_flight_without_a_new_seat():
     assert not seat.alive()
 
 
+def _echo(request):
+    """Pool handler that returns its job."""
+    return request
+
+
+def test_a_seat_killed_while_idle_is_replaced_without_a_crash():
+    """A seat that dies between jobs is replaced: nothing spins on its
+    EOF meanwhile, its child is reaped, and the next job succeeds with
+    no ``WorkerCrash``."""
+    from repro.core.pool import WorkerPool
+
+    async def scenario():
+        pool = WorkerPool(_echo, size=1)
+        try:
+            assert await pool.run({"n": 1}) == {"n": 1}
+            (seat,) = pool._workers
+            dead = seat.pid
+            os.kill(dead, signal.SIGKILL)
+            cpu = time.process_time()
+            await asyncio.sleep(0.5)
+            idle_cpu = time.process_time() - cpu
+            result = await pool.run({"n": 2}, timeout=30.0)
+            return dead, seat.pid, idle_cpu, result, pool.crashes
+        finally:
+            pool.close()
+
+    dead, pid, idle_cpu, result, crashes = asyncio.run(scenario())
+    assert result == {"n": 2}
+    assert crashes == 0
+    assert pid != dead
+    assert idle_cpu < 0.25, f"{idle_cpu:.2f} s of CPU while idle"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(dead, os.WNOHANG)  # reaped by the pool
+
+
+def test_a_job_larger_than_the_socket_buffer_round_trips():
+    """A multi-MB job and its multi-MB reply both cross the seat's
+    socket pair, whose buffers are a few hundred KB."""
+    from repro.core.pool import WorkerPool
+
+    job = {"source": "x" * (6 << 20)}
+
+    async def scenario():
+        pool = WorkerPool(_echo, size=1)
+        try:
+            return await pool.run(job, timeout=60.0)
+        finally:
+            pool.close()
+
+    assert asyncio.run(scenario()) == job
+
+
+def test_jobs_queued_behind_busy_seats_end_shutting_down(tmp_path):
+    """Closing the pool answers the job in flight and every job queued
+    behind it — a compile and a run — with ``shutting-down``."""
+    from repro.core.pool import WorkerPool
+
+    lines = [encode_message({"op": "compile", "source": f"{SRC} // {i}",
+                             "opt": "static"}) for i in range(2)]
+    lines.append(encode_message({"op": "run", "source": SRC,
+                                 "entry": "main", "args": [[1]]}))
+
+    async def scenario():
+        server = CompileServer(ServerConfig(
+            cache_dir=str(tmp_path / "cache"),
+            crash_dir=str(tmp_path / "crashes"), native=False))
+        server.pool = WorkerPool(_slow_stub_handler, size=1)
+        answers = [asyncio.ensure_future(_answer(server, line))
+                   for line in lines]
+        await asyncio.sleep(0.3)  # the first compile is in the seat
+        await server.stop()
+        replies = [json.loads(await answer) for answer in answers]
+        return replies, server._pending
+
+    replies, pending = asyncio.run(scenario())
+    assert [r["error"]["code"] for r in replies] == ["shutting-down"] * 3
+    assert pending == 0
+
+
+def test_more_concurrent_jobs_than_seats_are_each_answered_once(tmp_path):
+    """Compiles and runs in flight at once, several times the seats:
+    every request gets exactly one reply, the right one, within the
+    time bound, and nothing is left pending."""
+    compiles = [{"op": "compile", "source": f"{SRC}\n// stress {i}",
+                 "opt": "static"} for i in range(10)]
+    runs = [{"op": "run", "source": SRC, "entry": "main", "args": [[i]]}
+            for i in range(14)]
+
+    async def scenario():
+        server = CompileServer(ServerConfig(
+            port=0, workers=2, max_pending=64, native=False,
+            cache_dir=str(tmp_path / "cache"),
+            crash_dir=str(tmp_path / "crashes")))
+        await server.start()
+        try:
+            replies = await asyncio.wait_for(asyncio.gather(*(
+                _answer(server, encode_message(message))
+                for message in compiles + runs)), timeout=120.0)
+            return [json.loads(reply) for reply in replies], server._pending
+        finally:
+            await server.stop()
+
+    replies, pending = asyncio.run(scenario())
+    assert all(reply["ok"] for reply in replies), replies
+    compiled, ran = replies[:len(compiles)], replies[len(compiles):]
+    assert len({reply["key"] for reply in compiled}) == len(compiles)
+    assert [reply["results"][0]["value"] for reply in ran] == \
+        [i * i + 1 for i in range(len(runs))]
+    assert {reply["tier"] for reply in ran} == {"interp", "vm"}
+    assert pending == 0
+
+
+def _native_seat_dies(request):
+    """Pool handler whose seat dies on every native-tier run."""
+    from repro.serve.worker import run_job
+
+    if request.get("tier") == "native":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_job(request)
+
+
+def test_a_native_run_whose_seat_dies_is_answered_on_the_vm(tmp_path):
+    """The seat running a native-tier request dies: the same request is
+    answered from the VM, and the key is quarantined."""
+    from repro.core.pool import WorkerPool
+    from repro.serve.protocol import validate_run_request
+
+    message = {"op": "run", "source": SRC, "entry": "main", "args": [[3]]}
+    key = run_cache_key(validate_run_request(message))
+
+    async def scenario():
+        server = CompileServer(ServerConfig(
+            cache_dir=str(tmp_path / "cache"),
+            crash_dir=str(tmp_path / "crashes"), native=False))
+        server.pool = WorkerPool(_native_seat_dies, size=1)
+        server.tiering.native_ready(
+            key, str(tmp_path / "never-loaded.so"),
+            {"main": {"params": ["i64"], "result": "i64",
+                      "symbol": "repro_run_main"}}, cached=False)
+        try:
+            reply = json.loads(await _answer(server,
+                                             encode_message(message)))
+            return (reply, server.tiering.snapshot(),
+                    dict(server.metrics.counters), server._pending)
+        finally:
+            await server.stop()
+
+    reply, tiering, counters, pending = asyncio.run(scenario())
+    assert reply["ok"], reply
+    assert reply["tier"] == "vm"
+    assert reply["native_state"] == "quarantined"
+    assert reply["results"] == [{"value": 10, "trap": None, "output": ""}]
+    assert tiering["native_fallbacks"] == 1
+    assert tiering["native_states"]["quarantined"] == 1
+    assert counters["worker_crashes"] == 1
+    assert pending == 0
+
+
+def _census_seat(request):
+    """Pool handler that can also count the worlds its seat holds."""
+    import gc
+
+    from repro.core.world import World
+    from repro.serve.worker import run_job
+
+    if request.get("op") == "census":
+        return sum(isinstance(o, World) for o in gc.get_objects())
+    return run_job(request)
+
+
+def test_a_seat_holds_no_world_after_a_compile_job():
+    """The world a compile built is freed before the seat's next job,
+    so dead worlds do not pile up in a long-lived seat."""
+    from repro.core.pool import WorkerPool
+
+    async def scenario():
+        pool = WorkerPool(_census_seat, size=1)
+        try:
+            counts = [await pool.run({"op": "census"})]
+            for i in range(5):
+                await pool.run({"op": "compile", "opt": "static",
+                                "source": f"{SRC}\n// census {i}"})
+                counts.append(await pool.run({"op": "census"}))
+            return counts
+        finally:
+            pool.close()
+
+    counts = asyncio.run(scenario())
+    assert counts == [counts[0]] * 6, counts
+
+
+def test_every_vm_tier_call_starts_from_the_initial_heap():
+    """The VM image a seat caches per key keeps no heap between calls:
+    a program that allocates on every call never runs out of heap on
+    a repeated request (the limit is lowered to keep this small)."""
+    from repro.serve import worker
+    from repro.serve.protocol import validate_run_request
+
+    source = ("fn main(n: i64) -> i64 {\n"
+              "    let buf = new_buf_i64(n);\n"
+              "    buf[n - 1] = 7;\n"
+              "    buf[n - 1]\n"
+              "}")
+    request = validate_run_request({"op": "run", "source": source,
+                                    "args": [[200_000]]})
+    job = {**request, "tier": "vm", "key": run_cache_key(request)}
+    values = [worker.run_job(job)["results"][0]["value"]]
+    compiled = worker._VM_IMAGES[job["key"]]
+    compiled.vm.heap_limit = 1_000_000   # five calls' worth
+    for _ in range(8):
+        (result,) = worker.run_job(job)["results"]
+        values.append(result["value"] if result["trap"] is None
+                      else result["trap"])
+    assert values == [7] * 9
+    assert len(compiled.vm.heap) == 1 + len(compiled.program.data)
+
+
 # ---------------------------------------------------------------------------
 # crash isolation
 # ---------------------------------------------------------------------------
