@@ -61,7 +61,7 @@ from ..core.primops import (
     peel_markers,
 )
 from ..core.schedule import Schedule
-from ..core.scope import Scope, scope_of, top_level_of
+from ..core.scope import scope_of
 from ..core.types import (
     BOOL,
     DefiniteArrayType,
@@ -144,7 +144,7 @@ class CEmitter:
         self._placed: set[PrimOp] = set()
 
     def emit(self) -> str:
-        functions = [c for c in top_level_of(self.world)
+        functions = [c for c in self.world.analyses.top_level()
                      if c.has_body() and c.is_returning()]
         self.out.write(self._prelude(functions))
         for fn in functions:
@@ -287,13 +287,7 @@ class CEmitter:
         return fn.name or self._name(fn)
 
     def _emit_function(self, fn: Continuation) -> None:
-        manager = self.world._analyses
-        if manager is not None:
-            scope = manager.scope(fn)
-            schedule = manager.schedule(fn)
-        else:
-            scope = Scope(fn)
-            schedule = Schedule(scope)
+        schedule = self.world.analyses.schedule(fn)
         ret, ret_c, params = self._fn_signature(fn)
         sig = ", ".join(f"{c_type(p.type)} {self._name(p)}" for p in params)
         self.out.write(f"{ret_c} {self._fn_name(fn)}({sig}) {{\n")

@@ -50,8 +50,7 @@ from ..core.primops import (
     TupleVal,
     peel_markers,
 )
-from ..core.scope import Scope
-from ..core.schedule import Placement, Schedule
+from ..core.schedule import Placement
 from ..core.types import (
     DefiniteArrayType,
     FnType,
@@ -249,13 +248,9 @@ class FunctionCodegen:
         self.world = parent.world
         self.entry = entry
         self.fn = parent.program.functions[parent.function_index(entry)]
-        manager = self.world._analyses
-        if manager is not None:
-            self.scope = manager.scope(entry)
-            self.schedule = manager.schedule(entry, parent.placement)
-        else:
-            self.scope = Scope(entry)
-            self.schedule = Schedule(self.scope, parent.placement)
+        analyses = self.world.analyses
+        self.scope = analyses.scope(entry)
+        self.schedule = analyses.schedule(entry, parent.placement)
         self.ret_param = _ret_param(entry)
         self._regs: dict[Def, int] = {}
         self._const_regs: dict[Def, int] = {}

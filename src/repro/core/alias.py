@@ -49,6 +49,7 @@ per generation.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .defs import Def
@@ -233,9 +234,32 @@ class AliasAnalysis:
 
 
 def world_memory_ops(world: "World") -> list:
-    """Every reachable ``Load``/``Store``, in deterministic gid order."""
+    """Every reachable ``Load``/``Store``, in deterministic gid order.
+
+    On a clean world (``_clean_generation == generation``: the last
+    cleanup pruned every unreachable primop and nothing has been built
+    since) the primop table holds exactly the reachable primops, so the
+    list comes from the table.  Otherwise the world is marked from the
+    externals.  Under ``verify_each_pass`` a table answer is checked
+    against the mark.
+    """
+    if world._clean_generation == world.generation:
+        ops = [d for d in world._primops.values()
+               if isinstance(d, (Load, Store))]
+        ops.sort(key=attrgetter("gid"))
+        if world._verify_shortcuts and ops != _marked_memory_ops(world):
+            from .verify import VerifyError
+
+            raise VerifyError(
+                "mem_opt: the clean world's primop table lists other "
+                "memory ops than a mark from the externals")
+        return ops
+    return _marked_memory_ops(world)
+
+
+def _marked_memory_ops(world: "World") -> list:
     from ..transform.cleanup import reachable_defs
 
     ops = [d for d in reachable_defs(world) if isinstance(d, (Load, Store))]
-    ops.sort(key=lambda d: d.gid)
+    ops.sort(key=attrgetter("gid"))
     return ops

@@ -5,7 +5,8 @@ Two text modes:
 * :func:`print_scope` / :func:`print_world` — structural dump: one
   paragraph per continuation, primops listed in dependency order before
   the jump that (transitively) uses them.  This is what tests golden-match
-  against.
+  against.  ``print_world`` takes the top-level set and the scopes from
+  the world's analysis manager, which the backends then reuse.
 * :func:`to_dot` — GraphViz export of the dependence graph, handy for
   eyeballing scopes and mangling results.
 """
@@ -90,13 +91,18 @@ def print_scope(scope: Scope, *, include_primops: bool = True) -> str:
 
 
 def print_world(world) -> str:
-    from .scope import top_level_continuations
+    """Every top-level continuation's scope, in the world's order.
 
+    The top-level set and the scopes come from the world's analysis
+    manager (created here if the world has none yet), so the backends
+    that run next (``emit_c``, ``compile_world``) reuse them.
+    """
+    analyses = world.analyses
     out = io.StringIO()
     out.write(f"// world '{world.name}': {world.num_primops()} primops\n")
-    for cont in top_level_continuations(world):
+    for cont in analyses.top_level():
         out.write("\n")
-        out.write(print_scope(Scope(cont)))
+        out.write(print_scope(analyses.scope(cont)))
     return out.getvalue()
 
 

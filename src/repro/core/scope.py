@@ -40,6 +40,10 @@ class Scope:
     #: Total ``Scope`` constructions, ever.  A cheap observability hook:
     #: regression tests assert that cached paths build no new scopes.
     constructed = 0
+    #: Total members inserted by floods, ever: a fresh flood counts its
+    #: whole membership, a resumed one (:meth:`_grow`) what it added.
+    #: The work measure behind tests that pin what scope recovery costs.
+    members_flooded = 0
 
     def __init__(self, entry: Continuation):
         Scope.constructed += 1
@@ -64,6 +68,7 @@ class Scope:
             d = queue.pop()
             for user, _ in d.uses:
                 self._insert(user, queue)
+        Scope.members_flooded += len(self._defs)
         self._canonicalize()
 
     def _canonicalize(self) -> None:
@@ -122,6 +127,7 @@ class Scope:
             for user, _ in d.uses:
                 insert(user)
         if added:
+            Scope.members_flooded += len(added)
             self._canonicalize()
         return added
 

@@ -111,8 +111,13 @@ class World:
         # undo-log rollback).
         self._touched_conts: set[Continuation] | None = None
         # Generation at which the last completed cleanup left the world;
-        # while it stands, another cleanup is provably a no-op.
+        # while it stands, another cleanup is provably a no-op and every
+        # registered primop is reachable from the externals.
         self._clean_generation: int | None = None
+        # Set by the pipeline under ``verify_each_pass``: passes check
+        # each answer they take without recovering a scope or marking
+        # the world against the recovery they skip.
+        self._verify_shortcuts = False
 
     # ------------------------------------------------------------------
     # identity & registry

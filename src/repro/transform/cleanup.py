@@ -15,8 +15,11 @@ Apart from the garbage mark, its cost follows the edit, not the world.
 Branch folding needs no sweep: the paper's local simplifications hold
 at all times, because ``World.jump`` and ``rewrite_uses`` fold every
 body they set.  Eta-reduction visits only the continuations touched
-since its last scan; :func:`verify_cleanup` checks both shortcuts
-against full sweeps under ``verify_each_pass``.
+since its last scan, and decides "target inside the forwarder's scope"
+without a scope when the forwarder's params feed only its own jump;
+:func:`verify_cleanup` checks the first two shortcuts against full
+sweeps under ``verify_each_pass``, and the local scope answer is
+checked against ``scope_of`` where it is taken.
 """
 
 from __future__ import annotations
@@ -65,6 +68,27 @@ def collect_garbage(world: World) -> int:
     return removed
 
 
+def _target_in_scope(cont: Continuation, target: Def) -> bool:
+    """Is *target* inside the scope of the forwarder *cont*?
+
+    When each parameter's only use is the forwarder's own jump, the
+    scope flood stops at once: the scope is *cont* and its parameters.
+    The target is neither: it is not *cont* (the caller checks), and a
+    parameter jumped through would have a second use, as the callee.
+    Otherwise the scope is recovered.  Under ``verify_each_pass`` the
+    local answer is checked against it.
+    """
+    if all(p.num_uses == 1 for p in cont.params):
+        if cont.world._verify_shortcuts and target in scope_of(cont):
+            from ..core.verify import VerifyError
+
+            raise VerifyError(
+                f"cleanup: forwarder {cont.unique_name()} whose params "
+                f"only feed its jump has its target in its scope")
+        return False
+    return target in scope_of(cont)
+
+
 def _forwarders(candidates) -> tuple[dict[Def, Def], list[Continuation]]:
     """Which *candidates* are forwarders to substitute now.
 
@@ -94,7 +118,7 @@ def _forwarders(candidates) -> tuple[dict[Def, Def], list[Continuation]]:
             continue
         # The forwarder's own scope must not contain the target
         # (otherwise the "alias" would leak scope-internal state).
-        if target in scope_of(cont):
+        if _target_in_scope(cont, target):
             held.append(cont)
             continue
         mapping[cont] = callee

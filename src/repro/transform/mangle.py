@@ -244,7 +244,8 @@ def lift(scope: Scope, defs: tuple[Def, ...],
     return mangle(scope, {}, defs, stats_out)
 
 
-def inline_call(caller: Continuation, stats_out: list | None = None) -> bool:
+def inline_call(caller: Continuation, stats_out: list | None = None, *,
+                outside: bool = False) -> bool:
     """Inline the call in ``caller``'s body, if the callee is known.
 
     ``caller: jump f(a_1, ..., a_n)`` becomes ``caller: jump f'()`` where
@@ -261,6 +262,12 @@ def inline_call(caller: Continuation, stats_out: list | None = None) -> bool:
     inside the caller's scope, where the primops the rewrite superseded
     still use them until garbage collection.  No :class:`MangleStats` is
     recorded for a move: nothing was copied.
+
+    ``outside=True`` says the caller already knows it lies outside
+    ``f``'s scope (the inliner proves it for a once-called ``f`` without
+    recovering the scope).  A move then needs no scope at all; a copy
+    still recovers the scope it copies.  Otherwise a caller inside the
+    scope is refused: the copy would duplicate the caller into itself.
     """
     if not caller.has_body():
         return False
@@ -269,9 +276,11 @@ def inline_call(caller: Continuation, stats_out: list | None = None) -> bool:
         return False
     if callee is caller:
         return False
-    scope = scope_of(callee)
-    if caller in scope:
-        return False  # would duplicate the caller into itself
+    scope = None
+    if not outside:
+        scope = scope_of(callee)
+        if caller in scope:
+            return False
     world = caller.world
     if (caller.callee is callee and callee.num_uses == 1
             and not callee.is_external):
@@ -281,6 +290,8 @@ def inline_call(caller: Continuation, stats_out: list | None = None) -> bool:
         world.jump(callee, moved, ())
         world.jump(caller, moved, ())
         return True
+    if scope is None:
+        scope = scope_of(callee)
     specialized = drop(scope, list(caller.args), stats_out)
     world.jump(caller, specialized, ())
     return True

@@ -51,7 +51,11 @@ from-scratch sweep (:func:`~repro.transform.cleanup.verify_cleanup`)
 must find nothing left to eta-reduce, fold or collect.  The first
 broken invariant — a stale cached analysis or a forwarder the
 incremental cleanup missed included — is attributed via
-:class:`PassVerifyError` to the pass that introduced it.  Phases the
+:class:`PassVerifyError` to the pass that introduced it.  Answers a
+pass takes without recovering a scope or marking the world (the
+inliner's once-called sites, cleanup's local forwarder test, mem-opt's
+clean-world memory ops) are checked against that recovery where they
+are taken, and a mismatch fails the phase that took it.  Phases the
 runner would skip as provable no-ops are run instead, and must leave
 ``World.generation`` unmoved.  In strict mode the error is raised; in
 non-strict mode it triggers rollback and quarantine like any other
@@ -283,6 +287,9 @@ class _PhaseRunner:
         # twice), so every counter this runner reports is a delta from
         # here.
         self.analyses = world.analyses
+        # Passes that skip a scope recovery or a mark check each such
+        # answer against it, and raise ``VerifyError`` on a mismatch.
+        world._verify_shortcuts = options.verify_each_pass
         self._analysis_base = self._analysis_counters()
 
     # -- analysis-cache telemetry -------------------------------------------
@@ -370,7 +377,7 @@ class _PhaseRunner:
         if options.strict:
             before = self._analysis_counters()
             started = time.perf_counter()
-            result = body()
+            result = self._body(phase, body)
             if options.pass_hook is not None:
                 options.pass_hook(phase, self.world)
             self._verify(phase, unmoved)
@@ -386,7 +393,7 @@ class _PhaseRunner:
         started = time.perf_counter()
         try:
             with deadline(options.pass_deadline, what=f"pass {phase}"):
-                result = body()
+                result = self._body(phase, body)
                 if options.pass_hook is not None:
                     options.pass_hook(phase, self.world)
             if options.pass_deadline is not None:
@@ -406,6 +413,17 @@ class _PhaseRunner:
             self.stats.record_time(phase, time.perf_counter() - started)
             self._rollback(phase, exc)
             return {"rolled_back": 1}
+
+    def _body(self, phase: str, body: Callable[[], dict]) -> dict:
+        """Run a phase body; a shortcut audit's miss is the phase's."""
+        if not self.options.verify_each_pass:
+            return body()
+        from ..core.verify import VerifyError
+
+        try:
+            return body()
+        except VerifyError as exc:
+            raise PassVerifyError(phase, self.stats.rounds, exc) from exc
 
     def _finish_phase(self, phase: str, result: dict,
                       before: dict[str, int], started: float,
@@ -575,6 +593,7 @@ def optimize(world: World, *, options: OptimizeOptions | None = None,
         # Disarm any checkpoint undo log: outside the pipeline nothing
         # can roll back, so first-touch logging would only accumulate.
         world._undo = None
+        world._verify_shortcuts = False
         if gc_was_enabled:
             gc.enable()
 
