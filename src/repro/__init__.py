@@ -38,27 +38,12 @@ import sys as _sys
 # before the interpreter stack is at risk.
 _sys.setrecursionlimit(max(_sys.getrecursionlimit(), 100_000))
 
-from .core.defs import Continuation, Def, Intrinsic, Param
-from .core.primops import ArithKind, CmpRel
-from .core.scope import Scope, top_level_continuations
-from .core.world import World
-
+# The package root imports nothing else: the compile service's router
+# imports ``repro`` (for ``__version__``) and must not load the compiler
+# it never runs.  The two entry points below import theirs on call.
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArithKind",
-    "CmpRel",
-    "Continuation",
-    "Def",
-    "Intrinsic",
-    "Param",
-    "Scope",
-    "World",
-    "top_level_continuations",
-    "compile_source",
-    "run_function",
-    "__version__",
-]
+__all__ = ["compile_source", "run_function", "__version__"]
 
 
 def compile_source(source: str, *, optimize: bool = True,

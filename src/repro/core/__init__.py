@@ -1,23 +1,7 @@
-"""The Thorin graph IR: types, defs, world, scopes, CFG, schedule."""
+"""The Thorin graph IR: types, defs, world, scopes, CFG, schedule.
 
-from .defs import Continuation, Def, Intrinsic, Param, Use
-from .limits import DeadlineExceeded, ResourceLimitError, deadline
-from .primops import ArithKind, CmpRel
-from .scope import Scope, top_level_continuations
-from .world import World
-
-__all__ = [
-    "ArithKind",
-    "CmpRel",
-    "Continuation",
-    "DeadlineExceeded",
-    "Def",
-    "Intrinsic",
-    "Param",
-    "ResourceLimitError",
-    "Scope",
-    "Use",
-    "World",
-    "deadline",
-    "top_level_continuations",
-]
+Import the submodules directly (``repro.core.world``,
+``repro.core.types``, ...); the package itself loads none of them, so a
+process that needs only :mod:`repro.core.canonical` (the compile
+service's router) does not load the IR.
+"""

@@ -7,6 +7,8 @@ AST → Thorin world (optionally optimized by the standard pipeline).
 from __future__ import annotations
 
 from ..core.world import World
+from ..transform import pipeline
+from ..transform.cleanup import cleanup
 from .emit import emit_module
 from .parser import parse
 from .sema import analyze
@@ -31,12 +33,9 @@ def compile_source(source: str, *, optimize: bool = True,
     world = World(world_name, folding=folding)
     emit_module(module, world)
     if optimize:
-        from ..transform.pipeline import optimize as run_pipeline
-
-        run_pipeline(world, options=options)
+        # Looked up on the module at call time: tests patch it there.
+        pipeline.optimize(world, options=options)
     else:
-        from ..transform.cleanup import cleanup
-
         cleanup(world)
     return world
 

@@ -18,11 +18,14 @@ Flag choices are semantic, not stylistic:
 (``objects/<k[:2]>/<k>.so``, atomic tmp+rename, shared-nothing-safe):
 the key is a sha256 over the emitted C, the exact flag vector and the
 ``cc --version`` banner, so upgrading the system compiler or changing
-flags can never serve a stale object.
+flags can never serve a stale object.  A stored object counts only if
+``dlopen`` accepts it: a truncated or foreign file is a miss, rebuilt
+in its place.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
 import os
@@ -158,13 +161,21 @@ class NativeStore:
                      flags: tuple = DEFAULT_CC_FLAGS,
                      timeout: float = DEFAULT_CC_TIMEOUT
                      ) -> tuple[Path, str, bool]:
-        """``(so_path, key, cached)`` — building only on a store miss."""
+        """``(so_path, key, cached)`` — building only on a store miss.
+
+        A hit is an object ``dlopen`` accepts, so a damaged one is
+        rebuilt (atomically, by :func:`compile_shared`) rather than
+        handed to every run of the program.
+        """
         cc = cc or find_cc()
         if cc is None:
             raise NativeBuildError("no-cc", "no C compiler on PATH")
         key = self.key(c_source, cc=cc, flags=flags)
         path = self.object_path(key)
-        if path.exists():
-            return path, key, True
-        compile_shared(c_source, path, cc=cc, flags=flags, timeout=timeout)
-        return path, key, False
+        try:
+            ctypes.CDLL(str(path))
+        except OSError:  # missing, truncated or foreign: a miss
+            compile_shared(c_source, path, cc=cc, flags=flags,
+                           timeout=timeout)
+            return path, key, False
+        return path, key, True

@@ -23,6 +23,7 @@ from typing import Callable
 
 from ..backend.codegen import CompiledWorld, compile_world
 from ..core.world import World
+from ..transform.pipeline import OptimizeOptions, optimize
 from .collector import ProfileCollector
 from .model import Profile
 
@@ -70,8 +71,6 @@ def compile_profiled(world: World,
     and *stats* a dict with the phase-1/phase-2
     :class:`~repro.transform.pipeline.PipelineStats`.
     """
-    from ..transform.pipeline import OptimizeOptions, optimize
-
     options = options if options is not None else OptimizeOptions()
     static_stats = optimize(world, options=options)
     profile = collect_profile(world, workload,

@@ -32,20 +32,9 @@ The interesting parts, each in its own module:
   staggered SIGTERM drain) around one router;
 * :mod:`.smoke` — the service driver (``--shards 0`` for a daemon,
   ``N`` for a fleet) and the ``boot`` helper benchmarks and tests use.
+
+The package imports none of them: each process loads what it runs.  The
+router holds the protocol, the key derivation and its metrics, and no
+compiler; the shard daemon imports the whole compiler before it forks
+its worker seats, so they inherit it (DESIGN.md §4e).
 """
-
-from .cache import ArtifactCache, cache_key
-from .client import ServeClient
-from .protocol import ProtocolError, decode_line, encode_message
-from .server import CompileServer, ServerConfig
-
-__all__ = [
-    "ArtifactCache",
-    "cache_key",
-    "CompileServer",
-    "ProtocolError",
-    "ServeClient",
-    "ServerConfig",
-    "decode_line",
-    "encode_message",
-]

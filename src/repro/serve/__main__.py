@@ -4,14 +4,16 @@ Foreground process; logs one line on start, exits 0 on SIGTERM/SIGINT.
 Default is one daemon; ``--shards N`` boots fleet mode instead — N
 supervised shard daemons sharing the on-disk object store behind a
 consistent-hash router (see :mod:`repro.serve.fleet`).
+
+Each mode imports only what it runs: a fleet's process is its router
+and supervisor, and holds no compiler; only the daemon imports
+:mod:`repro.serve.server`, and through it the compiler.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-
-from .server import ServerConfig, run_server
 
 
 def _parse_args(argv=None) -> argparse.Namespace:
@@ -70,20 +72,6 @@ def _parse_args(argv=None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _server_config(args: argparse.Namespace) -> ServerConfig:
-    config = ServerConfig(
-        host=args.host, port=args.port, workers=args.workers,
-        cache_dir=None if args.cache_dir == "none" else args.cache_dir,
-        crash_dir=args.crash_dir, max_pending=args.max_pending,
-        request_timeout=args.request_timeout,
-        shard_name=args.shard_name, port_file=args.port_file,
-        cache_max_bytes=args.cache_max_bytes,
-        native=not args.no_native, native_dir=args.native_dir)
-    if args.hot_requests is not None:
-        config.tier_hot_requests = args.hot_requests
-    return config
-
-
 def main(argv=None) -> int:
     args = _parse_args(argv)
     if args.shards > 0:
@@ -109,7 +97,18 @@ def main(argv=None) -> int:
             port_file=args.port_file))
         print("repro.serve: clean fleet shutdown", flush=True)
         return 0
-    config = _server_config(args)
+    from .server import ServerConfig, run_server
+
+    config = ServerConfig(
+        host=args.host, port=args.port, workers=args.workers,
+        cache_dir=None if args.cache_dir == "none" else args.cache_dir,
+        crash_dir=args.crash_dir, max_pending=args.max_pending,
+        request_timeout=args.request_timeout,
+        shard_name=args.shard_name, port_file=args.port_file,
+        cache_max_bytes=args.cache_max_bytes,
+        native=not args.no_native, native_dir=args.native_dir)
+    if args.hot_requests is not None:
+        config.tier_hot_requests = args.hot_requests
     print(f"repro.serve listening on {config.host}:{config.port} "
           f"({config.workers} workers, cache={config.cache_dir})",
           flush=True)

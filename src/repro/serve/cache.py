@@ -20,7 +20,10 @@ the server splices that text into replies verbatim
 the artifacts.  Disk writes are atomic (tmp + rename) so a killed
 server never leaves a torn object, and a disk hit is parsed and
 re-encoded before it is promoted into memory: an object that does not
-decode to a JSON object is a miss, never a reply.
+decode to a JSON object is a miss, never a reply.  The disk tier is
+best-effort: a write the store refuses (full disk, quota, read-only
+mount) leaves the entry in memory, removes its temp file and counts in
+``disk_write_errors``; the compile is still answered.
 
 The store is shared-nothing-safe: entries are immutable once written
 (content-addressed), so concurrent servers on one directory can only
@@ -38,23 +41,29 @@ racing sweeper that loses an ``unlink`` ignores the ``ENOENT``.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, fields
 from pathlib import Path
 
 from ..core.canonical import canonical_json
-from ..transform.pipeline import OptimizeOptions
 
 CACHE_FORMAT = 1
 
-# The option names a request may carry: every one reaches the key.
-# ``pass_hook`` is operational, a callable no wire can carry.
-WIRE_OPTIONS = frozenset(f.name for f in fields(OptimizeOptions)
-                         if f.name != "pass_hook")
+# The OptimizeOptions fields a request may carry, at their defaults:
+# every one reaches the key.  Data, not an import of the pipeline, so
+# the router derives keys without loading the compiler; a test pins it
+# to ``OptimizeOptions()``.  ``pass_hook`` is operational, a callable
+# no wire can carry.
+_WIRE_DEFAULTS = {
+    "mem_opt": True, "verify_each_pass": False, "strict": False,
+    "pass_deadline": None, "growth_cap_factor": 64.0,
+    "growth_cap_floor": 4096,
+}
+WIRE_OPTIONS = frozenset(_WIRE_DEFAULTS)
 
 # Retired OptimizeOptions fields, at the value the pipeline now always
 # uses.  They stay in the key material so every stored artifact keeps
@@ -94,10 +103,8 @@ def canonical_options(overrides: dict | None = None) -> dict:
 
 @functools.lru_cache(maxsize=OPTIONS_MEMO_ENTRIES)
 def _canonical_options(overrides_json: str) -> dict:
-    out = asdict(OptimizeOptions(**json.loads(overrides_json)))
-    del out["pass_hook"]
-    out.update(_RETIRED_OPTIONS)
-    return out
+    return {**_WIRE_DEFAULTS, **json.loads(overrides_json),
+            **_RETIRED_OPTIONS}
 
 
 def profile_digest(request: dict) -> str | None:
@@ -183,6 +190,7 @@ class ArtifactCache:
         self.evictions = 0
         self.evicted_bytes = 0
         self.gc_sweeps = 0
+        self.disk_write_errors = 0
         # Sweep on the very first put, then every GC_PUT_INTERVAL.
         self._puts_since_gc = GC_PUT_INTERVAL - 1
 
@@ -229,10 +237,16 @@ class ArtifactCache:
         if self.root is None:
             return text
         path = self._object_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(text)
+            os.replace(tmp, path)
+        except OSError:  # ENOSPC, EDQUOT, EROFS, ...: memory only
+            self.disk_write_errors += 1
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            return text
         if self.max_bytes is not None:
             self._puts_since_gc += 1
             if self._puts_since_gc >= GC_PUT_INTERVAL:
@@ -325,4 +339,5 @@ class ArtifactCache:
             "evictions": self.evictions,
             "evicted_bytes": self.evicted_bytes,
             "gc_sweeps": self.gc_sweeps,
+            "disk_write_errors": self.disk_write_errors,
         }

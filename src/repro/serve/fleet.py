@@ -61,7 +61,6 @@ class FleetConfig:
     request_timeout: float = 120.0
     native: bool = True
     cache_max_bytes: int | None = None
-    conns_per_shard: int = 2
     health_interval: float = 2.0
     port_file: str | None = None          # router port discovery
 
@@ -85,7 +84,6 @@ class Fleet:
                        for i in range(self.config.shards)]
         self.router = Router(RouterConfig(
             host=self.config.host, port=self.config.port,
-            conns_per_shard=self.config.conns_per_shard,
             request_timeout=self.config.request_timeout + 60.0,
             health_interval=self.config.health_interval,
             port_file=self.config.port_file))

@@ -344,7 +344,6 @@ class RouterConfig:
     host: str = "127.0.0.1"
     port: int = 7767
     shards: list = field(default_factory=list)  # list[ShardAddr]
-    conns_per_shard: int = 2
     # Router->shard budget per request; generous (the shard enforces
     # its own request_timeout) so only a wedged shard trips it.
     request_timeout: float = 300.0
@@ -383,8 +382,7 @@ class Router(LineServer):
         self._addrs[name] = ShardAddr(name, host, port)
         if name not in self._links:
             self._links[name] = ShardLink(
-                name, host, port, conns=self.config.conns_per_shard,
-                timeout=self.config.request_timeout)
+                name, host, port, timeout=self.config.request_timeout)
         if name not in self.ring:
             self.ring.add(name)
             self.metrics.bump("shard_up_events")
@@ -407,7 +405,6 @@ class Router(LineServer):
             addr = self._addrs[name]
             link = self._links[name] = ShardLink(
                 name, addr.host, addr.port,
-                conns=self.config.conns_per_shard,
                 timeout=self.config.request_timeout)
         return link
 
@@ -583,7 +580,7 @@ def _merge_fleet(shards: dict[str, dict]) -> dict:
              "pending": 0, "counters": {}, "cache": {
                  "hits_memory": 0, "hits_disk": 0, "misses": 0,
                  "memory_entries": 0, "evictions": 0, "evicted_bytes": 0,
-                 "gc_sweeps": 0}}
+                 "gc_sweeps": 0, "disk_write_errors": 0}}
     for stats in shards.values():
         if not stats.get("ok"):
             continue
@@ -633,8 +630,6 @@ def main(argv=None) -> int:
     parser.add_argument("--shard", action="append", default=[],
                         metavar="[NAME=]HOST:PORT", required=False,
                         help="a shard daemon to route to (repeatable)")
-    parser.add_argument("--conns-per-shard", type=int, default=2,
-                        metavar="N")
     parser.add_argument("--request-timeout", type=float, default=300.0,
                         metavar="S")
     parser.add_argument("--health-interval", type=float, default=2.0,
@@ -647,7 +642,6 @@ def main(argv=None) -> int:
               for index, spec in enumerate(args.shard)]
     config = RouterConfig(
         host=args.host, port=args.port, shards=shards,
-        conns_per_shard=args.conns_per_shard,
         request_timeout=args.request_timeout,
         health_interval=args.health_interval,
         port_file=args.port_file)

@@ -43,6 +43,11 @@ unoptimized higher-order program), and ``stats``
 ``fault`` requests wire a :class:`repro.fuzz.inject.FaultInjector` into
 the pipeline as ``pass_hook`` — including the process-fatal ``kill``
 mode, which is what the server's crash-isolation test exercises.
+
+Everything a job runs is imported here, at module level, so the shard
+daemon holds the whole compiler before it forks its seats and every
+seat inherits it: a seat's first job imports nothing.  Only a
+``fault`` request imports :mod:`repro.fuzz.inject`, on use.
 """
 
 from __future__ import annotations
@@ -50,19 +55,29 @@ from __future__ import annotations
 import gc
 from dataclasses import replace
 
-from .. import compile_source
+from ..backend import bytecode as bc
+from ..backend.c_emitter import emit_c
+from ..backend.codegen import compile_world
+from ..backend.interp import Interpreter, InterpError
+from ..core import fold
+from ..core.limits import ResourceLimitError, trap_kind
+from ..core.printer import print_world
+from ..frontend import compile_source
+from ..native import NativeModule, NativeStore, emit_native_c
+from ..profile.collector import ProfileCollector
+from ..profile.driver import compile_profiled
+from ..profile.model import Profile
+from ..transform.pipeline import OptimizeOptions, optimize
 from .cache import canonical_options
 
 
-def _pipeline_options(request: dict):
+def _pipeline_options(request: dict) -> OptimizeOptions:
     """Request overrides -> OptimizeOptions.
 
     ``canonical_options`` admits only the fields the cache key covers;
     the operational ``pass_hook`` is applied afterwards, from a
     ``fault`` request.
     """
-    from ..transform.pipeline import OptimizeOptions
-
     overrides = request.get("options") or {}
     canonical_options(overrides)
     return OptimizeOptions(**overrides)
@@ -80,10 +95,6 @@ def _maybe_fault_hook(request: dict, options):
 
 
 def _artifacts(world, stats_payload) -> dict:
-    from ..backend.c_emitter import emit_c
-    from ..backend.codegen import compile_world
-    from ..core.printer import print_world
-
     artifacts = {"ir": print_world(world), "stats": stats_payload}
     try:
         artifacts["c"] = emit_c(world)
@@ -113,22 +124,18 @@ def compile_request(request: dict) -> dict:
 
     options = _maybe_fault_hook(request, _pipeline_options(request))
     if opt == "static":
-        stats = _optimize(world, options)
+        stats = optimize(world, options=options)
         return _artifacts(world, stats.as_dict())
 
     # opt == "pgo"
     profile_data = request.get("profile")
     if profile_data is not None:
-        from ..profile.model import Profile
-
-        static_stats = _optimize(world, options)
-        pgo_stats = _optimize(world, options,
-                              profile=Profile.from_dict(profile_data))
+        static_stats = optimize(world, options=options)
+        pgo_stats = optimize(world, options=options,
+                             profile=Profile.from_dict(profile_data))
         payload = {"static": static_stats.as_dict(),
                    "pgo": pgo_stats.as_dict()}
         return _artifacts(world, payload)
-
-    from ..profile.driver import compile_profiled
 
     entry = request["entry"]
     train_args = [tuple(args) for args in request["train_args"]]
@@ -141,12 +148,6 @@ def compile_request(request: dict) -> dict:
     payload = {"static": stats["static"].as_dict(),
                "pgo": stats["pgo"].as_dict()}
     return _artifacts(world, payload)
-
-
-def _optimize(world, options, profile=None):
-    from ..transform.pipeline import optimize
-
-    return optimize(world, options=options, profile=profile)
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +173,6 @@ def _bounded_put(cache: dict, key, value) -> None:
 
 
 def _run_interp_tier(request: dict) -> dict:
-    from ..backend.interp import Interpreter, InterpError
-    from ..core import fold
-    from ..core.limits import ResourceLimitError, trap_kind
-
     key = request["key"]
     world = _INTERP_WORLDS.get(key)
     if world is None:
@@ -195,17 +192,11 @@ def _run_interp_tier(request: dict) -> dict:
 
 
 def _run_vm_tier(request: dict) -> dict:
-    from ..backend import bytecode as bc
-    from ..backend.codegen import compile_world
-    from ..core.limits import ResourceLimitError, trap_kind
-    from ..profile.collector import ProfileCollector
-    from ..profile.model import Profile
-
     key = request["key"]
     compiled = _VM_IMAGES.get(key)
     if compiled is None:
         world = compile_source(request["source"], optimize=False)
-        _optimize(world, _pipeline_options(request))
+        optimize(world, options=_pipeline_options(request))
         compiled = compile_world(world)
         _bounded_put(_VM_IMAGES, key, compiled)
     results = []
@@ -242,8 +233,6 @@ def _run_vm_tier(request: dict) -> dict:
 
 
 def _run_native_tier(request: dict) -> dict:
-    from ..native import NativeModule
-
     so_path = request["native"]["so"]
     module = _NATIVE_MODULES.get(so_path)
     if module is None:
@@ -281,16 +270,13 @@ def native_compile_request(request: dict) -> dict:
     The store content-addresses the C source, so PGO objects never
     collide with static ones.
     """
-    from ..native import NativeStore, emit_native_c
-
     world = compile_source(request["source"], optimize=False)
     options = _pipeline_options(request)
-    _optimize(world, options)
+    optimize(world, options=options)
     profile_data = request.get("profile")
     if profile_data:
-        from ..profile.model import Profile
-
-        _optimize(world, options, profile=Profile.from_dict(profile_data))
+        optimize(world, options=options,
+                 profile=Profile.from_dict(profile_data))
     c_source, entry_meta = emit_native_c(world)
     store = NativeStore(request["native_dir"])
     so_path, store_key, cached = store.get_or_build(

@@ -30,6 +30,7 @@ from ..core.defs import Continuation, Def
 from ..core.primops import peel_markers
 from ..core.rewrite import rewrite_uses
 from ..core.scope import scope_of
+from ..core.verify import VerifyError
 from ..core.world import World
 
 
@@ -80,8 +81,6 @@ def _target_in_scope(cont: Continuation, target: Def) -> bool:
     """
     if all(p.num_uses == 1 for p in cont.params):
         if cont.world._verify_shortcuts and target in scope_of(cont):
-            from ..core.verify import VerifyError
-
             raise VerifyError(
                 f"cleanup: forwarder {cont.unique_name()} whose params "
                 f"only feed its jump has its target in its scope")
@@ -190,8 +189,6 @@ def verify_cleanup(world: World) -> None:
     the externals cannot reach.  Raises
     :class:`~repro.core.verify.VerifyError` on the first miss.
     """
-    from ..core.verify import VerifyError
-
     mapping, _ = _forwarders(world.continuations())
     if mapping:
         cont = next(iter(mapping))

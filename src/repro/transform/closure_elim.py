@@ -27,7 +27,7 @@ from __future__ import annotations
 from ..core.defs import Continuation, Def, Intrinsic, Param
 from ..core.primops import Hlt, Run, peel_markers
 from ..core.scope import Scope, scope_of
-from ..core.types import FnType
+from ..core.types import FnType, FrameType, MemType
 from ..core.world import World
 from .inliner import is_recursive
 from .mangle import Mangler
@@ -132,8 +132,6 @@ class ClosureEliminator:
         return True
 
     def _lift_closure(self, target: Continuation, scope: Scope) -> bool:
-        from ..core.types import FrameType, MemType
-
         sites: list[Continuation] = []
         for user, index in target.uses:
             if user in scope:

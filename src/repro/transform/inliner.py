@@ -34,6 +34,7 @@ from __future__ import annotations
 from ..core.defs import Continuation, Def
 from ..core.primops import EvalOp, peel_markers
 from ..core.scope import Scope, scope_of
+from ..core.verify import VerifyError
 from ..core.world import World
 from .mangle import MangleStats, inline_call
 
@@ -121,8 +122,6 @@ class _Reachability:
 def _check_outside(cont: Continuation, site: Continuation) -> None:
     """Audit one shortcut answer ("*site* is outside *cont*'s scope")."""
     if site in scope_of(cont):
-        from ..core.verify import VerifyError
-
         raise VerifyError(
             f"inliner: reachable site {site.unique_name()} lies inside "
             f"the scope of its callee {cont.unique_name()}")

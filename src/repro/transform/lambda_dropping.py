@@ -23,7 +23,7 @@ tail-recursion story.  The inverse direction is lambda *lifting*
 from __future__ import annotations
 
 from ..core.defs import Continuation, Def, Param
-from ..core.primops import peel_markers
+from ..core.primops import Bottom, Literal, PrimOp, peel_markers
 from ..core.scope import Scope, scope_of
 from ..core.world import World
 from .mangle import Mangler
@@ -63,9 +63,6 @@ def _invariant_args(cont: Continuation,
 
 def _is_closed(v: Def, _cache: dict | None = None) -> bool:
     """Does *v* avoid any transitive parameter dependence?"""
-    from ..core.defs import Continuation
-    from ..core.primops import Literal, Bottom, PrimOp
-
     if isinstance(v, (Literal, Bottom)):
         return True
     if isinstance(v, Param):

@@ -77,14 +77,22 @@ instrument → run → recompile driver.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from typing import Callable
 
+from ..core.analyses import AnalysisManager
 from ..core.canonical import canonical_json
 from ..core.limits import DeadlineExceeded, ResourceLimitError, deadline
 from ..core.undo import UndoLog
+from ..core.verify import VerifyError, cff_violations, verify
 from ..core.world import World
+# Passes are called through their modules, so a test that patches a
+# pass function (``inliner.inline_small_functions``) reaches the
+# pipeline.
+from . import (closure_elim, inliner, lambda_dropping, mem_opt,
+               partial_eval, pgo)
 from .cleanup import cleanup, verify_cleanup
 
 
@@ -286,7 +294,7 @@ class _PhaseRunner:
         # The manager is world-owned (PGO optimizes the same world
         # twice), so every counter this runner reports is a delta from
         # here.
-        self.analyses = world.analyses
+        self.analyses: AnalysisManager = world.analyses
         # Passes that skip a scope recovery or a mark check each such
         # answer against it, and raise ``VerifyError`` on a mismatch.
         world._verify_shortcuts = options.verify_each_pass
@@ -418,8 +426,6 @@ class _PhaseRunner:
         """Run a phase body; a shortcut audit's miss is the phase's."""
         if not self.options.verify_each_pass:
             return body()
-        from ..core.verify import VerifyError
-
         try:
             return body()
         except VerifyError as exc:
@@ -445,8 +451,6 @@ class _PhaseRunner:
     def _verify(self, phase: str, unmoved: int | None) -> None:
         if not self.options.verify_each_pass:
             return
-        from ..core.verify import VerifyError, verify
-
         try:
             if unmoved is not None and self.world.generation != unmoved:
                 raise VerifyError(
@@ -480,17 +484,14 @@ class _PhaseRunner:
 def _run_static_rounds(world: World, options: OptimizeOptions,
                        stats: PipelineStats, runner: _PhaseRunner) -> None:
     """The classic fixed-point loop (bounded by :data:`MAX_ROUNDS`)."""
-    from .closure_elim import eliminate_closures
-    from .inliner import inline_small_functions
-    from .lambda_dropping import drop_invariant_params
-    from .mem_opt import optimize_memory
-    from .partial_eval import partial_eval
-
     passes = (
-        ("partial_eval", "specialized", lambda: partial_eval(world)),
-        ("closure_elim", "mangled", lambda: eliminate_closures(world)),
-        ("inline", "inlined", lambda: inline_small_functions(world)),
-        ("lambda_drop", "dropped", lambda: drop_invariant_params(world)),
+        ("partial_eval", "specialized",
+         lambda: partial_eval.partial_eval(world)),
+        ("closure_elim", "mangled",
+         lambda: closure_elim.eliminate_closures(world)),
+        ("inline", "inlined", lambda: inliner.inline_small_functions(world)),
+        ("lambda_drop", "dropped",
+         lambda: lambda_dropping.drop_invariant_params(world)),
     )
     if options.mem_opt:
         # After the mangling passes: inlining/closure elimination merge
@@ -498,7 +499,7 @@ def _run_static_rounds(world: World, options: OptimizeOptions,
         # segment in round N+1), so memory optimization keeps finding
         # new forwardable loads as the rounds specialize.
         passes = passes + (
-            ("mem_opt", "rewrites", lambda: optimize_memory(world)),
+            ("mem_opt", "rewrites", lambda: mem_opt.optimize_memory(world)),
         )
 
     for _ in range(MAX_ROUNDS):
@@ -520,15 +521,13 @@ def _optimize_guarded(world: World, options: OptimizeOptions,
     _run_static_rounds(world, options, stats, runner)
 
     if profile is not None:
-        from .pgo import pgo_inline, specialize_hot_loops
-
         loop_stats = runner.run(
-            "pgo_loops", lambda: specialize_hot_loops(world, profile))
+            "pgo_loops", lambda: pgo.specialize_hot_loops(world, profile))
         stats.record("pgo_loops", loop_stats)
         stats.record("cleanup", runner.run_cleanup("cleanup(pgo_loops)"))
 
         inline_stats = runner.run(
-            "pgo_inline", lambda: pgo_inline(world, profile))
+            "pgo_inline", lambda: pgo.pgo_inline(world, profile))
         stats.record("pgo_inline", inline_stats)
         stats.record("cleanup", runner.run_cleanup("cleanup(pgo_inline)"))
 
@@ -542,8 +541,6 @@ def _optimize_guarded(world: World, options: OptimizeOptions,
         # residual program.  Record what is left over; fail loudly
         # (strict only) if anything — in particular a first-class
         # callee — survived.
-        from ..core.verify import VerifyError, cff_violations
-
         stats.cff_residual = cff_violations(world)
         if stats.cff_residual:
             summary = "; ".join(stats.cff_residual[:4])
@@ -582,8 +579,6 @@ def optimize(world: World, *, options: OptimizeOptions | None = None,
     # world, so the cyclic collector can never free anything here — it
     # only re-traces an ever-growing heap on every threshold crossing.
     # Pause it for the duration; dead IR is reclaimed after we return.
-    import gc
-
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()

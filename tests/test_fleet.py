@@ -404,6 +404,7 @@ def test_fleet_stats_aggregate(fleet):
                 for s in stats["shards"].values() if s.get("ok"))
     assert fleet_view["counters"]["requests_total"] == total
     assert "hit_rate" in fleet_view["cache"]
+    assert fleet_view["cache"]["disk_write_errors"] == 0
 
 
 def _rollback_counters(stats: dict) -> tuple[int, int]:
@@ -513,6 +514,68 @@ def test_a_shard_that_sits_on_requests_times_them_out():
     assert 0.3 <= answered[0][0] < answered[1][0] < 2.0
     assert answered[1][0] >= 0.45
     assert counters["shard_timeouts"] == 2
+
+
+def test_a_half_closed_shard_link_ends_in_a_reply():
+    """A shard that reads one request and shuts its write side: the
+    router takes it out of the ring and redispatches the request to the
+    next live shard, or answers ``unavailable`` once none is left.
+    Neither waits for the link timeout (300 s by default)."""
+    async def half_close(reader, writer):
+        await reader.readline()
+        writer.write_eof()  # reading stays open
+        await reader.read()
+        writer.close()
+
+    async def echo(reader, writer):
+        while line := await reader.readline():
+            writer.write(encode_message(
+                {"ok": True, "id": json.loads(line)["id"],
+                 "shard": "echo"}))
+        writer.close()
+
+    async def ask(names: list[str]) -> tuple[dict, dict, float]:
+        servers = {name: await asyncio.start_server(
+            {"half": half_close, "echo": echo}[name], "127.0.0.1", 0)
+            for name in names}
+        router = Router(RouterConfig(port=0, health_interval=3600.0,
+                                     shards=[
+            ShardAddr(name, "127.0.0.1",
+                      server.sockets[0].getsockname()[1])
+            for name, server in servers.items()]))
+        # A source whose key the ring gives to the half-closing shard.
+        source = next(f"{SRC} // {index}" for index in range(1000)
+                      if router.ring.lookup(cache_key(
+                          {"source": f"{SRC} // {index}",
+                           "opt": "static", "options": {}})) == "half")
+        replies = []
+
+        async def send(reply: bytes) -> None:
+            replies.append(json.loads(reply))
+
+        started = time.monotonic()
+        await asyncio.wait_for(router.serve_line(encode_message(
+            {"op": "compile", "id": 7, "source": source}), send), 10.0)
+        elapsed = time.monotonic() - started
+        for name in names:
+            router._drop_link(name)
+        for server in servers.values():
+            server.close()
+            await server.wait_closed()
+        (reply,) = replies
+        return reply, router.metrics.counters, elapsed
+
+    async def scenario():
+        return await ask(["half", "echo"]), await ask(["half"])
+
+    (redispatched, counters, elapsed), (alone, _, alone_elapsed) = \
+        asyncio.run(scenario())
+    assert redispatched == {"ok": True, "id": 7, "shard": "echo"}
+    assert counters["redispatches"] == 1
+    assert counters["shard_down_events"] == 1
+    assert alone["error"]["code"] == "unavailable"
+    assert alone["id"] == 7
+    assert max(elapsed, alone_elapsed) < 5.0
 
 
 # ---------------------------------------------------------------------------

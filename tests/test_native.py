@@ -437,6 +437,51 @@ def test_serve_promotes_hot_program_to_native(tmp_path):
         st.stop()
 
 
+def test_serve_rebuilds_a_store_object_that_does_not_load(tmp_path):
+    """A truncated ``.so`` in the native store is a miss, not a hit:
+    the promotion rebuilds it in place, and the runs reach the native
+    tier with the interpreter's results instead of failing to load."""
+    import time as _time
+
+    from repro.serve.worker import native_compile_request
+
+    built = native_compile_request(
+        {"source": SRC_HOT, "options": {},
+         "native_dir": str(tmp_path / "cache" / "native")})
+    so_path = Path(built["so"])
+    size = so_path.stat().st_size
+    with open(so_path, "r+b") as handle:
+        handle.truncate(100)
+    st = _ServerThread(_serve_config(tmp_path))
+    try:
+        with ServeClient(port=st.port, timeout=60.0) as client:
+            replies = []
+            start = _time.monotonic()
+            while _time.monotonic() - start < 30.0:
+                reply = client.run(SRC_HOT, [[5], [10]])
+                assert reply["ok"], reply
+                replies.append(reply)
+                if reply["tier"] == "native":
+                    break
+                _time.sleep(0.1)
+            assert replies[0]["tier"] == "interp"
+            assert replies[-1]["tier"] == "native"
+            for reply in replies[1:]:
+                assert reply["results"] == replies[0]["results"]
+            for _ in range(3):
+                reply = client.run(SRC_HOT, [[5], [10]])
+                assert reply["tier"] == "native"
+                assert reply["results"] == replies[0]["results"]
+            stats = client.stats()["tiering"]
+            assert stats["native_compiles"] == 1
+            assert stats["native_cache_hits"] == 0
+            assert stats["native_states"]["ready"] == 1
+        # The promotion rebuilt the damaged object, not another one.
+        assert so_path.stat().st_size == size
+    finally:
+        st.stop()
+
+
 def test_serve_native_promotion_is_profile_guided(tmp_path):
     # The default threshold trips on the second VM request, after the
     # first has shipped its profile, so the background native compile

@@ -1015,6 +1015,52 @@ def test_corrupt_disk_object_is_a_miss(tmp_path, damage):
     asyncio.run(scenario())
 
 
+def test_a_full_disk_still_answers_from_memory(tmp_path, monkeypatch):
+    """The store refuses the object write (``ENOSPC`` after a partial
+    write): the compile and the request coalesced on it are answered,
+    the repeat is a memory hit, no temp file is left, and the failure
+    is counted."""
+    import errno
+
+    from repro.core.pool import WorkerPool
+
+    write_text = Path.write_text
+
+    def full_disk(self, text, *args, **kwargs):
+        if ".tmp." in self.name:
+            write_text(self, text[:8], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write_text(self, text, *args, **kwargs)
+
+    async def scenario():
+        server = CompileServer(ServerConfig(
+            cache_dir=str(tmp_path / "cache"),
+            crash_dir=str(tmp_path / "crashes")))
+        server.pool = WorkerPool(_slow_stub_handler, size=1)
+        try:
+            line = encode_message({"op": "compile", "source": SRC,
+                                   "opt": "static"})
+            lead = asyncio.create_task(_answer(server, line))
+            await asyncio.sleep(0.3)  # the lead is inside the worker
+            answered = await asyncio.wait_for(
+                asyncio.gather(lead, _answer(server, line)), 20.0)
+            answered.append(await _answer(server, line))
+            return [json.loads(r) for r in answered], server.cache.stats()
+        finally:
+            await server.stop()
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    (cold, joined, warm), stats = asyncio.run(scenario())
+    monkeypatch.undo()
+    assert cold["ok"] and cold["cached"] is False
+    assert joined["ok"] and joined["coalesced"] is True
+    assert warm["ok"] and warm["cached"] == "memory"
+    assert joined["artifacts"] == warm["artifacts"] == cold["artifacts"]
+    assert stats["disk_write_errors"] == 1
+    assert [p.name for p in (tmp_path / "cache").rglob("*")
+            if p.is_file()] == []
+
+
 # ---------------------------------------------------------------------------
 # the wire format: head members first, re-tagging without decoding
 # ---------------------------------------------------------------------------
