@@ -7,19 +7,17 @@ which forced the fuzz oracle to pattern-match error strings.  This
 module gives them a common, structured base:
 
 * :class:`ResourceLimitError` — "a *configured* limit was hit", carrying
-  ``resource`` (``"steps"``, ``"heap"``, ``"wall-clock"``, ...), the
+  ``resource`` (``"steps"``, ``"heap"``, ``"continuations"``, ...), the
   ``limit`` value and the ``engine`` that hit it.  Engine-specific
   subclasses multiply inherit from the engine's existing error type
   (e.g. ``class StepLimitExceeded(InterpError, ResourceLimitError)``) so
   every pre-existing ``except InterpError`` keeps working while new code
   can catch the whole family with one clause.
 * :class:`DeadlineExceeded` plus the :func:`deadline` context manager —
-  a preemptive wall-clock guard built on ``SIGALRM``/``setitimer``.
-  Nesting-safe: an inner deadline saves and re-arms the outer timer with
-  its remaining budget, so a per-pass deadline composes with a per-case
-  fuzz timeout.  Off the main thread (or off Unix) it degrades to a
-  no-op; callers that need a guarantee combine it with a post-hoc
-  elapsed-time check.
+  a preemptive wall-clock guard built on ``SIGALRM``/``setitimer``,
+  for the fuzz campaign's case and shrink timeouts, which run one after
+  the other (a deadline does not nest).  Off the main thread (or off
+  Unix) it degrades to a no-op.
 * :func:`trap_kind` — the one classifier from a trap exception to the
   kind name (``div-by-zero``, ``step-limit``, ...) every engine
   reports, so service replies and the fuzz oracle name traps alike.
@@ -29,7 +27,6 @@ from __future__ import annotations
 
 import signal
 import threading
-import time
 from contextlib import contextmanager
 
 
@@ -63,39 +60,34 @@ def trap_kind(exc: BaseException) -> str:
     return "other"
 
 
-class DeadlineExceeded(ResourceLimitError):
-    """A wall-clock deadline passed before the guarded region finished."""
+class DeadlineExceeded(BaseException):
+    """A wall-clock deadline passed before the guarded region finished.
+
+    A ``BaseException``, as ``KeyboardInterrupt`` is: it leaves the
+    guarded region from wherever the signal lands, past every ``except
+    Exception`` on the way (an engine's trap handler, the fuzz oracle's
+    guard around a compile), so a timeout is never taken for a failure
+    of the program under test.
+    """
 
     def __init__(self, seconds: float, what: str = ""):
         self.seconds = seconds
         self.what = what
         where = f" in {what}" if what else ""
-        super().__init__(
-            "wall-clock", seconds, "deadline",
-            f"deadline of {seconds:g}s exceeded{where}",
-        )
-
-
-def can_preempt() -> bool:
-    """True when :func:`deadline` can actually interrupt (Unix main thread)."""
-    return (
-        hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
+        super().__init__(f"deadline of {seconds:g}s exceeded{where}")
 
 
 @contextmanager
 def deadline(seconds: float | None, *, what: str = ""):
     """Raise :class:`DeadlineExceeded` if the body runs longer than *seconds*.
 
-    ``seconds`` of ``None`` or ``<= 0`` disables the guard.  Uses
-    ``ITIMER_REAL``; the previous timer and handler are saved on entry
-    and restored — with the outer timer's *remaining* budget re-armed —
-    on exit, so deadlines nest.  When preemption is unavailable (not the
-    main thread, no ``SIGALRM``) the body runs unguarded; use
-    :func:`can_preempt` plus an elapsed-time check for a fallback.
+    ``seconds`` of ``None`` or ``<= 0`` disables the guard, and off the
+    Unix main thread the body runs unguarded.  Uses ``ITIMER_REAL``; the
+    ``SIGALRM`` handler is restored and the timer disarmed on exit, so
+    deadlines run one after another, not nested.
     """
-    if not seconds or seconds <= 0 or not can_preempt():
+    if (not seconds or seconds <= 0 or not hasattr(signal, "SIGALRM")
+            or threading.current_thread() is not threading.main_thread()):
         yield
         return
 
@@ -103,16 +95,9 @@ def deadline(seconds: float | None, *, what: str = ""):
         raise DeadlineExceeded(seconds, what)
 
     old_handler = signal.signal(signal.SIGALRM, _fire)
-    old_remaining, _old_interval = signal.getitimer(signal.ITIMER_REAL)
-    started = time.monotonic()
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old_handler)
-        if old_remaining:
-            # Re-arm the enclosing deadline with whatever it has left; if
-            # it expired while we were active, fire it (almost) at once.
-            left = old_remaining - (time.monotonic() - started)
-            signal.setitimer(signal.ITIMER_REAL, max(left, 1e-6))

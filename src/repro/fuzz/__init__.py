@@ -17,8 +17,8 @@ Three cooperating pieces (ISSUE 2's generative testing layer):
   and the repro is written to ``tests/corpus/``.
 * :mod:`repro.fuzz.inject` / :mod:`repro.fuzz.faults` — the
   fault-injection harness (ISSUE 3): :class:`FaultInjector` sabotages a
-  chosen pipeline pass (raise / corrupt IR / stall / blow up the
-  world), and the fault campaign proves non-strict ``optimize()``
+  chosen pipeline pass (raise / corrupt IR / blow up the world), and
+  the fault campaign proves non-strict ``optimize()``
   recovers with output identical to the unoptimized interpreter.
 
 ``python -m repro.fuzz --seed 0 --n 500`` runs a differential

@@ -4,7 +4,7 @@ Two complementary drivers, both built on
 :class:`~repro.fuzz.inject.FaultInjector`:
 
 * :func:`run_fault_matrix` — the systematic sweep: every fault mode
-  (raise / corrupt / stall / growth) x every pipeline pass (the four
+  (raise / corrupt / growth) x every pipeline pass (the four
   static passes, cleanup, and the two PGO passes) over the evaluation
   suite.  Each case must (a) complete without an exception, (b) name
   the sabotaged pass in ``PipelineStats.quarantined``, and (c) produce
@@ -40,11 +40,6 @@ ALL_PASSES = STATIC_PASSES + PGO_PASSES
 
 INTERP_MAX_STEPS = 20_000_000
 
-# Stall injection: the injected sleep must overshoot the deadline by a
-# margin no legitimate pass on the suite approaches.
-STALL_DEADLINE = 0.25
-STALL_SECONDS = 0.6
-
 
 @dataclass
 class FaultCaseResult:
@@ -64,12 +59,11 @@ class FaultCaseResult:
                 f"{self.target}{note}")
 
 
-def _fault_options(injector: FaultInjector, mode: str) -> OptimizeOptions:
+def _fault_options(injector: FaultInjector) -> OptimizeOptions:
     # Tight growth budget so the blowup injector trips it quickly; the
     # verifier is on so corruption is *attributed*, not just detected.
     return OptimizeOptions(
         verify_each_pass=True,
-        pass_deadline=STALL_DEADLINE if mode == "stall" else None,
         growth_cap_factor=4.0,
         growth_cap_floor=64,
         pass_hook=injector,
@@ -84,9 +78,8 @@ def run_fault_case(program, target: str, mode: str) -> FaultCaseResult:
     expected_out = "".join(reference.output)
 
     world = compile_source(program.source, optimize=False)
-    injector = FaultInjector(FaultPlan(mode, target=target,
-                                       stall_seconds=STALL_SECONDS))
-    options = _fault_options(injector, mode)
+    injector = FaultInjector(FaultPlan(mode, target=target))
+    options = _fault_options(injector)
 
     profile = None
     if target in PGO_PASSES:
@@ -181,8 +174,7 @@ def run_random_fault_case(prog_seed: int, expr_only: bool, target: str,
     world = compile_source(prog.render(), optimize=False)
     reference = _interp_observations(world, prog)
 
-    injector = FaultInjector(FaultPlan(mode, target=target, nth=nth,
-                                       stall_seconds=STALL_SECONDS))
+    injector = FaultInjector(FaultPlan(mode, target=target, nth=nth))
     label = f"fuzz-{prog_seed}"
 
     def fail(detail: str) -> FaultCaseResult:
@@ -190,7 +182,7 @@ def run_random_fault_case(prog_seed: int, expr_only: bool, target: str,
                                injector.fired, detail)
 
     try:
-        stats = optimize(world, options=_fault_options(injector, mode))
+        stats = optimize(world, options=_fault_options(injector))
     except Exception as exc:
         return fail(f"pipeline did not recover: {exc!r}")
     if injector.fired and target not in stats.quarantined:

@@ -8,20 +8,21 @@ Two kinds of damage live here:
   workload).
 * ``FaultInjector`` — an operational fault harness.  Built as a
   ``OptimizeOptions.pass_hook`` callable, it fires once, on the Nth
-  invocation of a chosen pass, one of four failure modes the pipeline's
-  checkpoint/quarantine machinery must absorb:
+  invocation of a chosen pass, one of three failure modes the
+  pipeline's checkpoint/quarantine machinery must absorb:
 
   - ``raise``   — the pass body crashes (:class:`InjectedFault`);
   - ``corrupt`` — the IR is structurally damaged in a way
     ``verify(full)`` catches (an argument is chopped off a jump);
-  - ``stall``   — the pass sleeps past its wall-clock deadline;
   - ``growth``  — the world balloons past the pipeline's growth cap.
 
-  A fifth mode, ``kill``, hard-kills the *process* (``SIGKILL`` to
-  self) — nothing in-process can absorb that, so it is deliberately
-  excluded from :data:`FAULT_MODES` (the fault campaign iterates that
-  tuple) and exists for the compile service's crash-isolated worker
-  pool, where the parent must survive a worker dying mid-compile.
+  Two more modes act on the *process*, so nothing in-process can absorb
+  them and they are deliberately left out of :data:`FAULT_MODES` (the
+  fault campaign iterates that tuple): ``kill`` hard-kills it
+  (``SIGKILL`` to self) and ``stall`` sleeps in the pass.  They exist
+  for the compile service's crash-isolated worker pool, where the
+  parent must survive a worker that dies mid-compile or overruns the
+  request deadline.
 
 ``drop_one_argument`` is a mangler misuse: it picks a call site
 ``caller → callee(args)`` of an ordinary bodied continuation, mangles
@@ -53,10 +54,10 @@ from ..transform.mangle import drop
 
 # In-process faults the pipeline's isolation machinery must absorb.
 # The fault campaign iterates exactly these.
-FAULT_MODES = ("raise", "corrupt", "stall", "growth")
-# ``kill`` is process-fatal by design (see module docstring); valid for
-# a FaultPlan, never part of the in-process campaign.
-_PROCESS_MODES = FAULT_MODES + ("kill",)
+FAULT_MODES = ("raise", "corrupt", "growth")
+# ``stall`` and ``kill`` act on the process (see module docstring);
+# valid for a FaultPlan, never part of the in-process campaign.
+_PROCESS_MODES = FAULT_MODES + ("stall", "kill")
 
 
 class InjectedFault(RuntimeError):

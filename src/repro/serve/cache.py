@@ -60,8 +60,7 @@ CACHE_FORMAT = 1
 # no wire can carry.
 _WIRE_DEFAULTS = {
     "mem_opt": True, "verify_each_pass": False, "strict": False,
-    "pass_deadline": None, "growth_cap_factor": 64.0,
-    "growth_cap_floor": 4096,
+    "growth_cap_factor": 64.0, "growth_cap_floor": 4096,
 }
 WIRE_OPTIONS = frozenset(_WIRE_DEFAULTS)
 
@@ -76,6 +75,7 @@ _RETIRED_OPTIONS = {
     "mem_opt_budget": 2048, "pgo_call_min_count": 4,
     "pgo_hot_call_fraction": 0.05, "pgo_inline_budget": 32,
     "pgo_loop_min_count": 32, "pgo_loop_budget": 16,
+    "pass_deadline": None,
 }
 
 # Distinct override sets whose canonical options stay memoized.  Real

@@ -13,17 +13,18 @@ An ``overloaded`` error reply means the server shed the request under
 admission control and said "retry later" — so the client does, with
 bounded exponential backoff plus jitter (:func:`backoff_delay`; opt
 out with ``retry_overloaded=False``).  Works against a single daemon
-and a fleet router alike; ``batch``/``batch_iter`` speak the batch op
-and consume the streamed sub-replies.
+and a fleet router alike; :meth:`ServeClient.pipelined` sends many
+requests down the connection before it reads their replies.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 import socket
+import threading
 import time
-from typing import Iterator
 
 from .protocol import MAX_LINE_BYTES, encode_message
 
@@ -139,7 +140,7 @@ class ServeClient:
 
         Each received byte is scanned once, and taking a line off the
         front of the buffer does not copy the lines behind it, so a
-        long ``batch_iter`` stream costs linear time.
+        long pipelined stream costs linear time.
         """
         while (end := self._buffer.find(b"\n", self._scanned)) < 0:
             self._scanned = len(self._buffer)
@@ -196,49 +197,36 @@ class ServeClient:
             message["id"] = request_id
         return self.request(message)
 
-    # -- the batch op -------------------------------------------------------
+    # -- pipelining ---------------------------------------------------------
 
-    def batch_iter(self, requests: list, *,
-                   request_id=None) -> Iterator[dict]:
-        """Send one batch line; yield sub-replies as they stream back.
+    def pipelined(self, messages: list[dict]) -> dict:
+        """Send each of *messages* as its own line without waiting, read
+        one reply per line, and return the replies keyed by ``id``.
 
-        The final summary line (``batch_complete``) is yielded last.
-        Sub-replies arrive in *completion* order, each tagged with its
-        sub-request's ``id`` (index when the sub-request had none).
-        No automatic overloaded retry here — sub-replies are per-id,
-        so callers decide which sub-requests to resend.
+        The server answers the lines concurrently, in completion order,
+        so give every message its own ``id``.  A helper thread writes
+        while this one reads, so a long pipeline cannot stall both ends
+        on full socket buffers.  ``overloaded`` replies come back as
+        they are: the caller decides what to resend.
         """
-        message: dict = {"op": "batch",
-                         "requests": [dict(r) for r in requests]}
-        if request_id is not None:
-            message["id"] = request_id
         self.connect()
-        assert self._sock is not None
-        try:
-            self._sock.sendall(encode_message(message))
-            while True:
-                reply = self._decode(self._read_line())
-                yield reply
-                if reply.get("batch_complete"):
-                    return  # the summary line closes the stream
-                if not reply.get("ok") and "batch" not in reply and \
-                        reply.get("id") == request_id:
-                    # The batch envelope itself was rejected (one error
-                    # reply, no sub-replies follow).  Sub errors carry
-                    # a "batch" tag or a sub id and don't match here.
-                    return
-        except OSError as exc:
-            self.close()
-            raise ServeClientError(f"transport failure: {exc}") from exc
+        sock = self._sock
+        payload = b"".join(encode_message(message) for message in messages)
 
-    def batch(self, requests: list, *,
-              request_id=None) -> tuple[dict, dict]:
-        """Send a batch; return ``(replies_by_id, summary)``."""
-        replies: dict = {}
-        summary: dict = {}
-        for reply in self.batch_iter(requests, request_id=request_id):
-            if reply.get("batch_complete"):
-                summary = reply
-            else:
-                replies[reply.get("id")] = reply
-        return replies, summary
+        def write() -> None:
+            with contextlib.suppress(OSError):  # the reads report it
+                sock.sendall(payload)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        lines: list[bytes] = []
+        try:
+            for _ in messages:
+                lines.append(self._read_line())
+        except OSError as exc:
+            raise ServeClientError(f"transport failure: {exc}") from exc
+        finally:
+            if len(lines) < len(messages):
+                self.close()  # the replies still due go with it
+            writer.join()
+        return {reply.get("id"): reply for reply in map(self._decode, lines)}

@@ -25,17 +25,6 @@ Requests
     ``native_state`` so clients can watch promotion happen.  Optional:
     ``options`` (pipeline overrides, as for compile), ``id``.
 
-``{"op": "batch", "requests": [{...}, ...]}``
-    One line carrying many sub-requests (``compile``/``run``/``ping``/
-    ``stats``; batches do not nest).  Sub-replies are *streamed back as
-    they complete*, each tagged with the sub-request's ``id`` (its index
-    in ``requests`` when absent) plus the batch's own ``id`` under
-    ``batch``; a final summary line ``{"ok": true, "batch_complete":
-    true, "replies": N, "failed": M}`` closes the batch.  Sub-requests
-    execute concurrently — a batch is the protocol's pipelining
-    primitive, and the fleet router fans its sub-requests out across
-    shards by cache-key affinity.
-
 ``{"op": "stats"}``
     Introspection: counters, latency histograms, cache rates,
     aggregated per-phase pipeline timings, per-tier execution counters
@@ -63,21 +52,26 @@ Failure: ``{"ok": false, "error": {"code": ..., "message": ...}}`` with
 whose pipeline could not recover), add ``crash_bundle``: the directory
 under the server's ``crash_dir`` holding the request (``report.json``,
 with the error) and its source (``repro.impala``), which replay the
-crash.
+crash.  ``internal-error`` answers an exception the server did not
+expect; its message is the exception's type and text.
+
+A client pipelines by writing many lines before it reads: each line
+is answered on its own, in completion order, and the ``id`` says which
+reply is whose (:meth:`~repro.serve.client.ServeClient.pipelined`).
 
 Member order
 ------------
 
 :func:`encode_message` is the only wire encoder.  It writes compact
-ASCII JSON with the *head* members first, in the order ``id``,
-``batch``, ``ok`` (each only when present), and every other member
-after them in sorted key order; nested objects have sorted keys too.
+ASCII JSON with the *head* members first, ``id`` then ``ok`` (each
+only when present), and every other member after them in sorted key
+order; nested objects have sorted keys too.
 A value wrapped in :class:`RawJSON` is already in that canonical form
 (the artifact cache keeps its entries as such text) and is spliced
 verbatim instead of being encoded again.
 
-Because the tags a hop may change (``id`` and ``batch``) lead the line,
-a hop re-tags a reply with :func:`retag`, which parses only the head
+Because the tag a hop may change (``id``) leads the line, a hop
+re-tags a reply with :func:`retag`, which parses only the head
 and copies the rest of the line byte for byte.  The fleet router
 forwards every shard reply this way, so a cached artifact is encoded
 once, when it enters the cache, and never decoded on its way to the
@@ -91,8 +85,8 @@ Transport
 daemon (:class:`~repro.serve.server.CompileServer`) and the fleet
 router (:class:`~repro.serve.router.Router`) both subclass it and only
 supply :meth:`LineServer.dispatch`.  It listens, publishes the bound
-port, serves every line of a connection concurrently, fans batches
-out, tags replies and drains on SIGTERM/SIGINT.  Each connection is an
+port, serves every line of a connection concurrently, tags replies
+and drains on SIGTERM/SIGINT.  Each connection is an
 :class:`asyncio.Protocol`: a request that need not wait (a ``ping``, a
 shard's cache hit, a router forward, whose reply arrives by callback)
 is answered in the event-loop pass that read it, with no task, future
@@ -117,14 +111,9 @@ from .metrics import Metrics
 # client buffer the server into the ground.
 MAX_LINE_BYTES = 8 * 1024 * 1024
 
-# Sub-requests one batch line may carry.  Big enough that one
-# connection can ship a corpus, small enough that a single line cannot
-# fan out into unbounded concurrent work.
-MAX_BATCH_REQUESTS = 1024
-
 OPT_LEVELS = ("none", "static", "pgo")
 
-OPS = ("compile", "run", "batch", "stats", "ping")
+OPS = ("compile", "run", "stats", "ping")
 
 ERROR_CODES = (
     "malformed-json",   # the line was not a JSON object
@@ -135,6 +124,7 @@ ERROR_CODES = (
     "overloaded",       # admission control shed the request
     "unavailable",      # fleet router: no live shard could take this
     "shutting-down",    # server received SIGTERM mid-request
+    "internal-error",   # an exception the server did not expect
 )
 
 
@@ -151,8 +141,8 @@ class ProtocolError(Exception):
 
 
 # Members a line leads with, in this order; a hop may rewrite TAGS.
-HEAD = ("id", "batch", "ok")
-TAGS = ("id", "batch")
+HEAD = ("id", "ok")
+TAGS = ("id",)
 
 _ENCODE = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 _DECODER = json.JSONDecoder()
@@ -207,7 +197,7 @@ def head_value(line: bytes, name: str):
 
 
 def retag(line: bytes, **tags) -> bytes:
-    """*line* with its ``id``/``batch`` members replaced by *tags*.
+    """*line* with its ``id`` member replaced by *tags*.
 
     Only the head is parsed; everything after the old tags is copied
     as is.  Equals ``encode_message`` of the decoded line with the same
@@ -302,39 +292,6 @@ def validate_compile_request(request: dict) -> dict:
     return normalized
 
 
-def validate_batch_request(request: dict) -> list[dict]:
-    """Check a batch envelope; returns its sub-requests, ids assigned.
-
-    Each sub-request must be a JSON object and must not itself be a
-    batch.  Sub-requests without an ``id`` get their index, so every
-    streamed sub-reply is attributable.  Deeper validation (source,
-    opt, options) happens when each sub-request is dispatched — a bad
-    sub-request yields a structured error *reply* for its id, never a
-    failed batch.
-    """
-    subs = request.get("requests")
-    if not (isinstance(subs, list) and subs):
-        raise ProtocolError("bad-request",
-                            "'requests' must be a non-empty list")
-    if len(subs) > MAX_BATCH_REQUESTS:
-        raise ProtocolError(
-            "bad-request",
-            f"batch of {len(subs)} exceeds {MAX_BATCH_REQUESTS} "
-            f"sub-requests")
-    out = []
-    for index, sub in enumerate(subs):
-        if not isinstance(sub, dict):
-            raise ProtocolError(
-                "bad-request",
-                f"batch sub-request {index} is not an object")
-        if sub.get("op") == "batch":
-            raise ProtocolError("bad-request", "batches do not nest")
-        sub = dict(sub)
-        sub.setdefault("id", index)
-        out.append(sub)
-    return out
-
-
 def validate_run_request(request: dict) -> dict:
     """Check a run request's shape; returns the normalized request."""
     source = request.get("source")
@@ -381,17 +338,15 @@ class LineServer:
     """The asyncio server side of the wire protocol.
 
     One connection is one NDJSON stream, *pipelined*: every line is
-    dispatched as soon as it is read and its replies are written as
-    they complete, so a cold compile does not block the cache hits
-    queued behind it on the same connection (a router->shard link is a
-    pipeline, not a turn-taking RPC channel).  A ``batch`` line fans its
-    sub-requests out concurrently, streams each sub-reply as it
-    finishes and closes with a summary line.
+    dispatched as soon as it is read and its reply is written as it
+    completes, so a cold compile does not block the cache hits queued
+    behind it on the same connection (a router->shard link is a
+    pipeline, not a turn-taking RPC channel).
 
     Subclasses implement :meth:`dispatch` for the ``compile``, ``run``,
     ``stats`` and ``ping`` ops.  Request counters, error replies, the
-    ``request`` latency histogram and the ``id``/``batch`` tags are
-    handled here, once, for both.
+    ``request`` latency histogram and the ``id`` tag are handled here,
+    once, for both.
 
     *config* is read for ``host``, ``port`` and ``port_file``.
     """
@@ -406,23 +361,27 @@ class LineServer:
         self._stopping = asyncio.Event()
 
     def dispatch(self, message: dict, respond) -> None:
-        """Answer one non-batch request whose ``op`` is in :data:`OPS`.
+        """Answer one request whose ``op`` is in :data:`OPS`.
 
         Call ``respond`` once, now or later, with a reply object, a
         reply line encoded elsewhere (a shard's, which is re-tagged
         rather than re-encoded) or a :class:`ProtocolError`; a request
         that must wait hands a coroutine to :meth:`spawn`.  Raising
-        :class:`ProtocolError` here is an error reply too."""
+        :class:`ProtocolError` here is an error reply too, and any other
+        exception is answered ``internal-error``."""
         raise NotImplementedError
 
     def spawn(self, work, respond) -> None:
         """Run the coroutine *work* as a task; ``respond`` gets what it
-        returns, or the :class:`ProtocolError` it raises."""
+        returns, or the :class:`ProtocolError` it raises; any other
+        exception is answered ``internal-error``."""
         async def run():
             try:
                 result = await work
             except ProtocolError as exc:
                 result = exc
+            except Exception as exc:  # a server fault: answer, never hang
+                result = self._fault(exc)
             respond(result)
 
         task = asyncio.get_running_loop().create_task(run())
@@ -474,73 +433,18 @@ class LineServer:
     # -- requests -----------------------------------------------------------
 
     async def serve_line(self, line: bytes, send) -> None:
-        """Answer one request line in process.  The coroutine function
-        *send* receives each reply line — one reply, or a batch's
-        sub-replies in completion order followed by its summary — once
-        the last one is ready."""
-        lines: list[bytes] = []
-        finished = asyncio.get_running_loop().create_future()
-        self._serve(line, lines.append, lambda: finished.set_result(None))
-        await finished
-        for reply in lines:
-            await send(reply)
+        """Answer one request line in process: the coroutine function
+        *send* receives its reply line once it is ready."""
+        replied = asyncio.get_running_loop().create_future()
+        self._serve(line, replied.set_result)
+        await send(await replied)
 
-    def _serve(self, line: bytes, send, done) -> None:
-        """Answer one request line: each reply line goes to the plain
-        function *send*, then ``done()`` is called once."""
-        try:
-            message = decode_line(line)
-        except ProtocolError as exc:
-            self.metrics.bump("requests_total")
-            self.metrics.bump(f"errors_{exc.code}")
-            send(encode_message(exc.as_reply()))
-            done()
-            return
-        request_id = message.get("id")
-        tags = {} if request_id is None else {"id": request_id}
-        if message.get("op") != "batch":
-            def respond(reply: bytes) -> None:
-                send(reply)
-                done()
-
-            self._request(message, tags, respond)
-            return
-
-        self.metrics.bump("requests_total")
-        self.metrics.bump("batch_requests")
-        try:
-            subs = validate_batch_request(message)
-        except ProtocolError as exc:
-            self.metrics.bump(f"errors_{exc.code}")
-            send(encode_message({**exc.as_reply(), **tags}))
-            done()
-            return
-        left, failed = len(subs), 0
-
-        def sub_reply(reply: bytes) -> None:
-            nonlocal left, failed
-            send(reply)
-            failed += head_value(reply, "ok") is not True
-            left -= 1
-            if not left:
-                summary = {"ok": True, "batch_complete": True,
-                           "replies": len(subs), "failed": failed}
-                if request_id is not None:
-                    summary["batch"] = summary["id"] = request_id
-                send(encode_message(summary))
-                done()
-
-        for sub in subs:
-            sub_tags = {"id": sub["id"]}
-            if request_id is not None:
-                sub_tags["batch"] = request_id
-            self._request(sub, sub_tags, sub_reply)
-
-    def _request(self, message: dict, tags: dict, respond) -> None:
-        """Dispatch one non-batch request; ``respond`` gets its reply
-        line, tagged with *tags*, now or later."""
+    def _serve(self, line: bytes, respond) -> None:
+        """Answer one request line; ``respond`` gets its reply line,
+        tagged with the request's ``id``, now or later."""
         started = time.perf_counter()
         self.metrics.bump("requests_total")
+        tags = {}
 
         def reply(result) -> None:
             if isinstance(result, ProtocolError):
@@ -552,17 +456,29 @@ class LineServer:
             else:
                 respond(encode_message({**result, **tags}))
 
-        op = message.get("op")
         try:
-            if op == "batch":
-                raise ProtocolError("bad-request", "batches do not nest")
+            message = decode_line(line)
+            if message.get("id") is not None:
+                tags["id"] = message["id"]
+            op = message.get("op")
             if op not in OPS:
                 raise ProtocolError(
                     "bad-request", f"unknown op {op!r}; expected 'compile', "
-                                   f"'run', 'batch', 'stats' or 'ping'")
+                                   f"'run', 'stats' or 'ping'")
             self.dispatch(message, reply)
         except ProtocolError as exc:
             reply(exc)
+        except Exception as exc:  # a server fault: answer, never hang
+            reply(self._fault(exc))
+
+    @staticmethod
+    def _fault(exc: Exception) -> ProtocolError:
+        """Log an exception the server did not expect, traceback and
+        all; returns the ``internal-error`` that answers it."""
+        asyncio.get_running_loop().call_exception_handler({
+            "message": "unexpected exception answering a request",
+            "exception": exc})
+        return ProtocolError("internal-error", f"{type(exc).__name__}: {exc}")
 
 
 class _Connection(asyncio.Protocol):
@@ -632,7 +548,7 @@ class _Connection(asyncio.Protocol):
             self.scanned = 0
             if line.strip():
                 self.inflight += 1
-                self.server._serve(line, self._send, self._answered)
+                self.server._serve(line, self._answer)
         self._close_if_done()
 
     def _oversized(self) -> None:
@@ -646,7 +562,8 @@ class _Connection(asyncio.Protocol):
         if not self.transport.is_closing():
             self.transport.write(line)
 
-    def _answered(self) -> None:
+    def _answer(self, line: bytes) -> None:
+        self._send(line)
         self.inflight -= 1
         self._close_if_done()
 

@@ -23,10 +23,11 @@ internally and are *redispatched* to the next live shard — safe
 because requests are pure — so a shard SIGKILL under load produces
 zero client-visible failures.
 
-The client side (listening, pipelined lines, ``batch`` fan-out and
-summary, reply tags, SIGTERM drain) is the shard server's own
-:class:`~repro.serve.protocol.LineServer`; a batch's sub-requests are
-routed one by one, so one client line fans out across the fleet.
+The client side (listening, pipelined lines, reply tags, SIGTERM
+drain) is the shard server's own
+:class:`~repro.serve.protocol.LineServer`; every line is routed on its
+own, so the lines a client pipelines down one connection fan out
+across the fleet.
 
 Router->shard transport is a small pool of *pipelined* connections
 per shard (:class:`ShardLink`): many requests in flight per
@@ -40,8 +41,8 @@ is re-tagged and written to the client in the pass that reads it.
 
 Replies are forwarded, not rebuilt: a link hands back the shard's
 reply line undecoded, and the router rewrites only its head — the
-router id becomes the client's ``id`` (plus ``batch`` inside a batch)
-— with :func:`~repro.serve.protocol.retag`, copying the rest, cached
+router id becomes the client's ``id`` — with
+:func:`~repro.serve.protocol.retag`, copying the rest, cached
 artifacts included, byte for byte.
 
 ``ping``/``stats`` are answered by the router itself; ``stats``

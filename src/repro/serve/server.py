@@ -1,7 +1,7 @@
 """The asyncio compile server.
 
-The transport — pipelined NDJSON connections, ``batch`` fan-out, reply
-tagging, SIGTERM drain — is :class:`~repro.serve.protocol.LineServer`;
+The transport — pipelined NDJSON connections, reply tagging, SIGTERM
+drain — is :class:`~repro.serve.protocol.LineServer`;
 this module is what a shard does with each request.  The event loop
 only parses, routes and replies; every compile and every run executes
 in a forked worker (:class:`repro.core.pool.WorkerPool`), which the
@@ -35,7 +35,9 @@ Request flow, in order:
    ``crash_bundle``: the request, written under ``crash_dir`` by
    :meth:`CompileServer._write_crash_bundle`, the only bundle writer.
    A world is a deterministic function of its request, so the request
-   replays the crash.
+   replays the crash.  An exception the server itself did not expect
+   answers the request, and every request coalesced on it,
+   ``internal-error``.
 
 Fault-injected requests bypass the cache in both directions: their
 artifacts are not representative and must never be served to (or
@@ -247,10 +249,13 @@ class CompileServer(LineServer):
 
     async def _lead(self, request: dict, key: str, started) -> dict:
         """Compile; every request that joined this key meanwhile is
-        answered with the same reply."""
+        answered with the same reply (``internal-error`` when the
+        compile path raised what it should not)."""
         reply = error_reply("shutting-down", "server is shutting down")
         try:
             reply = await self._execute(request, key, started)
+        except Exception as exc:
+            reply = self._fault(exc).as_reply()
         finally:
             self._pending -= 1
             # A fault request shares its key with its clean twin but

@@ -2,11 +2,12 @@
 
 Boots ``python -m repro.serve --shards N`` as a subprocess — ``0`` is
 one daemon, ``N > 0`` a fleet of N supervised shards behind a router —
-streams one batched request mix at it and asserts the service
+pipelines one request mix down a connection and asserts the service
 contract.  On both targets:
 
-* every sub-reply of the mix is ``ok``: compiles of every suite program
-  at every optimization level, plus runs of the cheap programs;
+* every request of the mix gets one ``ok`` reply tagged with its id:
+  compiles of every suite program at every optimization level, plus
+  runs of the cheap programs;
 * every distinct compile is byte-identical to an in-process
   :func:`repro.serve.worker.compile_request`, and every distinct run
   agrees with the graph interpreter;
@@ -15,9 +16,9 @@ contract.  On both targets:
   ``repro.impala``), and the next request is served from the cache;
 * SIGTERM produces a clean exit (status 0).
 
-With ``N > 0`` one shard is SIGKILLed halfway through the mix: its
-in-flight sub-requests must be redispatched (still zero failed
-sub-replies), and the fleet's ``stats`` must then report a supervised
+With ``N > 0`` one shard is SIGKILLed halfway through the mix: the
+requests routed to it must be redispatched (still zero failed
+replies), and the fleet's ``stats`` must then report a supervised
 restart with all N shards live.
 
 Exit status 0 = contract holds.  :func:`boot` is the same boot, wait
@@ -43,7 +44,9 @@ from .cache import run_cache_key
 from .client import ServeClient
 from .worker import compile_request, run_request
 
-BATCH_SIZE = 20
+# Lines written ahead of their replies; the victim shard dies between
+# two such slices of the mix.
+PIPELINE_DEPTH = 20
 BOOT_TIMEOUT_S = 120.0
 # The run mix sticks to cheap programs: the interpreter tier runs them
 # before the VM takes over, and the heavy ones would dominate a small
@@ -139,27 +142,26 @@ def _served(request: dict, reply: dict):
 
 def _stream(client: ServeClient, mix: list[dict], victim: int | None,
             failures: list[str]) -> dict:
-    """Send *mix* in batches, SIGKILLing *victim* halfway; returns the
-    sub-replies by their index in *mix*."""
+    """Pipeline *mix*, :data:`PIPELINE_DEPTH` lines at a time, SIGKILLing
+    *victim* halfway; returns the replies by their index in *mix*."""
     replies: dict = {}
-    batches = range(0, len(mix), BATCH_SIZE)
-    kill_at = len(batches) // 2
-    for number, start in enumerate(batches):
-        if number == kill_at and victim is not None:
+    starts = range(0, len(mix), PIPELINE_DEPTH)
+    for start in starts:
+        if start == starts[len(starts) // 2] and victim is not None:
             os.kill(victim, signal.SIGKILL)
-            print(f"SIGKILLed shard pid {victim} before batch {number}",
+            print(f"SIGKILLed shard pid {victim} before request {start}",
                   flush=True)
-        batch = [{**request, "id": start + offset} for offset, request
-                 in enumerate(mix[start:start + BATCH_SIZE])]
-        got, summary = client.batch(batch, request_id=number)
-        replies.update(got)
-        if summary.get("replies") != len(batch):
-            failures.append(f"batch {number}: summary {summary}")
+        replies.update(client.pipelined(
+            [{**request, "id": start + offset} for offset, request
+             in enumerate(mix[start:start + PIPELINE_DEPTH])]))
+    for index in range(len(mix)):
+        if index not in replies:
+            failures.append(f"request {index}: no reply carries its id")
     failed = {index: reply for index, reply in replies.items()
               if not reply.get("ok")}
     for index, reply in sorted(failed.items()):
         failures.append(f"request {index} failed: {reply.get('error')}")
-    print(f"{len(replies)} sub-replies, {len(failed)} failed", flush=True)
+    print(f"{len(replies)} replies, {len(failed)} failed", flush=True)
     return replies
 
 
@@ -236,7 +238,7 @@ def main(argv=None) -> int:
                         help="0 boots one daemon (default), N > 0 a fleet "
                              "of N shards with one SIGKILLed mid-run")
     parser.add_argument("--requests", type=int, default=50, metavar="N",
-                        help="requests in the batched mix (default 50)")
+                        help="requests in the pipelined mix (default 50)")
     args = parser.parse_args(argv)
 
     failures: list[str] = []

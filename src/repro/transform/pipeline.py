@@ -21,24 +21,27 @@ checking and fault isolation.
 
 Fault isolation (the default, ``strict=False``): every phase runs
 inside a checkpoint/rollback guard built on :mod:`repro.core.undo`.
-If a pass raises, breaks an IR invariant (under ``verify_each_pass``),
-overruns its wall-clock ``pass_deadline``, or blows the world-growth
-budget, the pipeline **rolls back** to the last checkpoint,
-**quarantines** that pass for the rest of this ``optimize`` call,
-records a :class:`PassIncident` in :class:`PipelineStats`, and keeps
-going — a buggy pass degrades one compilation to "less optimized", it
-does not take the compiler down.  If recovery itself fails,
-:class:`PipelineCrash` is raised with the pass trace in its message.
-The pipeline writes no crash bundle: a world is a deterministic
-function of its source (construction hash-conses and folds as it
-builds), so the input that built it replays the crash; the compile
-service writes that request as the crash bundle
-(:mod:`repro.serve.server`).
+If a pass raises, breaks an IR invariant (under ``verify_each_pass``)
+or blows the world-growth budget, the pipeline **rolls back** to the
+last checkpoint, **quarantines** that pass for the rest of this
+``optimize`` call, records a :class:`PassIncident` in
+:class:`PipelineStats`, and keeps going — a buggy pass degrades one
+compilation to "less optimized", it does not take the compiler down.
+If recovery itself fails, :class:`PipelineCrash` is raised with the
+pass trace in its message.  The pipeline writes no crash bundle: no
+check reads the clock, and a world is a deterministic function of its
+source (construction hash-conses and folds as it builds), so the input
+that built it replays the crash; the compile service writes that
+request as the crash bundle (:mod:`repro.serve.server`).  A pass that
+never returns is bounded by the service's per-request deadline, which
+kills the worker running it.
 
-``OptimizeOptions(strict=True)`` restores fail-fast behaviour: no
-checkpoints, no quarantine, the first error propagates to the caller.
-The differential fuzz oracle runs strict so that a miscompiling or
-crashing pass is *reported*, not silently optimized around.
+``OptimizeOptions(strict=True)`` runs the same guarded phases with
+fail-fast behaviour: no checkpoints, no quarantine, the first failure
+(an exception, a broken invariant or a blown growth budget) propagates
+to the caller.  The differential fuzz oracle runs strict so that a
+miscompiling or crashing pass is *reported*, not silently optimized
+around.
 
 Analyses are memoized in the world's
 :class:`~repro.core.analyses.AnalysisManager` and patched in place as
@@ -84,7 +87,7 @@ from typing import Callable
 
 from ..core.analyses import AnalysisManager
 from ..core.canonical import canonical_json
-from ..core.limits import DeadlineExceeded, ResourceLimitError, deadline
+from ..core.limits import ResourceLimitError
 from ..core.undo import UndoLog
 from ..core.verify import VerifyError, cff_violations, verify
 from ..core.world import World
@@ -119,13 +122,10 @@ class OptimizeOptions:
     # Fault isolation.  strict=True restores fail-fast: no checkpoints,
     # no rollback, the first pass failure propagates.
     strict: bool = False
-    # Per-pass wall-clock deadline in seconds (None disables).  Enforced
-    # preemptively via SIGALRM on the Unix main thread, post hoc (after
-    # the pass returns) elsewhere.
-    pass_deadline: float | None = None
     # World-growth budget: a pass that leaves more than
     # ``max(growth_cap_floor, growth_cap_factor * size-at-entry)``
-    # continuations behind is treated as blown up and rolled back.
+    # continuations behind is treated as blown up (rolled back, or
+    # raised under strict).
     growth_cap_factor: float = 64.0
     growth_cap_floor: int = 4096
     # Test/fault-injection hook, called as ``pass_hook(phase, world)``
@@ -195,7 +195,7 @@ class PassIncident:
 
     phase: str
     round: int
-    kind: str   # "exception" | "verify" | "deadline" | "growth"
+    kind: str   # "exception" | "verify" | "growth"
     error: str
 
     def as_dict(self) -> dict:
@@ -267,13 +267,13 @@ def _quarantine_key(phase: str) -> str:
 class _PhaseRunner:
     """Runs one phase at a time, fault-isolated unless strict.
 
-    Non-strict protocol per phase: skip if quarantined; otherwise
-    checkpoint (an :class:`~repro.core.undo.UndoLog`), run the body (and
-    the fault-injection hook) under the deadline, then enforce the
-    growth cap and — under ``verify_each_pass`` — the full verifier.
-    Any failure rolls the world back to the checkpoint and quarantines
-    the pass.  A failure *of the rollback itself* propagates;
-    ``optimize`` turns it into a :class:`PipelineCrash`.
+    Protocol per phase: skip if quarantined; otherwise checkpoint (an
+    :class:`~repro.core.undo.UndoLog`; not under strict), run the body
+    and the fault-injection hook, then enforce the growth cap and —
+    under ``verify_each_pass`` — the full verifier.  Strict re-raises
+    any failure; otherwise it rolls the world back to the checkpoint and
+    quarantines the pass.  A failure *of the rollback itself*
+    propagates; ``optimize`` turns it into a :class:`PipelineCrash`.
     """
 
     def __init__(self, world: World, options: OptimizeOptions,
@@ -380,37 +380,19 @@ class _PhaseRunner:
                         == self.world.generation)
         if noop and not options.verify_each_pass:
             return {"noop": 1}
-        generation_before = self.world.generation
-        unmoved = generation_before if noop else None
-        if options.strict:
-            before = self._analysis_counters()
-            started = time.perf_counter()
-            result = self._body(phase, body)
-            if options.pass_hook is not None:
-                options.pass_hook(phase, self.world)
-            self._verify(phase, unmoved)
-            return self._finish_phase(phase, result, before, started,
-                                      generation_before, noop)
-
         if _quarantine_key(phase) in self.quarantine:
             self.stats.skipped.append(phase)
             return {"quarantined": 1}
-
-        self._take_checkpoint()
+        generation_before = self.world.generation
+        unmoved = generation_before if noop else None
+        if not options.strict:
+            self._take_checkpoint()
         before = self._analysis_counters()
         started = time.perf_counter()
         try:
-            with deadline(options.pass_deadline, what=f"pass {phase}"):
-                result = self._body(phase, body)
-                if options.pass_hook is not None:
-                    options.pass_hook(phase, self.world)
-            if options.pass_deadline is not None:
-                # Post-hoc fallback for environments where the signal-
-                # based guard cannot preempt (threads, non-Unix).
-                elapsed = time.perf_counter() - started
-                if elapsed > options.pass_deadline:
-                    raise DeadlineExceeded(options.pass_deadline,
-                                           f"pass {phase}")
+            result = self._body(phase, body)
+            if options.pass_hook is not None:
+                options.pass_hook(phase, self.world)
             size = len(self.world._continuations)
             if size > self.growth_cap:
                 raise PassGrowthError(phase, size, self.growth_cap)
@@ -418,6 +400,8 @@ class _PhaseRunner:
             return self._finish_phase(phase, result, before, started,
                                       generation_before, noop)
         except Exception as exc:
+            if options.strict:
+                raise
             self.stats.record_time(phase, time.perf_counter() - started)
             self._rollback(phase, exc)
             return {"rolled_back": 1}
@@ -465,8 +449,6 @@ class _PhaseRunner:
     def _rollback(self, phase: str, exc: Exception) -> None:
         if isinstance(exc, PassVerifyError):
             kind = "verify"
-        elif isinstance(exc, DeadlineExceeded):
-            kind = "deadline"
         elif isinstance(exc, PassGrowthError):
             kind = "growth"
         else:

@@ -1,4 +1,4 @@
-"""Fleet-mode tests: hash ring, router, redispatch, batch, aggregation.
+"""Fleet-mode tests: hash ring, router, redispatch, pipelining, aggregation.
 
 Two in-process shard servers (the same :class:`_ServerThread` pattern
 as test_serve) sit behind an in-process :class:`Router` on its own
@@ -251,16 +251,11 @@ def test_routed_artifacts_match_direct(fleet):
         assert routed["artifacts"][artifact] == direct[artifact]
 
 
-def _lines(client: ServeClient, message: dict) -> list[bytes]:
-    """Send *message*; return its raw reply lines (a batch's sub-replies
-    in completion order, then the summary)."""
+def _line(client: ServeClient, message: dict) -> bytes:
+    """Send *message*; return its raw reply line."""
     client.connect()
     client._sock.sendall(encode_message(message))
-    lines = [client._read_line()]
-    if message.get("op") == "batch":
-        while not json.loads(lines[-1]).get("batch_complete"):
-            lines.append(client._read_line())
-    return lines
+    return client._read_line()
 
 
 def test_routed_reply_lines_match_direct(fleet):
@@ -274,8 +269,8 @@ def test_routed_reply_lines_match_direct(fleet):
         # A cold compile: the routed line splices the text the shard's
         # cache write produced, so only the cache outcome tells it from
         # the direct memory hit that follows.
-        (cold,) = _lines(routed, {**compile_msg, "id": "cold"})
-        (hit,) = _lines(direct, {**compile_msg, "id": "cold"})
+        cold = _line(routed, {**compile_msg, "id": "cold"})
+        hit = _line(direct, {**compile_msg, "id": "cold"})
         assert json.loads(cold)["cached"] is False
         assert json.loads(hit)["cached"] == "memory"
         assert cold.replace(b'"cached":false,', b'"cached":"memory",', 1) \
@@ -283,29 +278,20 @@ def test_routed_reply_lines_match_direct(fleet):
 
         # A memory hit, with a structured id.
         message = {**compile_msg, "id": {"n": 1, "tag": "hit"}}
-        assert _lines(routed, message) == _lines(direct, message)
+        assert _line(routed, message) == _line(direct, message)
 
         # A bad request: the router answers itself, in the same bytes.
         message = {**compile_msg, "options": {"warp_factor": 9}, "id": 5}
-        assert _lines(routed, message) == _lines(direct, message)
+        assert _line(routed, message) == _line(direct, message)
 
         # A run: two fresh requests both land on the interpreter tier.
         run_msg = {"op": "run", "source": source, "entry": "main",
                    "args": [[6]], "id": "run"}
         run_owner = fleet.router.router.ring.lookup(run_cache_key(run_msg))
         with fleet.shard_client(run_owner) as run_direct:
-            (routed_run,) = _lines(routed, run_msg)
-            assert _lines(run_direct, run_msg) == [routed_run]
+            routed_run = _line(routed, run_msg)
+            assert _line(run_direct, run_msg) == routed_run
         assert json.loads(routed_run)["tier"] == "interp"
-
-        # A batch: the sub-reply and the summary line.
-        batch = {"op": "batch", "id": "b1",
-                 "requests": [{**compile_msg, "id": "sub"}]}
-        routed_batch = _lines(routed, batch)
-        assert routed_batch == _lines(direct, batch)
-        assert routed_batch[0].startswith(b'{"id":"sub","batch":"b1",')
-        # And the routed line decodes to what the client returns.
-        assert json.loads(routed_batch[0])["cached"] == "memory"
 
 
 def test_routed_run_request(fleet):
@@ -317,13 +303,13 @@ def test_routed_run_request(fleet):
 
 
 def test_bad_request_direct_and_routed(fleet):
-    """An option name outside the six the cache key covers — unknown,
+    """An option name outside the five the cache key covers — unknown,
     operational (the server's to set) or retired — gets a structured
     bad-request on both paths, never a connection drop."""
     for options in ({"warp_factor": 9}, {"pass_hook": 1},
                     {"crash_dir": "/elsewhere"},
                     {"crash_context": {"origin": "client"}},
-                    {"max_rounds": 2}):
+                    {"max_rounds": 2}, {"pass_deadline": 1.0}):
         (name,) = options
         checks = [
             lambda c: c.compile(SRC, options=options),
@@ -349,46 +335,33 @@ def test_router_rejects_malformed_and_unknown(fleet):
         assert reply["error"]["code"] == "malformed-json"
         assert client.request({"op": "warp"})["error"]["code"] == \
             "bad-request"
+        # The retired batch op is an unknown op like any other.
+        reply = client.request({"op": "batch", "id": "b",
+                                "requests": [{"op": "ping"}]})
+        assert reply["id"] == "b"
+        assert reply["error"]["code"] == "bad-request"
+        assert "unknown op 'batch'" in reply["error"]["message"]
 
 
-def test_batch_streams_and_summarizes(fleet):
+def test_pipelined_lines_are_answered_one_each(fleet):
+    """Lines pipelined down one router connection are answered one
+    reply per line, in completion order, each tagged with its own id."""
     requests = [
-        {"op": "ping"},
-        {"op": "compile", "source": SRC + " // batch-0"},
-        {"op": "compile", "source": SRC + " // batch-1", "id": "named"},
+        {"op": "ping", "id": "ping"},
+        {"op": "compile", "source": SRC + " // pipelined-0", "id": 0},
+        {"op": "compile", "source": SRC + " // pipelined-1", "id": "named"},
         {"op": "compile", "source": "fn broken(", "id": "bad"},
-        {"op": "nope"},
+        {"op": "nope", "id": 4},
     ]
     with fleet.client() as client:
-        replies, summary = client.batch(requests, request_id="b7")
-    assert summary["batch_complete"] and summary["batch"] == "b7"
-    assert summary["replies"] == 5 and summary["failed"] == 2
-    assert replies[0]["pong"]
-    assert replies[1]["ok"] and replies["named"]["ok"]
+        replies = client.pipelined(requests)
+        assert client.ping()["pong"]  # no reply left over on the line
+    assert sorted(map(str, replies)) == ["0", "4", "bad", "named", "ping"]
+    assert replies["ping"]["pong"]
+    assert replies[0]["ok"] and replies["named"]["ok"]
+    assert replies[0]["key"] != replies["named"]["key"]
     assert replies["bad"]["error"]["code"] == "compile-error"
     assert replies[4]["error"]["code"] == "bad-request"
-    assert all(r.get("batch") == "b7" for r in replies.values())
-
-
-def test_batch_does_not_nest(fleet):
-    with fleet.client() as client:
-        replies, summary = client.batch(
-            [{"op": "batch", "requests": [{"op": "ping"}]}])
-    # The envelope itself is rejected before any sub-request runs.
-    assert not summary
-    assert len(replies) == 1
-    (reply,) = replies.values()
-    assert reply["error"]["code"] == "bad-request"
-    assert "nest" in reply["error"]["message"]
-
-
-def test_batch_against_single_daemon(fleet):
-    """The batch op is not router-only: shards speak it too."""
-    with fleet.shard_client("shard-b") as client:
-        replies, summary = client.batch(
-            [{"op": "ping"}, {"op": "compile", "source": SRC}])
-    assert summary["replies"] == 2 and summary["failed"] == 0
-    assert replies[0]["pong"] and replies[1]["ok"]
 
 
 def test_fleet_stats_aggregate(fleet):

@@ -129,3 +129,18 @@ class TestDetection:
                                                 run_ssa=False))
         assert failure is not None
         assert failure.stage in ("verify(static)", "compile(static)")
+
+
+class TestCampaignCase:
+    def test_a_case_timeout_is_reported_as_a_timeout(self, tmp_path):
+        """``--case-timeout`` ends a seed as a timeout wherever it lands:
+        the oracle's guards around each compile and run do not take it
+        for a divergence, so no repro reaches the corpus."""
+        from repro.fuzz.cli import _campaign_case, _parse_args
+
+        corpus = tmp_path / "corpus"
+        args = _parse_args(["--case-timeout", "0.05", "--no-native",
+                            "--no-shrink", "--corpus", str(corpus)])
+        result = _campaign_case((0, False, args))
+        assert result["status"] == "timeout", result
+        assert not corpus.exists()

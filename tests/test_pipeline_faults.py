@@ -18,9 +18,9 @@ from repro.transform.pipeline import (OptimizeOptions, PipelineCrash,
 PROGRAM = by_name("compose")
 STATIC_PASSES = ("partial_eval", "closure_elim", "inline", "lambda_drop",
                  "cleanup")
-MODES = ("raise", "corrupt", "stall", "growth")
+MODES = ("raise", "corrupt", "growth")
 KIND_BY_MODE = {"raise": "exception", "corrupt": "verify",
-                "stall": "deadline", "growth": "growth"}
+                "growth": "growth"}
 
 
 def _world():
@@ -30,12 +30,9 @@ def _world():
 def _injected(mode: str, target: str):
     """Optimize with one injected fault; returns (world, injector, stats)."""
     world = _world()
-    injector = FaultInjector(FaultPlan(mode, target=target,
-                                       stall_seconds=0.4))
+    injector = FaultInjector(FaultPlan(mode, target=target))
     options = OptimizeOptions(
-        verify_each_pass=True,
-        pass_deadline=0.15 if mode == "stall" else None,
-        growth_cap_factor=4.0, growth_cap_floor=64,
+        verify_each_pass=True, growth_cap_factor=4.0, growth_cap_floor=64,
         pass_hook=injector)
     stats = optimize(world, options=options)
     return world, injector, stats

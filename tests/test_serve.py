@@ -219,10 +219,11 @@ def test_a_client_that_stops_reading_stops_being_read(served):
     assert taken < sent // 4, f"read {taken} of {sent} pipelined lines"
 
 
-# Option names the wire refuses: the operational ``pass_hook``, two
+# Option names the wire refuses: the operational ``pass_hook``, three
 # retired pipeline fields and a retired budget.
 WIRE_REJECTED = ({"pass_hook": 1}, {"crash_dir": "/elsewhere"},
-                 {"crash_context": {"origin": "client"}}, {"max_rounds": 2})
+                 {"crash_context": {"origin": "client"}}, {"max_rounds": 2},
+                 {"pass_deadline": 1.0})
 
 
 def test_bad_requests(served):
@@ -286,7 +287,7 @@ def test_compile_error_is_not_a_crash(served):
 
 
 def test_smoke_driver_against_one_daemon():
-    """The service driver against ``python -m repro.serve``: a batched
+    """The service driver against ``python -m repro.serve``: a pipelined
     mix with zero failures, byte identity with in-process compiles, a
     worker kill survived, and a clean SIGTERM exit."""
     assert smoke.main(["--shards", "0", "--requests", "12"]) == 0
@@ -298,7 +299,7 @@ def test_smoke_driver_against_one_daemon():
 
 
 async def _answer(server: CompileServer, line: bytes) -> bytes:
-    """The one reply line *server* sends for the non-batch *line*."""
+    """The one reply line *server* sends for *line*."""
     replies = []
 
     async def send(reply: bytes) -> None:
@@ -353,6 +354,37 @@ def test_duplicate_inflight_requests_coalesce(tmp_path):
             await server.stop()
 
     asyncio.run(scenario())
+
+
+def test_an_unexpected_exception_answers_the_leader_and_its_joiners(
+        tmp_path, monkeypatch):
+    """An exception the compile path did not expect is answered
+    ``internal-error``, with its type and text, to the compile and to
+    the duplicate coalesced on it; neither is left waiting."""
+    async def broken(self, request, key, started):
+        raise ValueError("no room for the artifact")
+
+    monkeypatch.setattr(CompileServer, "_execute", broken)
+    line = encode_message({"op": "compile", "source": SRC, "opt": "static"})
+
+    async def scenario():
+        server = CompileServer(ServerConfig(
+            cache_dir=str(tmp_path / "cache"),
+            crash_dir=str(tmp_path / "crashes")))
+        try:
+            replies = await asyncio.wait_for(asyncio.gather(
+                _answer(server, line), _answer(server, line)), timeout=3.0)
+            return replies, server
+        finally:
+            await server.stop()
+
+    replies, server = asyncio.run(scenario())
+    assert server.metrics.counters["coalesced"] == 1
+    for reply in map(json.loads, replies):
+        assert reply["error"] == {"code": "internal-error",
+                                  "message": "ValueError: no room for the "
+                                             "artifact"}
+    assert server._pending == 0 and not server._inflight
 
 
 def test_closing_the_pool_ends_a_job_in_flight_without_a_new_seat():
@@ -1074,9 +1106,8 @@ _json_values = st.recursive(
                                         max_size=4)),
     max_leaves=12)
 _head_members = st.fixed_dictionaries({}, optional={
-    "id": _json_values, "batch": _json_values, "ok": st.booleans()})
-_tags = st.fixed_dictionaries({}, optional={
-    "id": _json_values, "batch": _json_values})
+    "id": _json_values, "ok": st.booleans()})
+_tags = st.fixed_dictionaries({}, optional={"id": _json_values})
 
 
 @settings(max_examples=300, deadline=None)
@@ -1098,20 +1129,19 @@ def test_retag_equals_encoding_the_retagged_reply(body, head, raw, tags):
 
     retagged = retag(line, **tags)
     expected = {name: value for name, value in reply.items()
-                if name not in ("id", "batch")}
+                if name != "id"}
     expected.update(tags)
     assert retagged == encode_message(expected)
     plain_expected = {name: value for name, value in plain.items()
-                      if name not in ("id", "batch")}
+                      if name != "id"}
     plain_expected.update(tags)
     assert json.loads(retagged) == plain_expected
 
 
 def test_encode_message_head_order():
-    line = encode_message({"key": "k", "ok": True, "batch": "b",
-                           "cached": "memory", "id": 7,
-                           "artifacts": RawJSON('{"ir":"x"}')})
-    assert line == (b'{"id":7,"batch":"b","ok":true,"artifacts":{"ir":"x"},'
+    line = encode_message({"key": "k", "ok": True, "cached": "memory",
+                           "id": 7, "artifacts": RawJSON('{"ir":"x"}')})
+    assert line == (b'{"id":7,"ok":true,"artifacts":{"ir":"x"},'
                     b'"cached":"memory","key":"k"}\n')
 
 
@@ -1161,6 +1191,36 @@ def test_client_reassembles_a_line_from_tiny_chunks():
         writer.join()
         server_end.close()
         client.close()
+
+
+def test_pipelined_reads_while_it_writes():
+    """A pipeline larger than the socket buffers both ways: the peer
+    answers each line before it reads the next, so a client that wrote
+    every line before reading any reply would wait on it forever."""
+    client, server_end = _paired_client()
+    client._sock.settimeout(30.0)
+    pad = "p" * 65536
+    count = 64
+
+    def answer_each_line():
+        with server_end.makefile("rb") as lines:
+            for _ in range(count):
+                request = json.loads(lines.readline())
+                server_end.sendall(encode_message(
+                    {"ok": True, "id": request["id"], "pad": pad}))
+
+    peer = threading.Thread(target=answer_each_line, daemon=True)
+    peer.start()
+    try:
+        replies = client.pipelined(
+            [{"op": "ping", "id": index, "pad": pad}
+             for index in range(count)])
+    finally:
+        client.close()
+        peer.join(timeout=30.0)
+        server_end.close()
+    assert not peer.is_alive()
+    assert sorted(replies) == list(range(count))
 
 
 def test_client_refuses_an_oversized_line():
